@@ -35,16 +35,21 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 from common import (REFERENCE_PROBE_S, ROOT, SAMPLE_INTERVAL_S,  # noqa: E402
-                    SRC, WORK, host_fingerprint, quantile, repeat_passes,
-                    repro_available, run_child, scaled_segments, spread)
+                    SRC, WORK, host_fingerprint, probe, quantile,
+                    repeat_passes, repro_available, run_child,
+                    scaled_segments, spread)
+from spans import program_self_s  # noqa: E402
 
-#: Every workload's tail percentile: p90, which has at least ten samples
-#: beyond it in a pass of 100 or more operations.  paper-sweep has 13
-#: samples a pass, short of that; it is reported regardless.  A memo
-#: round of 2 000 would allow p99, but that tail measures the host's
-#: scheduler: its run-to-run spread was twice that of p50.
-TAIL = {"paper-sweep": 0.90, "cache-dse": 0.90, "serve-cold": 0.90,
-        "serve-memo": 0.90}
+#: The tail percentile, p90, which has at least ten samples beyond it in
+#: a pass of 100 or more operations.  paper-sweep has 13 samples a pass,
+#: short of that; it is reported regardless.  A memo round of 2 000
+#: would allow p99, but that tail measures the host's scheduler: its
+#: run-to-run spread was twice that of p50.
+TAIL_Q = 0.90
+
+#: Probes taken before and after each pass of a traced run, to scale the
+#: two passes' times for ``trace_overhead_ratio``.
+BRACKET_PROBES = 25
 
 #: ``(name, unit)`` of every end-to-end metric, reported by every workload.
 END_TO_END = (
@@ -94,7 +99,7 @@ def _per_layer_names():
     names += [("experiments.self_s", "s"), ("workflow.self_s", "s"),
               ("serve.ping_p50_ms", "ms")]
     names += [(f"serve.cold_{op}_p50_ms", "ms")
-              for op in ("wcet", "simulate", "sweep", "grid")]
+              for op in ("compile", "wcet", "simulate", "sweep", "grid")]
     names += [(f"serve.{name}", "count") for name in SERVE_COUNTERS]
     names += [("serve.pool_retries", "count"), ("store.entries", "count"),
               ("store.bytes", "bytes"), ("unattributed_s", "s"),
@@ -112,7 +117,7 @@ PER_LAYER = _per_layer_names()
 # (``[start, duration]`` host-speed probes; none on ``serve-memo``),
 # ``ops``, ``problems`` / ``failed_ops``, ``rss_mb``, ``setup_s`` and
 # ``setup_probes_s``.  A workload is ``(run_pass, setup_probe, minimum
-# passes)``: the long passes run once, the short ones at least twice.
+# passes)``: serve-cold runs at least twice, the others at least once.
 
 def _child_pass(kind):
     def run_pass(seed, index, traced):
@@ -123,12 +128,18 @@ def _child_pass(kind):
     return run_pass, setup_probe, 1
 
 
+def _serve_requests(seed, mode):
+    import serve_load
+    if mode == "cold":
+        return serve_load.make_requests(seed)
+    return serve_load.make_requests(seed, generated=(),
+                                    keep=serve_load.small_answer)
+
+
 def _serve_pass(mode):
     def run_pass(seed, index, traced):
         import serve_load
-        strata = (serve_load.COLD_STRATA if mode == "cold"
-                  else serve_load.MEMO_STRATA)
-        requests = serve_load.make_requests(seed, strata)
+        requests = _serve_requests(seed, mode)
         if mode == "cold":
             result = serve_load.cold_pass(requests, f"c{index}")
         else:
@@ -138,10 +149,11 @@ def _serve_pass(mode):
 
     def setup_probe(seed):
         import serve_load
-        daemon = serve_load.Daemon("probe")
+        daemon = serve_load.Daemon("probe", serve_load.served_benches(
+            _serve_requests(seed, mode)))
         daemon.close()
         return {"setup_s": daemon.setup_s, "setup_probes_s": daemon.probes}
-    return run_pass, setup_probe, 2
+    return run_pass, setup_probe, 2 if mode == "cold" else 1
 
 
 WORKLOADS = {
@@ -153,16 +165,23 @@ WORKLOADS = {
 
 
 def _check_serve(passes):
-    """Verify every served answer; fills each pass's ``failed_ops``."""
+    """Verify every served answer; fills each pass's ``failed_ops``.
+
+    A key with a wrong answer fails once a pass; on ``serve-memo`` each
+    timed answer that did not come from the memo fails too.
+    """
     import serve_load
     requests = passes[0]["requests"]
     records = [record for result in passes for record in result["records"]]
     problems = serve_load.verify(requests, records)
     for result in passes:
         keys = {record[0] for record in result["records"]}
-        result["failed_ops"] = sorted(keys & set(problems))
-        result["problems"] = [f"{key}: {problems[key]}"
-                              for key in result["failed_ops"]]
+        wrong = sorted(keys & set(problems))
+        not_memo = result.get("not_memo_ops", [])
+        result["failed_ops"] = wrong + not_memo
+        result["problems"] = ([f"{key}: {problems[key]}" for key in wrong]
+                              + [f"{op}: not served from the memo"
+                                 for op in not_memo])
 
 
 # -- metrics -----------------------------------------------------------------
@@ -190,24 +209,25 @@ def _end_to_end(workload, passes, setups, scale=True):
     inputs, so each operation counts with its fastest scaled time
     across the passes: the pass time is the sum of those, and the
     latency percentiles are taken over them.  ``serve-memo`` is not
-    scaled (see ``serve_load.memo_pass``): it reports the fastest of
-    its rounds' times and percentiles.
+    scaled (see ``serve_load.memo_pass``): it reports the median over
+    its rounds of each round's time and percentiles.
     """
     if workload == "serve-memo":
         rounds = [(end - start, latencies) for result in passes
                   for (start, end), latencies in zip(
                       result["spans"], result["round_latencies"])]
-        wall = min(seconds for seconds, _ in rounds)
-        p50 = min(quantile(latencies, 0.5) for _, latencies in rounds)
-        p_tail = min(quantile(latencies, TAIL[workload])
-                     for _, latencies in rounds)
+        wall = statistics.median(seconds for seconds, _ in rounds)
+        p50 = statistics.median(quantile(latencies, 0.5)
+                                for _, latencies in rounds)
+        p_tail = statistics.median(quantile(latencies, TAIL_Q)
+                                   for _, latencies in rounds)
     else:
         segments = [_segments(result, scale) for result in passes]
         fastest = list(map(min, zip(*segments)))
         latencies = [fastest[index] for index in passes[0]["op_segments"]]
         wall = sum(fastest)
         p50 = quantile(latencies, 0.5)
-        p_tail = quantile(latencies, TAIL[workload])
+        p_tail = quantile(latencies, TAIL_Q)
     return {
         "wall_s": wall,
         "ops_per_s": passes[0]["ops"] / wall,
@@ -224,11 +244,32 @@ def _ratio(hits, misses):
     return hits / (hits + misses) if hits + misses else 0.0
 
 
+def _bracketed(run_pass, seed, index, traced):
+    """A pass with :data:`BRACKET_PROBES` host-speed probes before and
+    after it, outside its timed segments."""
+    before = [probe() for _ in range(BRACKET_PROBES)]
+    result = run_pass(seed, index, traced)
+    result["pass_probes_s"] = before + [probe()
+                                        for _ in range(BRACKET_PROBES)]
+    return result
+
+
+def _bracketed_wall(result):
+    """A bracketed pass's time at the reference host speed."""
+    wall = sum(_segments(result, scale=False))
+    return wall * REFERENCE_PROBE_S / statistics.median(
+        result["pass_probes_s"])
+
+
 def _per_layer(traced, untraced):
     """Per-layer metrics of the traced pass; 0 where a layer is unused.
 
     Layer times are raw host seconds: they are shares of one pass, not
-    comparisons across runs.
+    comparisons across runs.  ``unattributed_s`` is the pass time the
+    wrapped program layers do not explain: the benchmark's root spans'
+    own time (glue in the experiments or ``Workflow``) plus the gaps
+    between them.  ``trace_overhead_ratio`` compares the two passes,
+    each scaled by the probes around it.
     """
     values = dict.fromkeys((name for name, _ in PER_LAYER), 0)
     layers = traced.get("layers", {})
@@ -260,10 +301,9 @@ def _per_layer(traced, untraced):
     if "stats" in traced:
         _serve_layers(values, traced)
     else:
-        values["unattributed_s"] = wall - sum(
-            entry["self_s"] for entry in layers.values())
-    values["trace_overhead_ratio"] = wall / sum(
-        _segments(untraced, scale=False))
+        values["unattributed_s"] = wall - program_self_s(layers)
+    values["trace_overhead_ratio"] = (_bracketed_wall(traced)
+                                      / _bracketed_wall(untraced))
     return values
 
 
@@ -272,7 +312,7 @@ def _serve_layers(values, traced):
     latencies = [record[2] for record in traced["records"]]
     values["serve.request_s"] = sum(latencies)
     values["serve.request_calls"] = len(latencies)
-    if "not_memo" not in traced:  # the cold phase: per-op medians
+    if "not_memo_ops" not in traced:  # the cold phase: per-op medians
         by_op = {}
         for _, op, latency, _ in traced["records"]:
             by_op.setdefault(op, []).append(latency)
@@ -293,7 +333,8 @@ def _serve_layers(values, traced):
 def run(workload, seed, seconds, trace):
     run_pass, setup_probe, minimum = WORKLOADS[workload]
     if trace:
-        passes = [run_pass(seed, 0, False), run_pass(seed, 1, True)]
+        passes = [_bracketed(run_pass, seed, 0, False),
+                  _bracketed(run_pass, seed, 1, True)]
     else:
         passes = repeat_passes(lambda i: run_pass(seed, i, False), seconds,
                                minimum)
@@ -322,7 +363,6 @@ def run(workload, seed, seconds, trace):
         "seed_applies": workload != "paper-sweep",
         "passes": len(passes),
         "ops_per_pass": passes[0]["ops"],
-        "tail_percentile": TAIL[workload],
         "setup_samples": len(setups),
         "raw_wall_s_per_pass": raw_walls,
         "raw_wall_s_spread": spread(raw_walls),
@@ -331,8 +371,9 @@ def run(workload, seed, seconds, trace):
             for r in passes if r.get("samples")],
         "problems": [p for r in passes for p in r["problems"]][:20],
     }
-    if "not_memo" in passes[0]:
-        info["answers_not_from_memo"] = sum(r["not_memo"] for r in passes)
+    if "not_memo_ops" in passes[0]:
+        info["answers_not_from_memo"] = sum(len(r["not_memo_ops"])
+                                            for r in passes)
     result = {
         "correct": failed == 0,
         "attempted": attempted,

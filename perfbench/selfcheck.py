@@ -69,6 +69,13 @@ def check_wrapping():
     expect(repro.workflow.simulate is original, "uninstall restores")
 
 
+def _unattributed_share(result):
+    """Share of a traced pass outside the wrapped program layers."""
+    from spans import program_self_s
+    wall = sum(end - start for start, end in result["spans"])
+    return (wall - program_self_s(result["layers"])) / wall
+
+
 def check_dse():
     import dse
     spec = {"kind": "dse", "seed": 7, "trace": True,
@@ -85,10 +92,8 @@ def check_dse():
                   "wcet.frontend", "wcet.cache_fixpoint", "wcet.ipet"):
         expect(layers.get(layer, {}).get("calls", 0) > 0,
                f"traced DSE reaches {layer}")
-    wall = sum(end - start for start, end in result["spans"])
-    attributed = sum(entry["self_s"] for entry in layers.values())
-    expect(wall - attributed < 0.05 * wall,
-           "DSE spans attribute over 95% of the pass")
+    expect(_unattributed_share(result) < 0.05,
+           "wrapped layers explain over 95% of the DSE pass")
 
     programs = dse.make_inputs(7, suite=["crc"], generated=())
     outcome = dse.run_pass(programs)
@@ -123,6 +128,8 @@ def check_sweep():
     expect(layers.get("wcet.driver", {}).get("calls", 0) > 0
            and layers.get("sim.replay_grid", {}).get("calls", 0) > 0,
            "experiment spans nest the pipeline layers")
+    expect(_unattributed_share(result) < 0.05,
+           "wrapped layers explain over 95% of the experiments")
     with open(child.DIGESTS) as handle:
         digests = json.load(handle)
     problems = child.digest_problems({"table1": "tampered"}, False,
@@ -132,18 +139,21 @@ def check_sweep():
 
 
 def check_serve():
+    import run
     import serve_load
-    benches = ("crc",)
-    requests = serve_load.make_requests(
-        3, serve_load.COLD_STRATA[:3] + serve_load.COLD_STRATA[-4:],
-        benches=benches)
-    cold = serve_load.cold_pass(requests, "selfcheck-cold", benches)
+    requests = serve_load.make_requests(3, suite=["crc"],
+                                        generated=(("small", 1, 2_000),))
+    expect(len(requests) == 18 and len({r["bench"] for _, r in requests})
+           == 2, "one request per pool entry and served program")
+    cold = serve_load.cold_pass(requests, "selfcheck-cold")
     expect(all(record[3].get("served") == "computed"
                for record in cold["records"]),
            "distinct cold requests are all computed")
-    memo = serve_load.memo_pass(requests, 3, "selfcheck-memo", benches,
+    memo_requests = [(key, request) for key, request in requests
+                     if serve_load.small_answer(request)]
+    memo = serve_load.memo_pass(memo_requests, 3, "selfcheck-memo",
                                 rounds=2, per_round=100)
-    expect(memo["not_memo"] == 0,
+    expect(not memo["not_memo_ops"],
            "repeated keys are all answered from the memo")
     expect(memo["stats"]["counters"]["memo_hits"] >= 200,
            "stats op reports the memo hits")
@@ -155,6 +165,11 @@ def check_serve():
     problems = serve_load.verify(requests,
                                  [(key, op, latency, tampered)] + records)
     expect(list(problems) == [key], "serve gate catches a wrong answer")
+    missed = dict(memo, requests=memo_requests,
+                  not_memo_ops=[f"{key}@1.0"])
+    run._check_serve([missed])
+    expect(missed["failed_ops"] == [f"{key}@1.0"],
+           "an answer not from the memo counts as failed")
     expect(not os.path.exists(os.path.join(WORK, f"d{os.getpid()}"
                                                  "-selfcheck-cold")),
            "the daemon's files are gone after its pass")

@@ -1,17 +1,21 @@
 """The serve workloads: a private ``repro-serve`` daemon per pass.
 
 Each pass spawns one daemon with one worker on a unix socket inside the
-checkout, warmed on the suite benchmarks it serves, and drives it
+checkout, warmed on every program it serves, and drives it
 closed-loop from this process:
 
-* ``cold``: one connection sends seeded *distinct* ``wcet`` /
-  ``simulate`` / ``sweep`` / ``grid`` requests (``{"spm": N}`` points
-  included) in a fixed order.  Nothing coalesces, so every request is
-  one cold computation: trace recording, profiling, allocation,
-  execution and WCET analysis in the worker.
-* ``memo``: a seeded key set is computed once (untimed priming), then
-  two connections repeat those keys, so every timed answer comes from
-  the daemon's result memo: transport, protocol and memo lookup only.
+* ``cold``: one connection sends seeded *distinct* requests in a fixed
+  order: one seeded variant of each entry of the per-bench pool of
+  ``repro.serve.loadgen.build_requests`` (``compile``, three
+  ``simulate``, three ``wcet`` with a scratchpad point among them, one
+  ``sweep``, one ``grid``) for every suite benchmark and eleven
+  ``repro.gen`` programs.  Nothing coalesces, so every request is one
+  cold computation: trace recording, profiling, allocation, execution
+  and WCET analysis in the worker.
+* ``memo``: the suite's pool entries with small answers are computed
+  once (untimed priming), then two connections repeat those keys, so
+  every timed answer should come from the daemon's result memo:
+  transport, protocol and memo lookup only.
 
 Every distinct key is checked against a direct, in-process
 ``repro.serve.worker.evaluate_request`` of the same canonical request,
@@ -21,6 +25,7 @@ result as the first answer.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -33,96 +38,99 @@ import time
 
 from common import ROOT, WORK, child_env, probe, quantile, tree_peak_rss_mb
 
-#: Suite benchmarks the daemon warms and serves.  g721 and multisort
-#: are left out: their cold requests take seconds, which would let a few
-#: requests set the whole cold phase.
-BENCHES = ("adpcm", "fir", "crc", "matmult", "sort_wc")
-SIZES = (128, 256, 512, 1024, 2048, 4096)
-LINES = (8, 16, 32)
-ASSOCS = (1, 2, 4)
-SPM_SIZES = (128, 256, 512, 1024, 2048)
+#: Cache and scratchpad sizes the seed draws a pool entry's geometry from.
+SIZES = (64, 128, 256, 512, 1024, 2048)
+SPM_SIZES = (128, 256, 512, 1024)
+#: ``(profile, count, statement cap)`` of the ``repro.gen`` programs
+#: served beside the suite, capped as in ``dse.GENERATED``.
+GENERATED = (("small", 3, 2_000), ("medium", 4, 2_000), ("large", 4, 4_000))
+#: Seed of the request order, which is the same for every ``--seed``.
+ORDER_SEED = 0
 MEMO_CONNECTIONS = 2
-MEMO_ROUNDS = 10
+MEMO_ROUNDS = 40
 MEMO_ROUND_REQUESTS = 2_000
 PINGS = 200
 
 
-def _config(rng, shape) -> dict:
-    if shape == "spm":
-        return {"spm": rng.choice(SPM_SIZES)}
-    if shape == "spm_wcet":
-        return {"spm": rng.choice(SPM_SIZES), "alloc": "wcet"}
-    config = {"cache": rng.choice(SIZES), "line": rng.choice(LINES),
-              "assoc": rng.choice(ASSOCS)}
-    if shape == "icache":
-        config["icache"] = True
-    elif shape == "split":
-        config["dcache"] = rng.choice(SIZES)
-    elif shape == "l2":
-        config["l2"] = config["cache"] * 8
-        config["l2_line"] = max(16, config["line"])
-        config["l2_assoc"] = 4
-    return config
+def _pool(rng, bench) -> list:
+    """One seeded variant of each entry of the per-bench request pool of
+    ``repro.serve.loadgen.build_requests`` (its heavy mix), in the same
+    proportions: the op and the hierarchy shape are the pool's, the seed
+    draws the sizes and associativity.  ``compile`` and the default
+    ``simulate`` have nothing to draw."""
+    size = rng.choice(SIZES[:4])
+    return [
+        {"op": "compile", "bench": bench},
+        {"op": "simulate", "bench": bench},
+        {"op": "simulate", "bench": bench,
+         "config": {"cache": rng.choice(SIZES)}},
+        {"op": "simulate", "bench": bench,
+         "config": {"cache": size, "l2": 4 * size}},
+        {"op": "wcet", "bench": bench,
+         "config": {"cache": rng.choice(SIZES)}},
+        {"op": "wcet", "bench": bench,
+         "config": {"cache": rng.choice(SIZES), "assoc": rng.choice((2, 4))},
+         "persistence": True},
+        {"op": "sweep", "bench": bench,
+         "sizes": sorted(rng.sample(SIZES, 4))},
+        {"op": "grid", "bench": bench, "sizes": sorted(rng.sample(SIZES, 3)),
+         "assocs": [1, 2]},
+        {"op": "wcet", "bench": bench,
+         "config": {"spm": rng.choice(SPM_SIZES)}},
+    ]
 
 
-def _request(rng, bench, kind, shape) -> dict:
-    if kind == "sweep":
-        return {"op": "sweep", "bench": bench,
-                "sizes": sorted(rng.sample(SIZES, 4)),
-                "line": rng.choice(LINES), "assoc": rng.choice(ASSOCS),
-                "persistence": shape == "persistent"}
-    if kind == "grid":
-        return {"op": "grid", "bench": bench,
-                "sizes": sorted(rng.sample(SIZES, 3)),
-                "assocs": [1, 2, 4] if shape == "wide" else [1, 2],
-                "line": rng.choice((16, 32)), "icache": shape == "icache"}
-    request = {"op": kind, "bench": bench, "config": _config(rng, shape)}
-    if kind == "wcet":
-        request["persistence"] = shape == "persistent"
-    return request
+def small_answer(request) -> bool:
+    """Whether the memo phase repeats *request*: sweeps and grids carry
+    one row per geometry, and a scratchpad ``wcet`` would make the
+    untimed priming run a profile (seconds on ``g721``)."""
+    return (request["op"] in ("compile", "simulate", "wcet")
+            and "spm" not in request.get("config", {}))
 
 
-#: Per benchmark: (op, shape) strata of the cold phase, each drawn once.
-COLD_STRATA = (
-    [("simulate", shape) for shape in
-     ("l1", "l1", "l1", "icache", "split", "l2", "spm")]
-    + [("wcet", shape) for shape in
-       ("l1", "l1", "persistent", "icache", "split", "l2", "spm", "spm",
-        "spm_wcet")]
-    + [("sweep", "plain"), ("sweep", "persistent"),
-       ("grid", "wide"), ("grid", "icache")])
-
-#: Per benchmark: the strata whose answers the memo phase repeats.  All
-#: answers are small, so the phase times the path rather than the size
-#: of a seed's sweep and grid answers.
-MEMO_STRATA = (
-    [("simulate", shape) for shape in ("l1", "l1", "icache", "l2")]
-    + [("wcet", shape) for shape in ("l1", "persistent", "icache",
-                                     "split")])
+def _generated(profile, count, cap) -> list:
+    """``gen:<seed>:<profile>`` keys of the first *count* generator seeds
+    whose reference run stays within *cap* statements."""
+    from dse import _generate
+    keys = (f"gen:{seed}:{profile}" for seed in range(1, 10_000)
+            if _generate(seed, profile, cap) is not None)
+    return list(itertools.islice(keys, count))
 
 
-def make_requests(seed: int, strata, benches=BENCHES) -> list:
-    """Seeded distinct requests, one per (benchmark, stratum), shuffled."""
+def make_requests(seed: int, suite=None, generated=GENERATED,
+                  keep=None) -> list:
+    """``(key, request)``: the seeded pool of every served program.
+
+    The programs are the suite (or *suite*) and the *generated* ones,
+    the same for every seed: the seed draws only the geometries, so the
+    set of computations, and with it the latency distribution, stays
+    nearly the same.  The order is shuffled once, the same way for every
+    seed, so the same request pays each program's trace recording.
+    *keep* filters the requests.
+    """
+    from repro.benchmarks import BENCHMARKS
     from repro.serve.protocol import canonical_request, request_key
     rng = random.Random(seed)
-    requests, keys = [], set()
-    for bench in benches:
-        for kind, shape in strata:
-            for _ in range(1000):
-                request = _request(rng, bench, kind, shape)
-                key = request_key(canonical_request(request))
-                if key not in keys:
-                    break
-            keys.add(key)
-            requests.append((key, request))
-    rng.shuffle(requests)
+    benches = list(BENCHMARKS if suite is None else suite)
+    for profile, count, cap in generated:
+        benches += _generated(profile, count, cap)
+    requests = [(request_key(canonical_request(request)), request)
+                for bench in benches for request in _pool(rng, bench)
+                if keep is None or keep(request)]
+    random.Random(ORDER_SEED).shuffle(requests)
     return requests
+
+
+def served_benches(requests) -> list:
+    """The programs *requests* name, in first-seen order: the daemon
+    warms them all, as ``repro-serve-load`` warms its ``--benches``."""
+    return list(dict.fromkeys(request["bench"] for _, request in requests))
 
 
 class Daemon:
     """One private daemon: spawn-until-ping on construction."""
 
-    def __init__(self, tag: str, benches=BENCHES):
+    def __init__(self, tag: str, benches):
         from repro.serve.client import ServeClient, ServeTransportError
         self.dir = os.path.join(WORK, f"d{os.getpid()}-{tag}")
         shutil.rmtree(self.dir, ignore_errors=True)
@@ -220,12 +228,12 @@ def _daemon_tail(daemon, client) -> dict:
             "rss_mb": tree_peak_rss_mb(daemon.process.pid)}
 
 
-def cold_pass(requests, tag, benches=BENCHES) -> dict:
+def cold_pass(requests, tag) -> dict:
     """One daemon, one connection, every distinct request once.
 
     A host-speed probe runs before the first request and after each.
     """
-    daemon = Daemon(tag, benches)
+    daemon = Daemon(tag, served_benches(requests))
     try:
         client = daemon.client()
         try:
@@ -253,17 +261,20 @@ def cold_pass(requests, tag, benches=BENCHES) -> dict:
             **tail}
 
 
-def memo_pass(requests, seed, tag, benches=BENCHES, rounds=MEMO_ROUNDS,
+def memo_pass(requests, seed, tag, rounds=MEMO_ROUNDS,
               per_round=MEMO_ROUND_REQUESTS) -> dict:
     """Prime the key set once, then repeat it over two connections.
 
     The timed phase is *rounds* back-to-back rounds of *per_round*
     requests split over the connections; each round is timed on its
-    own.  The phase carries no host-speed probes: a probe would stall
-    the other connection, and the memo path's latency is set by
-    inter-process round trips that a compute probe does not track.
+    own, and its latencies are those of all its answers.  Every timed
+    answer must come from the memo: ``not_memo_ops`` names each one
+    that did not, as a failed operation.  The phase carries no
+    host-speed probes: a probe would stall the other connection, and
+    the memo path's latency is set by inter-process round trips that a
+    compute probe does not track.
     """
-    daemon = Daemon(tag, benches)
+    daemon = Daemon(tag, served_benches(requests))
     try:
         primer = daemon.client()
         clients = [daemon.client() for _ in range(MEMO_CONNECTIONS)]
@@ -272,7 +283,7 @@ def memo_pass(requests, seed, tag, benches=BENCHES, rounds=MEMO_ROUNDS,
             primed = [(key, request["op"], *_send(primer, request))
                       for key, request in requests]
             rng = random.Random(seed)
-            records, spans, round_latencies = [], [], []
+            records, spans, round_latencies, not_memo = [], [], [], []
             for _ in range(rounds):
                 plans = [[rng.randrange(len(requests))
                           for _ in range(per_round // len(clients))]
@@ -297,9 +308,11 @@ def memo_pass(requests, seed, tag, benches=BENCHES, rounds=MEMO_ROUNDS,
                              latency, response)
                             for out in lanes
                             for choice, latency, response in out]
-                round_latencies.append([
-                    record[2] for record in answered
-                    if record[3].get("served") == "memo"])
+                round_latencies.append([record[2] for record in answered])
+                not_memo += [f"{key}@{len(spans)}.{index}"
+                             for index, (key, _, _, response)
+                             in enumerate(answered)
+                             if response.get("served") != "memo"]
                 records += answered
             tail = _daemon_tail(daemon, primer)
         finally:
@@ -307,13 +320,12 @@ def memo_pass(requests, seed, tag, benches=BENCHES, rounds=MEMO_ROUNDS,
                 client.close()
     finally:
         daemon.close()
-    memo = sum(len(latencies) for latencies in round_latencies)
     busy = sum(end - start for start, end in spans) * len(clients)
     idle = busy - sum(record[2] for record in records)
     return {"setup_s": daemon.setup_s, "setup_probes_s": daemon.probes,
             "spans": spans, "round_latencies": round_latencies,
             "ops": per_round, "attempted": len(primed) + len(records),
-            "not_memo": len(records) - memo, "ping_p50_ms": ping_ms,
+            "not_memo_ops": not_memo, "ping_p50_ms": ping_ms,
             "records": primed + records,
             "unattributed_s": idle / len(clients), **tail}
 

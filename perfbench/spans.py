@@ -64,6 +64,19 @@ TARGETS = (
 )
 
 
+#: Prefixes of the spans the benchmark opens around its own operations;
+#: every other layer is a wrapped entry point of the program.
+ROOT_PREFIXES = ("experiments.", "workflow.")
+
+
+def program_self_s(layers: dict) -> float:
+    """Self time of the wrapped program layers in a :meth:`Tracer.layers`
+    summary: the share of a pass the wrapped entry points explain.  Glue
+    in the experiments or in ``Workflow`` stays with the root spans."""
+    return sum(entry["self_s"] for layer, entry in layers.items()
+               if not layer.startswith(ROOT_PREFIXES))
+
+
 class Tracer:
     """In-memory span recorder with attribute-level wrapping."""
 
