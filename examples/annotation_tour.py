@@ -15,8 +15,7 @@ from repro.memory import SystemConfig
 from repro.minic import compile_source
 from repro.wcet import analyze_wcet, format_annotations, \
     generate_annotations
-from repro.sim import simulate
-from repro.sim.profile import build_profile
+from repro.sim import record_trace, trace_profile
 from repro.spm import allocate_energy_optimal
 
 SPM_SIZE = 256
@@ -26,9 +25,7 @@ def main():
     compiled = compile_source(get("adpcm").source())
 
     baseline = link(compiled.program)
-    profile = build_profile(
-        baseline, simulate(baseline, SystemConfig.uncached(),
-                           profile=True))
+    profile = trace_profile(record_trace(baseline, 0), baseline)
     allocation = allocate_energy_optimal(compiled.program, profile,
                                          SPM_SIZE)
     image = link(compiled.program, spm_size=SPM_SIZE,

@@ -13,9 +13,8 @@ Walks the whole stack in ~30 lines of API:
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
-from repro.sim import simulate
+from repro.sim import record_trace, simulate, trace_profile
 from repro.spm import allocate_energy_optimal
-from repro.sim.profile import build_profile
 from repro.wcet import analyze_wcet
 
 SOURCE = """
@@ -48,8 +47,7 @@ def main():
 
     # --- profile once on the plain layout (drives the SPM knapsack) ----
     baseline = link(compiled.program)
-    profile_run = simulate(baseline, SystemConfig.uncached(), profile=True)
-    profile = build_profile(baseline, profile_run)
+    profile = trace_profile(record_trace(baseline, 0), baseline)
 
     # --- the three systems of the paper --------------------------------
     allocation = allocate_energy_optimal(compiled.program, profile,

@@ -56,8 +56,9 @@ from .memory.cache import CacheConfig
 from .memory.hierarchy import SystemConfig
 from .memory.levels import CacheLevel, MainMemoryLevel, SpmLevel
 from .minic.frontend import compile_source
-from .sim.profile import build_profile
+from .sim.placement import trace_profile
 from .sim.simulator import SimError, simulate
+from .sim.trace import record_trace
 from .spm.allocator import allocate_energy_optimal
 from .spm.wcet_driven import allocate_wcet_driven
 from .wcet.analyzer import analyze_wcet
@@ -167,9 +168,7 @@ def _build(args):
     if args.spm:
         if args.alloc == "energy":
             baseline = link(compiled.program)
-            profile_run = simulate(baseline, SystemConfig.uncached(),
-                                   profile=True)
-            profile = build_profile(baseline, profile_run)
+            profile = trace_profile(record_trace(baseline, 0), baseline)
             allocation = allocate_energy_optimal(compiled.program,
                                                  profile, args.spm)
         else:

@@ -30,6 +30,7 @@ from ..link import link
 from ..memory import CacheConfig, SystemConfig
 from ..minic import compile_source
 from ..sim import Simulator, simulate
+from ..sim.placement import place_trace
 from ..sim.replay import replay, replay_misses
 from ..sim.trace import record_trace
 from ..wcet import analyze_wcet
@@ -139,9 +140,20 @@ def check_seed(seed: int, size: str = "small", shapes=DEFAULT_SHAPES,
     return check_program(generate(seed, size), shapes, **kwargs)
 
 
+#: The hybrid shape the SPM slice also prices its placement under.
+SPM_HYBRID_CACHE = CacheConfig(size=128)
+
+
 def check_spm_placement(program: GeneratedProgram,
                         spm_size: int = 256) -> dict:
-    """Greedy SPM placement: values preserved, never slower, bounded."""
+    """Greedy SPM placement: values preserved, never slower, bounded.
+
+    The placement is also priced from the baseline trace
+    (:func:`repro.sim.placement.place_trace`), which must reproduce
+    execution under pure SPM and under SPM with a cache behind it.
+    Generated programs keep every pointer and index in bounds and set
+    every value before reading it, so pricing must accept them.
+    """
     hint = _repro_hint(program)
     compiled = compile_source(program.source)
     baseline = link(compiled.program)
@@ -170,6 +182,14 @@ def check_spm_placement(program: GeneratedProgram,
             f"[{context}]")
     trace = record_trace(image, spm_size)
     _same_result(replay(trace, config), placed, context)
+    priced = place_trace(record_trace(baseline, 0), baseline, image,
+                         spm_size)
+    _expect(priced is not None and not compiled.analyzer.observes_placement,
+            f"placement pricing declined a generated program [{context}]")
+    _same_result(replay(priced, config), placed, f"priced {context}")
+    hybrid = SystemConfig.hybrid(spm_size, SPM_HYBRID_CACHE)
+    _same_result(replay(priced, hybrid), simulate(image, hybrid),
+                 f"priced hybrid {context}")
     return {"seed": program.seed, "spm": spm_size,
             "cycles": placed.cycles, "baseline": reference.cycles}
 

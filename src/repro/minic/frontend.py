@@ -17,7 +17,7 @@ from ..link.objects import DataObject, FunctionCode, Program
 from .codegen import FunctionCodegen
 from .parser import parse
 from .sema import SemaError, analyze
-from .types import ArrayType
+from .types import VOID, ArrayType
 
 #: Software division/modulo runtime, in mini-C itself (restoring
 #: shift-subtract division; the loops are automatically bounded at 32).
@@ -133,6 +133,9 @@ def compile_source(source: str, entry: str = "main") -> CompiledProgram:
     analyzer = analyze(unit)
     if entry not in analyzer.functions:
         raise SemaError(f"entry function {entry!r} not defined")
+    if analyzer.functions[entry].ret_type is VOID:
+        # _start exits with r0, which a void entry never sets.
+        analyzer.reads_unset = True
 
     reachable = _reachable_functions(analyzer, entry)
     functions = [_start_stub(entry)]

@@ -13,7 +13,11 @@ Responsibilities:
   paper describes for aiT (automatic where possible, user annotation
   otherwise);
 * marking functions that use ``/`` or ``%`` so the driver links the
-  software division runtime.
+  software division runtime;
+* flagging programs whose results may depend on where the linker puts
+  their objects (:attr:`Analyzer.observes_placement`): a pointer used
+  as a scalar, or a value read before it is set (a conservative
+  definite-assignment pass).
 """
 
 from __future__ import annotations
@@ -86,6 +90,12 @@ DIV_RUNTIME = {
 }
 
 
+def _meet(*states):
+    """Locals assigned on every path into a join (None: no path)."""
+    live = [state for state in states if state is not None]
+    return frozenset.intersection(*live) if live else None
+
+
 @dataclass
 class FunctionInfo:
     """Sema output per function (consumed by codegen)."""
@@ -109,6 +119,25 @@ class Analyzer:
         #: sound because pointers exist only as parameters in mini-C).
         self.points_to = {}
         self._pt_constraints = []    # (callee, index, source) tuples
+        #: True when some pointer value is used as a scalar (returned,
+        #: compared, computed with): the program can then observe where
+        #: the linker placed an array, so a scratchpad placement may
+        #: change what it computes.
+        self.pointer_as_scalar = False
+        #: True when some local may be read before it is assigned, or a
+        #: value-returning function may run off its end: the program then
+        #: reads whatever earlier code left in that stack slot or in r0 —
+        #: a pointer parameter or a return address, say.  The frontend
+        #: also sets it for a void entry, whose r0 becomes the exit code.
+        self.reads_unset = False
+
+    @property
+    def observes_placement(self) -> bool:
+        """Could moving objects between memories change the program's
+        results?  False guarantees every value it computes is
+        independent of where the linker puts its functions and globals.
+        """
+        return self.pointer_as_scalar or self.reads_unset
 
     # -- entry -----------------------------------------------------------------
 
@@ -195,6 +224,9 @@ class Analyzer:
             scope[param.name] = symbol
             info.locals.append(symbol)
         self._stmt(func.body, func, info, [scope], in_loop=False)
+        end = self._assigned_after(func.body, frozenset(scope.values()), [])
+        if end is not None and func.ret_type is not VOID:
+            self.reads_unset = True
         return info
 
     # -- statements ---------------------------------------------------------------------
@@ -274,6 +306,101 @@ class Analyzer:
         else:
             raise SemaError(f"unknown statement {type(node).__name__}",
                             getattr(node, "line", 0))
+
+    # -- definite assignment -----------------------------------------------------------
+    #
+    # A conservative flow pass over an analysed body: *done* is the set
+    # of locals assigned on every path so far, None once no path reaches
+    # the point (after return/break/continue).  A loop body may run zero
+    # times, the right operand of && and || may not run, and a loop
+    # whose condition is absent or a non-zero constant leaves only by
+    # break.  Any read of a local outside *done* sets ``reads_unset``.
+
+    def _assigned_after(self, node, done, loops):
+        """Locals definitely assigned once statement *node* completes."""
+        if done is None:
+            return None
+        if isinstance(node, ast.Block):
+            for child in node.body:
+                done = self._assigned_after(child, done, loops)
+            return done
+        if isinstance(node, ast.LocalDecl):
+            if node.init is None:
+                return done - {node.symbol}
+            return self._assigned_in(node.init, done) | {node.symbol}
+        if isinstance(node, ast.ExprStmt):
+            return self._assigned_in(node.expr, done)
+        if isinstance(node, ast.If):
+            done = self._assigned_in(node.cond, done)
+            then = self._assigned_after(node.then, done, loops)
+            if node.other is None:
+                return _meet(then, done)
+            return _meet(then, self._assigned_after(node.other, done, loops))
+        if isinstance(node, ast.Return):
+            if node.value is not None:
+                self._assigned_in(node.value, done)
+            return None
+        if isinstance(node, (ast.Break, ast.Continue)):
+            loops[-1][isinstance(node, ast.Continue)].append(done)
+            return None
+        breaks, continues = [], []
+        loops.append((breaks, continues))
+        if isinstance(node, ast.DoWhile):
+            body = self._assigned_after(node.body, done, loops)
+            done = self._assigned_in(node.cond, _meet(body, *continues))
+        else:
+            if isinstance(node, ast.For) and node.init is not None:
+                done = self._assigned_after(node.init, done, loops)
+            if node.cond is not None:
+                done = self._assigned_in(node.cond, done)
+            body = self._assigned_after(node.body, done, loops)
+            if isinstance(node, ast.For) and node.update is not None:
+                self._assigned_in(node.update, _meet(body, *continues))
+        loops.pop()
+        if node.cond is None or (isinstance(node.cond, ast.IntLit)
+                                 and node.cond.value):
+            done = None
+        return _meet(done, *breaks)
+
+    def _assigned_in(self, expr, done):
+        """Check the reads of *expr*; locals definitely assigned after it.
+
+        Operands are checked against the locals assigned before the
+        whole expression, whatever order they are evaluated in.
+        """
+        if done is None:
+            return None
+        if isinstance(expr, ast.VarRef):
+            if isinstance(expr.symbol, LocalSym) and expr.symbol not in done:
+                self.reads_unset = True
+            return done
+        if isinstance(expr, ast.Binary) and expr.op in ("&&", "||"):
+            done = self._assigned_in(expr.left, done)
+            self._assigned_in(expr.right, done)
+            return done
+        if isinstance(expr, ast.Ternary):
+            done = self._assigned_in(expr.cond, done)
+            return _meet(self._assigned_in(expr.then, done),
+                         self._assigned_in(expr.other, done))
+        if isinstance(expr, ast.Assign):
+            parts = [expr.value]
+            if isinstance(expr.target, ast.Index):
+                parts.append(expr.target.index)
+        elif isinstance(expr, ast.Binary):
+            parts = [expr.left, expr.right]
+        elif isinstance(expr, ast.Call):
+            parts = expr.args
+        elif isinstance(expr, ast.Index):
+            parts = [expr.index]
+        elif isinstance(expr, (ast.Unary, ast.Cast)):
+            parts = [expr.operand]
+        else:
+            parts = []
+        after = done.union(*(self._assigned_in(part, done) for part in parts))
+        if isinstance(expr, ast.Assign) and isinstance(expr.target,
+                                                       ast.VarRef):
+            after |= {expr.target.symbol}
+        return after
 
     # -- loop bound inference ----------------------------------------------------------
 
@@ -370,7 +497,10 @@ class Analyzer:
 
     def _require_scalar_value(self, expr, line):
         etype = expr.type
-        if isinstance(etype, (ScalarType, PointerType)) and etype is not VOID:
+        if isinstance(etype, PointerType):
+            self.pointer_as_scalar = True
+            return
+        if isinstance(etype, ScalarType) and etype is not VOID:
             return
         raise SemaError(f"expected a scalar value, got {etype}", line)
 

@@ -8,10 +8,16 @@ Two complementary paths produce bit-identical results:
   once per image (:mod:`repro.sim.trace`) and the replay kernels
   (:mod:`repro.sim.replay`) re-price it under any number of
   configurations, including whole size sweeps in a single pass.
+
+Scratchpad placements and the knapsack's profile need no run of their
+own: :mod:`repro.sim.placement` derives both from the baseline image's
+trace, and falls back to execution when placement could change what the
+program computes.
 """
 
 from .simulator import MemoryFault, SimError, SimResult, Simulator, simulate
-from .profile import ObjectProfile, ProgramProfile, build_profile
+from .profile import ObjectProfile, ProgramProfile
+from .placement import place_trace, trace_profile
 from .kernels import active_kernel, have_numpy, set_kernel
 from .replay import (
     grid_geometry,
@@ -33,7 +39,7 @@ from .ingest import TraceFormatError, dump_trace, load_trace, parse_trace
 
 __all__ = [
     "MemoryFault", "SimError", "SimResult", "Simulator", "simulate",
-    "ObjectProfile", "ProgramProfile", "build_profile",
+    "ObjectProfile", "ProgramProfile", "place_trace", "trace_profile",
     "active_kernel", "have_numpy", "set_kernel",
     "grid_geometry", "replay", "replay_grid", "replay_misses",
     "replay_sweep", "sweep_geometry",

@@ -1,9 +1,10 @@
-"""Aggregation of raw simulation profiles to per-object access counts.
+"""Per-object access counts: the profile behind the energy knapsack.
 
 The paper's knapsack benefit function needs, per memory object, how often
 it is accessed during a typical run: instruction fetches per function and
-data accesses per global.  The simulator records address-level counts; this
-module folds them onto the placed objects of the profiled image.
+data accesses per global.  :func:`repro.sim.placement.trace_profile` folds
+the baseline run's recorded trace onto the image's objects to produce
+one.
 
 Profiles are keyed by object *name*, so a profile taken on one layout (for
 example the uncached baseline) remains valid for any other placement of the
@@ -13,10 +14,7 @@ scratchpad capacities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..link.image import Image
-from .simulator import SimResult
+from dataclasses import dataclass
 
 
 @dataclass
@@ -28,8 +26,6 @@ class ObjectProfile:
     size: int
     #: instruction fetches (code) or load/store accesses (data).
     accesses: int = 0
-    #: access breakdown by width in bytes (data objects).
-    by_width: dict = field(default_factory=dict)
 
 
 class ProgramProfile:
@@ -49,38 +45,3 @@ class ProgramProfile:
 
     def total_accesses(self) -> int:
         return sum(p.accesses for p in self.objects.values())
-
-
-def build_profile(image: Image, result: SimResult) -> ProgramProfile:
-    """Fold a profiled :class:`SimResult` onto *image*'s objects."""
-    if not result.fetch_counts and not result.data_counts:
-        raise ValueError("simulation was not run with profile=True")
-
-    profiles = [
-        ObjectProfile(name=obj.name, kind=obj.kind, size=obj.size)
-        for obj in image.objects
-    ]
-    by_name = {p.name: p for p in profiles}
-
-    # Sort object extents once; both count dicts are then folded by scan.
-    extents = sorted(
-        ((obj.base, obj.end, obj.name) for obj in image.objects))
-
-    def owner(addr):
-        # Linear-probe cache: accesses cluster heavily by object.
-        for base, end, name in extents:
-            if base <= addr < end:
-                return name
-        return None
-
-    for addr, count in result.fetch_counts.items():
-        name = owner(addr)
-        if name is not None:
-            by_name[name].accesses += count
-
-    for addr, count in result.data_counts.items():
-        name = owner(addr)
-        if name is not None:
-            prof = by_name[name]
-            prof.accesses += count
-    return ProgramProfile(profiles)

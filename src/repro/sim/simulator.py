@@ -20,9 +20,10 @@ number behaviour
 ====== ==========================================
 
 With ``profile=True`` the simulator counts fetches per instruction address
-and data accesses per data address; :mod:`repro.sim.profile` aggregates
-these to per-object counts, which drive the energy-based knapsack exactly
-like the paper's profiling step does.
+and data accesses per data address.  The knapsack's per-object profile
+comes from the baseline trace instead
+(:func:`repro.sim.placement.trace_profile`); these per-address counts
+are its oracle in the tests, and the energy report's input.
 
 Two engines execute the same machine model:
 

@@ -147,8 +147,10 @@ class Trace:
 
     ``_memo`` caches config-independent stream reductions computed by
     the vectorised replay kernels (:mod:`repro.sim.kernels`): block-id
-    vectors, kind masks, same-block-shortcut survivors.  It is private
-    to the kernels, never pickled, and rebuilt on demand.
+    vectors, kind masks, same-block-shortcut survivors — and the
+    per-access object assignment :mod:`repro.sim.placement` derives
+    placements and profiles from.  It is private to those modules,
+    never pickled, and rebuilt on demand.
     """
 
     __slots__ = ("_ops", "_runs", "_memo", "op_counts", "spm_counts",
@@ -187,7 +189,7 @@ class Trace:
         32 bits) — the flat form is kept then.
         """
         if self._runs is None:
-            self._runs = _compress_ops(self._ops) or _NO_RUNS
+            self._runs = _compress_ops(self.ops) or _NO_RUNS
         return None if self._runs is _NO_RUNS else self._runs
 
     def iter_runs(self):

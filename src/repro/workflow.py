@@ -12,14 +12,18 @@ Right branch (cache):
 
 A :class:`Workflow` caches the compile and profile steps so a size sweep
 only repeats the placement/simulation/analysis work, like the paper's
-experimental setup.  Simulation itself is trace-driven wherever an
-executable is evaluated under more than one memory timing: the dynamic
-access stream is recorded once per image (:mod:`repro.sim.trace`) and
-re-priced per configuration by the replay kernels
+experimental setup.  Simulation itself is trace-driven: the baseline
+image's dynamic access stream is recorded once (:mod:`repro.sim.trace`)
+and re-priced per configuration by the replay kernels
 (:mod:`repro.sim.replay`), with same-geometry cache size sweeps served
-by a single Mattson-style pass (:meth:`Workflow.cache_points`).  Results
-are bit-identical to executing every point (the engine remains the
-recorder and the ground truth).
+by a single Mattson-style pass (:meth:`Workflow.cache_points`).  The
+same trace yields the typical-input profile and, through
+:func:`~repro.sim.placement.place_trace`, the trace of every scratchpad
+placement, so SPM and hybrid points re-price it too instead of running
+the placed image.  Results are bit-identical to executing every point:
+the engine remains the recorder and the ground truth, and a placement
+the pricing checks cannot vouch for (a program that can see an address,
+an access outside its instruction's ranges) is executed instead.
 
 Beyond the paper's two branches, the deeper pipelines of
 :mod:`repro.memory.levels` get evaluation points too:
@@ -37,7 +41,8 @@ from .link.linker import link
 from .memory.cache import CacheConfig
 from .memory.hierarchy import SystemConfig
 from .minic.frontend import compile_source
-from .sim.profile import ProgramProfile, build_profile
+from .sim.placement import place_trace, trace_profile
+from .sim.profile import ProgramProfile
 from .sim.replay import (
     grid_geometry,
     replay,
@@ -106,22 +111,25 @@ class Workflow:
                                         config_name="baseline")
         return self._baseline_image
 
+    def baseline_trace(self):
+        """The baseline executable's recorded access trace."""
+        return trace_for(self.baseline_image(), 0, max_steps=self.max_steps)
+
     def profile(self) -> ProgramProfile:
-        """Typical-input access profile (drives the energy knapsack)."""
+        """Typical-input access profile (drives the energy knapsack),
+        folded from the baseline trace."""
         if self._profile is None:
-            result = simulate(self.baseline_image(),
-                              SystemConfig.uncached(),
-                              max_steps=self.max_steps, profile=True)
-            self._profile = build_profile(self.baseline_image(), result)
+            self._profile = trace_profile(self.baseline_trace(),
+                                          self.baseline_image())
         return self._profile
 
     def warm(self, profile: bool = False) -> "Workflow":
         """Precompute the shared steps every evaluation point needs.
 
         Links the baseline executable (and, for scratchpad/hybrid
-        sweeps, runs the typical-input profile) so sweep workers — or a
-        process about to fork them — pay the one-off costs exactly once
-        instead of once per task.
+        sweeps, records its trace and folds the profile) so sweep
+        workers — or a process about to fork them — pay the one-off
+        costs exactly once instead of once per task.
         """
         self.baseline_image()
         if profile:
@@ -156,7 +164,9 @@ class Workflow:
                      spm_objects=allocation.objects,
                      config_name=f"spm{spm_size}")
         config = SystemConfig.scratchpad(spm_size)
-        sim = simulate(image, config, max_steps=self.max_steps)
+        sim = self._placed_sim(image, config)
+        if sim is None:
+            sim = simulate(image, config, max_steps=self.max_steps)
         wcet = analyze_wcet(image, config)
         point = EvaluationPoint(config=config, image=image, sim=sim,
                                 wcet=wcet, allocation=allocation)
@@ -167,6 +177,21 @@ class Workflow:
         return [self.spm_point(size, method) for size in sizes]
 
     # -- trace-driven simulation -------------------------------------------------
+
+    def _placed_sim(self, image, config: SystemConfig):
+        """Price a scratchpad placement from the baseline trace.
+
+        None when placement could change what the program computes (it
+        can see an address, or an access leaves its instruction's
+        ranges); the caller executes the placed image then.
+        """
+        if self.compiled.analyzer.observes_placement:
+            return None
+        placed = place_trace(self.baseline_trace(), self.baseline_image(),
+                             image, config.spm_size)
+        if placed is None:
+            return None
+        return replay(placed, config, max_steps=self.max_steps)
 
     def _traced_sim(self, image, config: SystemConfig,
                     spm_size: int = 0) -> SimResult:
@@ -184,8 +209,7 @@ class Workflow:
         else replays per config.  All of it reuses the one recorded
         trace of the shared executable.
         """
-        trace = trace_for(self.baseline_image(), 0,
-                          max_steps=self.max_steps)
+        trace = self.baseline_trace()
         groups = {}
         singles = []
         for cache in dict.fromkeys(caches):
@@ -312,7 +336,9 @@ class Workflow:
                      spm_objects=allocation.objects,
                      config_name=f"spm{spm_size}+cache{cache.size}")
         config = SystemConfig.hybrid(spm_size, cache)
-        sim = self._traced_sim(image, config, spm_size=spm_size)
+        sim = self._placed_sim(image, config)
+        if sim is None:
+            sim = self._traced_sim(image, config, spm_size=spm_size)
         wcet = analyze_wcet(image, config, persistence=persistence)
         point = EvaluationPoint(config=config, image=image, sim=sim,
                                 wcet=wcet, allocation=allocation)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.minic import LexError, ParseError, SemaError, analyze, parse, \
-    tokenize
+from repro.minic import LexError, ParseError, SemaError, analyze, \
+    compile_source, parse, tokenize
 from repro.minic.ast_nodes import Binary, For, IntLit, While
 from repro.minic.types import INT, SHORT, UNSIGNED, ArrayType, PointerType
 
@@ -276,3 +276,58 @@ class TestSema:
             self.analyze_source("void f(void) { return 3; }")
         with pytest.raises(SemaError):
             self.analyze_source("int f(void) { return; }")
+
+
+class TestReadsUnset:
+    """Sema flags a local or return value that may be read unset."""
+
+    @pytest.mark.parametrize("body, unset", [
+        ("int x = 1; return x;", False),
+        ("int x; return x;", True),
+        ("int x; x += 1; return x;", True),
+        ("int x; x = x + 1; return x;", True),
+        ("int x; if (g) x = 1; return x;", True),
+        ("int x; if (g) x = 1; else x = 2; return x;", False),
+        ("int x; while (g) { x = 1; g = 0; } return x;", True),
+        ("int x; while (1) { x = 1; if (g) break; } return x;", False),
+        ("int x; while (1) { if (g) break; x = 1; } return x;", True),
+        ("int x; do { x = 1; } while (g); return x;", False),
+        ("int x; do { if (g) continue; x = 1; } while (0); return x;",
+         True),
+        ("int i; int t; for (i = 0; i < 4; i++) t = i; return t;", True),
+        ("int i; int s = 0; for (i = 0; i < 4; i++) s += i; return s + i;",
+         False),
+        ("int i; int s = 0;"
+         " for (i = 0; i < 3; i++) { int t; t = i; s += t; } return s;",
+         False),
+        ("int i; int s = 0;"
+         " for (i = 0; i < 3; i++) { int t; s += t; t = i; } return s;",
+         True),
+        ("int x; int y = g ? (x = 1) : (x = 2); return x + y;", False),
+        ("int x; if (g || (x = 1)) g = 2; return x;", True),
+        ("int i; a[i] = 1; return 0;", True),
+        ("if (g) return 1;", True),
+        ("if (g) return 1; else return 2;", False),
+        ("while (1) { if (g) return 1; g = 1; }", False),
+    ])
+    def test_flow(self, body, unset):
+        analyzer = analyze(parse(
+            f"int g; int a[2]; int f(void) {{ {body} }}"))
+        assert analyzer.reads_unset is unset
+        assert analyzer.observes_placement is unset
+
+    def test_void_functions_may_end_without_return(self):
+        assert not compile_source(
+            "int g; void set(void) { g = 1; }"
+            "int main(void) { set(); return g; }").analyzer.reads_unset
+
+    def test_void_entry_leaves_the_exit_code_unset(self):
+        assert compile_source(
+            "int g; void main(void) { g = 1; }").analyzer.reads_unset
+
+    def test_pointer_as_scalar_also_observes_placement(self):
+        analyzer = analyze(parse(
+            "int a[2]; int f(int p[]) { return p; }"
+            "int main(void) { return f(a); }"))
+        assert analyzer.pointer_as_scalar and not analyzer.reads_unset
+        assert analyzer.observes_placement

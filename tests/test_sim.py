@@ -10,9 +10,8 @@ from repro.link import FunctionCode, Program, link
 from repro.memory import CacheConfig, SystemConfig
 from repro.memory.regions import MAIN_BASE, STACK_TOP
 from repro.sim import MemoryFault, SimError, Simulator, simulate
-from repro.sim.profile import build_profile
 
-from .helpers import run_main
+from .helpers import build_profile, run_main
 
 
 def program_of(items_lists, globals_=()):

@@ -9,7 +9,6 @@ from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
 from repro.sim import simulate
-from repro.sim.profile import build_profile
 from repro.spm import (
     Item,
     allocate_energy_optimal,
@@ -18,6 +17,8 @@ from repro.spm import (
     solve_knapsack_dp,
     solve_knapsack_ilp,
 )
+
+from .helpers import build_profile
 
 
 class TestKnapsackSolvers:
