@@ -8,7 +8,9 @@ writes one JSON artefact per engine, next to this file:
   :mod:`bench_hierarchy`), plus the speedup factor versus the committed
   ``BENCH_hierarchy.json`` trajectory baseline.  Each config also gets
   a ``<label> (replay)`` row — re-pricing the recorded trace instead of
-  re-executing — alongside a one-off ``trace-record`` row, a
+  re-executing — and two set-associative shapes (``l1-4way``,
+  ``l1+l2-4way``) get replay rows only, alongside a one-off
+  ``trace-record`` row, a
   ``sweep-x8 (replay)`` row for the single-pass Mattson kernel serving
   all eight paper cache sizes at once (its throughput counts the
   trace's instructions once per size served), a
@@ -96,6 +98,16 @@ WCET_SHAPES = (
 )
 
 WCET_BENCHMARKS = ("g721", "adpcm", "multisort")
+
+#: Set-associative LRU shapes timed on the replay path only (the
+#: execute rows keep the ``bench_hierarchy`` trajectory's configs).
+#: Their rows fail ``--check`` if the set-associative numpy kernel falls
+#: back to the scalar walk.
+ASSOC_REPLAY_CONFIGS = {
+    "l1-4way": SystemConfig.cached(CacheConfig(size=1024, assoc=4)),
+    "l1+l2-4way": SystemConfig.two_level(
+        CacheConfig(size=1024), CacheConfig(size=4096, assoc=4)),
+}
 
 #: (label, benchmark, SystemConfig) points for the WCET timing section.
 WCET_POINTS = tuple(
@@ -193,6 +205,15 @@ def bench_simulator(rounds=3) -> dict:
         seconds, result = _best_of_scaled(
             rounds, lambda config=config: replay(trace, config))
         assert result.cycles == report[label]["sim_cycles"], label
+        report[f"{label} (replay)"] = {
+            "sim_cycles": result.cycles,
+            "seconds": round(seconds, 6),
+            "instructions_per_sec": round(result.instructions / seconds),
+        }
+    for label, config in ASSOC_REPLAY_CONFIGS.items():
+        seconds, result = _best_of_scaled(
+            rounds, lambda config=config: replay(trace, config))
+        assert result.cycles == simulate(image, config).cycles, label
         report[f"{label} (replay)"] = {
             "sim_cycles": result.cycles,
             "seconds": round(seconds, 6),

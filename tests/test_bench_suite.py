@@ -29,6 +29,8 @@ EXECUTE_LABELS = ("uncached", "l1", "l1+l2", "split-i/d")
 def test_simulator_report_shape(sim_report):
     expected = set(EXECUTE_LABELS)
     expected |= {f"{label} (replay)" for label in EXECUTE_LABELS}
+    expected |= {f"{label} (replay)"
+                 for label in bench_suite.ASSOC_REPLAY_CONFIGS}
     expected |= {"trace-record", "sweep-x8 (replay)",
                  "geometry-grid (replay)", "trace-rle-load"}
     assert set(sim_report) == expected
@@ -54,6 +56,14 @@ def test_simulator_semantic_anchors(sim_report):
         assert entry["instructions"] == committed[label]["instructions"]
         replayed = sim_report[f"{label} (replay)"]
         assert replayed["sim_cycles"] == committed[label]["sim_cycles"]
+    # The replay-only set-associative rows are anchored on the committed
+    # simulator report (the bench asserts each against execution).
+    committed = json.loads(
+        (_BENCH_DIR / "BENCH_simulator.json").read_text())
+    for label in bench_suite.ASSOC_REPLAY_CONFIGS:
+        label = f"{label} (replay)"
+        assert sim_report[label]["sim_cycles"] == \
+            committed[label]["sim_cycles"]
 
 
 def test_wcet_report_anchors():

@@ -628,6 +628,27 @@ time.sleep(30)
 """
 
 
+def _live_group_members(pgid):
+    """Pids of the processes in group *pgid* that are not yet dead.
+
+    Zombies count as dead: a killed daemon's forked worker is
+    re-parented to init, which reaps it whenever it gets to it.
+    """
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        state, group = fields[0], int(fields[2])
+        if group == pgid and state not in ("Z", "X"):
+            members.append(int(entry))
+    return members
+
+
 class TestSocketClaimRace:
     def test_two_racers_one_socket_exactly_one_wins(self, tmp_path):
         """Regression for the PR-9 probe-then-unlink race: two daemons
@@ -640,9 +661,12 @@ class TestSocketClaimRace:
         stale.bind(socket_path)
         stale.close()  # bound then closed: path exists, nobody listens
         script = CLAIM_RACER.format(src=SRC, path=socket_path)
+        # Each racer leads its own process group, so cleanup reaches
+        # the worker its daemon forks as well as the racer itself.
         racers = [subprocess.Popen([sys.executable, "-c", script],
                                    stdout=subprocess.PIPE,
-                                   stderr=subprocess.STDOUT, text=True)
+                                   stderr=subprocess.STDOUT, text=True,
+                                   start_new_session=True)
                   for _ in range(2)]
         verdicts = {}
         deadline = time.monotonic() + 60.0
@@ -667,9 +691,22 @@ class TestSocketClaimRace:
             assert os.path.exists(socket_path + ".lock")
         finally:
             for racer in racers:
-                if racer.poll() is None:
-                    racer.send_signal(signal.SIGKILL)
+                try:
+                    os.killpg(racer.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # the whole group has exited already
                 racer.wait()
+                racer.stdout.close()
+        if not os.path.isdir("/proc"):
+            return  # no cheap way to list a group's members here
+        survivors = {racer.pid: _live_group_members(racer.pid)
+                     for racer in racers}
+        deadline = time.monotonic() + 10.0
+        while any(survivors.values()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+            survivors = {pgid: _live_group_members(pgid)
+                         for pgid in survivors}
+        assert not any(survivors.values()), survivors
 
     def test_lock_released_after_drain(self, tmp_path):
         socket_path = str(tmp_path / "reusable.sock")

@@ -1,11 +1,17 @@
 """Pins for the vectorised replay kernels and the trace RLE form.
 
-Four layers:
+Five layers:
 
 * **backend differential** — every committed hierarchy shape replayed
   under the scalar and the numpy kernels must agree on the full result
   (the scalar walk is itself pinned against the execution engine by
   ``tests/test_trace_replay.py``, so agreement here closes the loop);
+  the set-associative shapes include a 4-way L2 behind an L1, 2-way
+  split sides and a set count that is not a power of two;
+* **set-associative kernel property** — the numpy LRU kernel must equal
+  the scalar ``_walk_generic`` on write-heavy synthetic streams at
+  associativity 2, 3, 4 and 8, per config and in grids whose points
+  share a set count;
 * **geometry-grid property** — one :func:`replay_grid` pass over a
   (size × associativity) grid must equal per-point replays on
   adversarial synthetic streams (hypothesis-driven, write-heavy
@@ -56,6 +62,14 @@ SHAPES = {
         CacheConfig(size=256), CacheConfig(size=1024)),
     "split-i/d": lambda: SystemConfig.split_l1(
         CacheConfig(size=256, unified=False), CacheConfig(size=256)),
+    "l1-4way": lambda: SystemConfig.cached(CacheConfig(size=512, assoc=4)),
+    "l1+l2-4way": lambda: SystemConfig.two_level(
+        CacheConfig(size=256), CacheConfig(size=2048, assoc=4)),
+    "split-i/d-2way": lambda: SystemConfig.split_l1(
+        CacheConfig(size=256, assoc=2, unified=False),
+        CacheConfig(size=256, assoc=2)),
+    "l1-2way-15sets": lambda: SystemConfig.cached(
+        CacheConfig(size=480, assoc=2)),
 }
 
 needs_numpy = pytest.mark.skipif(not kernels.have_numpy(),
@@ -183,6 +197,46 @@ def test_grid_property_matches_per_point(seed, write_frac):
     for name, priced in results.items():
         for other in priced[1:]:
             _assert_same(other, priced[0], ("backends", seed, name))
+
+
+#: Set-associative geometries for the kernel property, in pairs and
+#: triples that share a set count (8 sets at 2/3/4/8 ways, 5 at 3 ways
+#: beside 5 at 2) so grids exercise one grouping and walk per set count.
+_ASSOC_GEOMETRIES = ((256, 2), (384, 3), (512, 4), (1024, 8),
+                     (160, 2), (240, 3), (128, 2), (512, 8))
+
+
+@needs_numpy
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 1 << 20),
+       write_frac=st.sampled_from((0.3, 0.6)),
+       blocks=st.sampled_from((24, 80)))
+def test_lru_kernel_matches_generic_walk(seed, write_frac, blocks):
+    """The set-associative kernel equals the scalar ``_walk_generic`` on
+    write-heavy streams: per config through ``replay`` (single levels
+    and an L1 + L2 chain) and per grid through ``replay_grid``."""
+    trace = _synthetic_trace(random.Random(seed), blocks=blocks,
+                             write_frac=write_frac)
+    configs = [SystemConfig.cached(CacheConfig(size=size, assoc=assoc,
+                                               unified=unified))
+               for size, assoc in _ASSOC_GEOMETRIES
+               for unified in (True, False)]
+    configs.append(SystemConfig.two_level(
+        CacheConfig(size=128, assoc=2), CacheConfig(size=384, assoc=3)))
+    configs.append(SystemConfig.split_l1(
+        CacheConfig(size=128, assoc=4, unified=False),
+        CacheConfig(size=240, assoc=3)))
+    kernels.set_kernel("scalar")
+    want = [replay(trace, config) for config in configs]
+    kernels.set_kernel("numpy")
+    for config, expected in zip(configs, want):
+        _assert_same(replay(trace, config), expected, (seed, config))
+    for unified in (True, False):
+        grid = [k for k, config in enumerate(configs[:-2])
+                if config.cache_level_specs[0].shared == unified]
+        priced = replay_grid(trace, [configs[k] for k in grid])
+        for k, result in zip(grid, priced):
+            _assert_same(result, want[k], ("grid", seed, configs[k]))
 
 
 @pytest.mark.parametrize("seed", (101, 4242))

@@ -170,6 +170,34 @@ def test_replay_respects_step_budget():
                max_steps=trace.instructions - 1)
 
 
+def test_plan_cache_stays_bounded_over_fresh_configs():
+    """A server builds a fresh config per request: the replay-plan memo
+    must hold one entry per distinct point and keep no config alive."""
+    import gc
+    import sys
+    import weakref
+    # ``repro.sim.replay`` the attribute is the function, not the module.
+    replay_mod = sys.modules["repro.sim.replay"]
+    trace = _random_trace(random.Random(0), accesses=200)
+    shapes = (SystemConfig.uncached,
+              lambda: SystemConfig.cached(CacheConfig(size=256, assoc=2)))
+    for make in shapes:
+        replay(trace, make())
+    plans = len(replay_mod._PLANS)
+    identities = len(replay_mod._PLANS_BY_ID)
+    refs = []
+    for _ in range(200):
+        for make in shapes:
+            config = make()
+            replay(trace, config)
+            refs.append(weakref.ref(config))
+    del config
+    gc.collect()
+    assert len(replay_mod._PLANS) == plans
+    assert len(replay_mod._PLANS_BY_ID) <= identities
+    assert sum(ref() is not None for ref in refs) == 0
+
+
 # -- randomized property: single pass == per-size replay ---------------------
 
 def _random_trace(rng, accesses=4000, blocks=96):
