@@ -1,9 +1,8 @@
 """Simulator throughput across hierarchy depths (the perf trajectory).
 
-Each benchmark here runs the same executable through a deeper and deeper
-level pipeline and reports simulated instructions per host second — the
-cost of the composable hierarchy model itself.  Run under pytest-benchmark
-as part of the harness, or directly::
+Runs the same executable through a deeper and deeper level pipeline and
+reports simulated instructions per host second — the cost of the
+composable hierarchy model itself.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_hierarchy.py
 
@@ -31,60 +30,9 @@ CONFIGS = {
         CacheConfig(size=512, unified=False), CacheConfig(size=512)),
 }
 
-_IMAGE = None
-
-
-def _image():
-    global _IMAGE
-    if _IMAGE is None:
-        _IMAGE = link(compile_source(get("adpcm").source()).program)
-    return _IMAGE
-
-
-def _throughput_bench(benchmark, label):
-    image = _image()
-    result = benchmark(simulate, image, CONFIGS[label])
-    benchmark.extra_info["instructions"] = result.instructions
-    benchmark.extra_info["instructions_per_sec"] = round(
-        result.instructions / max(benchmark.stats["mean"], 1e-9))
-
-
-def bench_sim_uncached(benchmark):
-    _throughput_bench(benchmark, "uncached")
-
-
-def bench_sim_l1(benchmark):
-    _throughput_bench(benchmark, "l1")
-
-
-def bench_sim_l1_l2(benchmark):
-    _throughput_bench(benchmark, "l1+l2")
-
-
-def bench_sim_split_id(benchmark):
-    _throughput_bench(benchmark, "split-i/d")
-
-
-def bench_sim_hybrid(benchmark):
-    """SPM in front of an L1 (needs its own link with SPM placement)."""
-    program = compile_source(get("adpcm").source()).program
-    chosen, used = [], 0
-    for name, _kind, size in sorted(program.memory_objects(),
-                                    key=lambda o: o[2]):
-        aligned = (size + 3) & ~3
-        if used + aligned <= 512:
-            chosen.append(name)
-            used += aligned
-    image = link(program, spm_size=512, spm_objects=chosen)
-    config = SystemConfig.hybrid(512, CacheConfig(size=512))
-    result = benchmark(simulate, image, config)
-    benchmark.extra_info["instructions_per_sec"] = round(
-        result.instructions / max(benchmark.stats["mean"], 1e-9))
-
-
 def main(rounds: int = 3) -> dict:
     """Standalone run: measure every config, write BENCH_hierarchy.json."""
-    image = _image()
+    image = link(compile_source(get("adpcm").source()).program)
     report = {}
     for label, config in CONFIGS.items():
         best = None

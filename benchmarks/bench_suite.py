@@ -101,8 +101,8 @@ WCET_BENCHMARKS = ("g721", "adpcm", "multisort")
 
 #: Set-associative LRU shapes timed on the replay path only (the
 #: execute rows keep the ``bench_hierarchy`` trajectory's configs).
-#: Their rows fail ``--check`` if the set-associative numpy kernel falls
-#: back to the scalar walk.
+#: Their rows time the set-associative numpy kernel, so a regression in
+#: it fails ``--check``.
 ASSOC_REPLAY_CONFIGS = {
     "l1-4way": SystemConfig.cached(CacheConfig(size=1024, assoc=4)),
     "l1+l2-4way": SystemConfig.two_level(

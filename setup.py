@@ -20,6 +20,7 @@ setup(
         "for Time Constrained Embedded Software' (Wehmeyer & Marwedel, 2005)"
     ),
     python_requires=">=3.9",
+    install_requires=["numpy"],
     package_dir={"": "src"},
     packages=find_namespace_packages("src"),
     package_data={"repro.benchmarks": ["sources/*.mc"]},

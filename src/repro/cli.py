@@ -99,24 +99,6 @@ def _add_memory_options(parser):
                              "(allows --spm together with --cache)")
 
 
-def _add_kernel_option(parser):
-    parser.add_argument("--kernel", choices=("auto", "scalar", "numpy"),
-                        default=None,
-                        help="replay backend (default: auto — numpy "
-                             "when importable; also via "
-                             "REPRO_REPLAY_KERNEL)")
-
-
-def _apply_kernel(args):
-    if getattr(args, "kernel", None) is None:
-        return
-    from .sim import kernels
-    try:
-        kernels.set_kernel(args.kernel)
-    except RuntimeError as error:
-        raise SystemExit(f"--kernel: {error}") from None
-
-
 def _config_for(args) -> SystemConfig:
     """The SystemConfig the command-line options describe."""
     if args.spm and args.cache and not args.hybrid:
@@ -129,32 +111,32 @@ def _config_for(args) -> SystemConfig:
         raise SystemExit("--dcache already implies a split I/D level")
     levels = []
     name = []
-    if args.spm:
-        levels.append(SpmLevel(args.spm))
-        name.append(f"spm{args.spm}")
-    if args.cache:
-        if args.dcache:
-            icfg = CacheConfig(size=args.cache, line_size=args.line,
-                               assoc=args.assoc, unified=False)
-            dcfg = CacheConfig(size=args.dcache, line_size=args.line,
-                               assoc=args.assoc)
-            levels.append(CacheLevel.split(icfg, dcfg))
-            name.append(f"i{args.cache}+d{args.dcache}")
-        else:
-            l1 = CacheConfig(size=args.cache, line_size=args.line,
-                             assoc=args.assoc, unified=not args.icache)
-            levels.append(CacheLevel.unified(l1) if l1.unified
-                          else CacheLevel.instruction(l1))
-            name.append(f"cache{args.cache}")
-    if args.l2:
-        l2 = CacheConfig(size=args.l2, line_size=args.l2_line,
-                         assoc=args.l2_assoc)
-        levels.append(CacheLevel.unified(l2, name="L2"))
-        name.append(f"l2-{args.l2}")
-    if not levels:
-        return SystemConfig.uncached()
-    levels.append(MainMemoryLevel())
     try:
+        if args.spm:
+            levels.append(SpmLevel(args.spm))
+            name.append(f"spm{args.spm}")
+        if args.cache:
+            if args.dcache:
+                icfg = CacheConfig(size=args.cache, line_size=args.line,
+                                   assoc=args.assoc, unified=False)
+                dcfg = CacheConfig(size=args.dcache, line_size=args.line,
+                                   assoc=args.assoc)
+                levels.append(CacheLevel.split(icfg, dcfg))
+                name.append(f"i{args.cache}+d{args.dcache}")
+            else:
+                l1 = CacheConfig(size=args.cache, line_size=args.line,
+                                 assoc=args.assoc, unified=not args.icache)
+                levels.append(CacheLevel.unified(l1) if l1.unified
+                              else CacheLevel.instruction(l1))
+                name.append(f"cache{args.cache}")
+        if args.l2:
+            l2 = CacheConfig(size=args.l2, line_size=args.l2_line,
+                             assoc=args.l2_assoc)
+            levels.append(CacheLevel.unified(l2, name="L2"))
+            name.append(f"l2-{args.l2}")
+        if not levels:
+            return SystemConfig.uncached()
+        levels.append(MainMemoryLevel())
         return SystemConfig.with_levels("+".join(name), levels)
     except ValueError as error:
         raise SystemExit(f"invalid memory pipeline: {error}") from None
@@ -248,14 +230,13 @@ def cmd_trace(args):
     _print_trace_summary(trace, config.describe())
     if args.profile:
         # One replay under the requested hierarchy, so the counters
-        # show which kernel (scalar/numpy) served it.
+        # show what served it (numpy kernel or per-access walk).
         from .sim.replay import replay
         before = dict(trace_counters())
         replay(trace, config)
         after = trace_counters()
         served = [key for key in ("replay_numpy", "replay_scalar",
-                                  "sweep_numpy", "sweep_scalar",
-                                  "grid_numpy", "grid_scalar")
+                                  "sweep_numpy", "grid_numpy")
                   if after[key] > before.get(key, 0)]
         print(f"# replay served by: {', '.join(served) or 'cache'}")
         print("# trace counters:")
@@ -308,14 +289,17 @@ def cmd_sweep(args):
         raise SystemExit("sweep: --sizes/--assoc take comma-separated "
                          "integers") from None
     grid, skipped = [], []
-    for size in sizes:
-        for assoc in assocs:
-            if size >= args.line * assoc:
-                grid.append(SystemConfig.cached(CacheConfig(
-                    size=size, line_size=args.line, assoc=assoc,
-                    unified=not args.icache)))
-            else:
-                skipped.append((size, assoc))
+    try:
+        for size in sizes:
+            for assoc in assocs:
+                if size >= args.line * assoc:
+                    grid.append(SystemConfig.cached(CacheConfig(
+                        size=size, line_size=args.line, assoc=assoc,
+                        unified=not args.icache)))
+                else:
+                    skipped.append((size, assoc))
+    except ValueError as error:
+        raise SystemExit(f"sweep: {error}") from None
     trace = trace_for(image, 0)
     before = dict(trace_counters())
     try:
@@ -337,8 +321,7 @@ def cmd_sweep(args):
     for size, assoc in skipped:
         print(f"# skipped {size}B assoc={assoc}: fewer than one set")
     after = trace_counters()
-    served = [key for key in ("grid_numpy", "grid_scalar",
-                              "sweep_numpy", "sweep_scalar",
+    served = [key for key in ("grid_numpy", "sweep_numpy",
                               "replay_numpy", "replay_scalar")
               if after[key] > before.get(key, 0)]
     print(f"# kernel: {', '.join(served) or 'cached'}")
@@ -559,7 +542,6 @@ def main(argv=None) -> int:
                 default="execute",
                 help="execute the program, or record its access trace "
                      "and replay it (bit-identical results)")
-            _add_kernel_option(command)
         if name == "trace":
             command.add_argument(
                 "--profile", action="store_true",
@@ -569,7 +551,6 @@ def main(argv=None) -> int:
                 "--export", metavar="FILE",
                 help="also write the trace in the portable text "
                      "format (gzip when FILE ends in .gz)")
-            _add_kernel_option(command)
         if name == "wcet":
             command.add_argument(
                 "--profile", action="store_true",
@@ -588,7 +569,6 @@ def main(argv=None) -> int:
                         help="comma-separated cache sizes: price them "
                              "all in one single-pass replay")
     _add_memory_options(ingest)
-    _add_kernel_option(ingest)
     ingest.set_defaults(func=cmd_ingest)
 
     sweep = sub.add_parser(
@@ -604,7 +584,6 @@ def main(argv=None) -> int:
                        help="cache line size in bytes (default 16)")
     sweep.add_argument("--icache", action="store_true",
                        help="instruction-only grid (data bypasses)")
-    _add_kernel_option(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     cache = sub.add_parser(
@@ -637,7 +616,6 @@ def main(argv=None) -> int:
                    help="analysis-as-a-service daemon (repro-serve)")
 
     args = parser.parse_args(argv)
-    _apply_kernel(args)
     return args.func(args)
 
 

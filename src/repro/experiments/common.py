@@ -2,8 +2,8 @@
 
 Each experiment module exposes ``run(fast=False) -> dict`` with at least
 ``name``, ``rows`` (list of dicts) and ``text`` (formatted report).
-``fast=True`` shrinks sweeps for use inside pytest-benchmark timing loops;
-the full runs regenerate the paper's artefacts.
+``fast=True`` shrinks sweeps for the tests and the CI smoke run; the
+full runs regenerate the paper's artefacts.
 
 Sweeps go through the **evaluation task layer**: an experiment describes
 its (benchmark × configuration) points as picklable task tuples and hands

@@ -49,6 +49,10 @@ class CacheConfig:
     unified: bool = True
 
     def __post_init__(self):
+        if self.line_size <= 0 or self.assoc <= 0:
+            raise ValueError(
+                f"line size {self.line_size} and associativity "
+                f"{self.assoc} must be positive")
         if self.size <= 0 or self.size % (self.line_size * self.assoc):
             raise ValueError(
                 f"cache size {self.size} not divisible into "

@@ -283,6 +283,16 @@ def canonical_request(request: dict) -> dict:
         line = request.get("line", 16)
         if not isinstance(line, int) or line <= 0:
             raise ProtocolError("line must be a positive integer")
+        # The cells the worker evaluates (smaller ones are skipped).
+        for size in sizes:
+            for assoc in assocs:
+                if size >= line * assoc:
+                    try:
+                        CacheConfig(size=size, line_size=line,
+                                    assoc=assoc)
+                    except ValueError as error:
+                        raise ProtocolError(
+                            f"bad grid point: {error}") from None
         canonical.update(sizes=sizes, assocs=assocs, line=line,
                          icache=bool(request.get("icache", False)))
         return canonical

@@ -18,7 +18,6 @@ program computes.
 from .simulator import MemoryFault, SimError, SimResult, Simulator, simulate
 from .profile import ObjectProfile, ProgramProfile
 from .placement import place_trace, trace_profile
-from .kernels import active_kernel, have_numpy, set_kernel
 from .replay import (
     grid_geometry,
     replay,
@@ -40,7 +39,6 @@ from .ingest import TraceFormatError, dump_trace, load_trace, parse_trace
 __all__ = [
     "MemoryFault", "SimError", "SimResult", "Simulator", "simulate",
     "ObjectProfile", "ProgramProfile", "place_trace", "trace_profile",
-    "active_kernel", "have_numpy", "set_kernel",
     "grid_geometry", "replay", "replay_grid", "replay_misses",
     "replay_sweep", "sweep_geometry",
     "Trace", "clear_trace_caches", "record_trace", "set_trace_cache_dir",

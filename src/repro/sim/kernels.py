@@ -1,11 +1,10 @@
-"""Vectorised (numpy) replay kernels behind a runtime-selected backend.
+"""Vectorised (numpy) replay kernels for LRU level pipelines.
 
-The scalar kernels in :mod:`repro.sim.replay` walk the packed
-``addr << 3 | tag`` stream one access at a time.  For LRU pipelines —
+A trace is a packed ``addr << 3 | tag`` stream.  For LRU pipelines —
 the paper's direct-mapped shapes, the set-associative levels of the
 cache design-space exploration, and the hot rows of
-``BENCH_simulator.json`` — the same counters can be computed from
-whole-trace vector operations instead:
+``BENCH_simulator.json`` — the hit/miss counters follow from
+whole-trace vector operations instead of a walk one access at a time:
 
 * the stream is viewed in bulk as a ``uint64`` array (zero-copy over the
   trace's ``array('Q')`` buffer) and split once into tag / address /
@@ -26,15 +25,14 @@ whole-trace vector operations instead:
   set (:func:`_lru_hits`), and grid points with one set count share the
   grouping and the walk.  On the ``cache-dse`` workload the heads are
   about a sixth of the probes, and a 2-way L1 replay of ``g721``
-  (660k accesses) drops from 300-400 ms on the scalar walk to 30-90 ms,
-  fewer sets costing more;
+  (660k accesses) drops from 300-400 ms on a per-access walk to
+  30-90 ms, fewer sets costing more;
 * multi-level pipelines chain the per-level kernels (picked by
   associativity) with per-level pending masks: fetches/reads that hit
   stop descending, writes (write-through, no allocate) probe every
   data-path level unconditionally;
-* the same-block shortcut the scalar sweep kernel uses becomes a
-  vectorised prefilter: runs of consecutive same-block accesses are
-  guaranteed hits at every geometry and drop out before the per-set
+* runs of consecutive same-block accesses are guaranteed hits at every
+  geometry, so a vectorised prefilter drops them before the per-set
   grouping, which is what makes size sweeps cheap;
 * everything about a probe stream that does not depend on the set
   count — kind masks, block ids, the shortcut survivors —
@@ -43,76 +41,17 @@ whole-trace vector operations instead:
   many configurations (the workflow sweeps, the benches) pays only the
   per-set grouping per point.
 
-Backend selection is automatic (numpy when importable) with two
-overrides, checked in order: :func:`set_kernel` (the CLI's ``--kernel``)
-and the ``REPRO_REPLAY_KERNEL`` environment variable (``scalar`` |
-``numpy`` | ``auto``).  Without numpy the scalar kernels serve
-everything, bit-identically — the differential tests in
-``tests/test_kernels.py`` pin the two backends against each other over
-every committed hierarchy shape.
+``tests/test_kernels.py`` pins every kernel against
+:func:`repro.sim.replay._walk_replay`, the per-access walk through the
+execution engine's own touch closures, over every committed hierarchy
+shape and adversarial write-heavy streams.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 
-try:  # optional dependency: everything falls back to the scalar kernels
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-less CI job
-    _np = None
-
-#: Valid kernel names for the override knobs.
-KERNEL_CHOICES = ("auto", "scalar", "numpy")
-
-#: Runtime override installed by :func:`set_kernel` (None = not set).
-_OVERRIDE = None
-
-
-def have_numpy() -> bool:
-    """True when the numpy backend can serve at all."""
-    return _np is not None
-
-
-def set_kernel(name):
-    """Install (or with ``None``/``"auto"`` clear) the kernel override.
-
-    Takes precedence over ``REPRO_REPLAY_KERNEL``.  Requesting ``numpy``
-    without numpy installed is an error — silent fallback is reserved
-    for ``auto``.
-    """
-    global _OVERRIDE
-    if name is None or name == "auto":
-        _OVERRIDE = None
-        return
-    if name not in ("scalar", "numpy"):
-        raise ValueError(
-            f"unknown replay kernel {name!r}; expected one of "
-            f"{KERNEL_CHOICES}")
-    if name == "numpy" and _np is None:
-        raise RuntimeError(
-            "replay kernel 'numpy' requested but numpy is not installed")
-    _OVERRIDE = name
-
-
-def active_kernel() -> str:
-    """The backend replay dispatches to right now: scalar or numpy."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    env = os.environ.get("REPRO_REPLAY_KERNEL", "auto")
-    if env == "scalar":
-        return "scalar"
-    if env == "numpy":
-        if _np is None:
-            raise RuntimeError(
-                "REPRO_REPLAY_KERNEL=numpy but numpy is not installed "
-                "(use 'auto' for graceful fallback)")
-        return "numpy"
-    if env not in ("", "auto"):
-        raise RuntimeError(
-            f"bad REPRO_REPLAY_KERNEL value {env!r}; expected one of "
-            f"{KERNEL_CHOICES}")
-    return "numpy" if _np is not None else "scalar"
+import numpy as _np
 
 
 # -- bulk views of the packed stream -----------------------------------------
@@ -120,13 +59,6 @@ def active_kernel() -> str:
 def ops_view(ops):
     """Zero-copy ``uint64`` view of a trace's packed ``array('Q')``."""
     return _np.frombuffer(ops, dtype=_np.uint64)
-
-
-def split_stream(values):
-    """``(tags, addrs)`` as int64 vectors from packed uint64 values."""
-    tags = (values & _np.uint64(7)).astype(_np.int64)
-    addrs = (values >> _np.uint64(3)).astype(_np.int64)
-    return tags, addrs
 
 
 # -- the direct-mapped carry kernel ------------------------------------------
@@ -519,7 +451,7 @@ def lru_chain_counts(values, caches, memo=None):
     and, unless it is set-associative and the stream carries writes, is
     served from the memoised :func:`stream_prep`; the other levels build
     their streams from the pending masks.  Returns one 6-entry counter
-    list per cache, bit-identical to the scalar touch closures.
+    list per cache, bit-identical to the hierarchy's touch closures.
     """
     addrs, is_fetch, is_read, is_write = _split(values, memo)
     writes = bool(is_write.any())
@@ -634,10 +566,9 @@ def dm_sweep_counts(values, line, unified, nsets_list, memo=None):
 
     The multi-size generalisation: the stream is reduced once (and
     memoised across calls) by :func:`stream_prep`; only the shortcut
-    survivors pay a per-``nsets`` grouping.  Matches the scalar
-    ``_sweep_walk`` tables bit for bit, writes included (they probe
-    without allocating, exactly the write-recency contract the
-    regression tests pin down).
+    survivors pay a per-``nsets`` grouping.  Matches per-size replays
+    bit for bit, writes included (they probe without allocating,
+    exactly the write-recency contract the regression tests pin down).
 
     When the requested set counts form a divisibility chain (the usual
     power-of-two sweep), direct-mapped inclusion — a hit at ``k`` sets

@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from collections import Counter
+
+import numpy as np
 
 from ..isa.encoding import decode
 from ..isa.opcodes import Op
@@ -75,7 +76,7 @@ class _Assignment:
     the stack (anything above every object) and row ``n + 1`` anything
     else (padding between objects).  ``counts[row][tag]`` totals the
     accesses per row and tag; ``rows`` is the per-access row vector
-    (numpy only) that shifts the stream and checks the accesses.
+    that shifts the stream and checks the accesses.
     """
 
     def __init__(self, trace: Trace, image):
@@ -86,13 +87,6 @@ class _Assignment:
         self.top = max((obj.end for obj in self.objects), default=0)
         self.stack = len(self.objects)
         self._verdict = None
-        np = kernels._np
-        if np is None:
-            self.rows = None
-            self.counts = [[0] * 8 for _ in range(self.stack + 2)]
-            for value, count in Counter(trace.ops).items():
-                self.counts[self.row_of(value >> 3)][value & 7] += count
-            return
         values = kernels.ops_view(trace.ops)
         bases = np.array(self.bases, dtype=np.uint64)
         ends = np.array([obj.end for obj in self.objects], dtype=np.uint64)
@@ -157,7 +151,6 @@ class _Assignment:
         return allowed
 
     def _check(self, trace: Trace, image):
-        np = kernels._np
         values = kernels.ops_view(trace.ops)
         widths = np.array(TAG_WIDTH, dtype=np.int64)
         starts = np.array(self.bases + [self.top, 0], dtype=np.int64)
@@ -249,14 +242,11 @@ def place_trace(trace: Trace, image, placed, spm_size: int):
 
     *trace* is the baseline image's recording (no SPM split) and
     *placed* the same program linked with a scratchpad allocation of
-    capacity *spm_size*.  Returns None when the access check declines
-    (or numpy is missing) — the caller must execute *placed* then.  The
-    caller also owns the compiler-side check
+    capacity *spm_size*.  Returns None when the access check declines;
+    the caller must execute *placed* then.  The caller also owns the
+    compiler-side check
     (:attr:`~repro.minic.sema.Analyzer.observes_placement`).
     """
-    np = kernels._np
-    if np is None:
-        return None
     assignment = _assignment(trace, image)
     moved = {obj.name: obj for obj in placed.objects}
     if moved.keys() != assignment.row_named.keys() or any(

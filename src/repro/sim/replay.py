@@ -19,15 +19,12 @@ only for the accesses that can actually change state:
 * pipelines with no caches at all reduce to pure arithmetic over a
   memoized per-config pricing plan — no tag arrays, no hierarchy.
 
-Each replay is served by one of two interchangeable backends
-(:mod:`repro.sim.kernels` picks, ``REPRO_REPLAY_KERNEL`` /
-``--kernel`` override): the scalar walks below, or numpy-vectorised
-passes for LRU pipelines at any associativity — the direct-mapped
-carry kernel, and an exact set-associative kernel that walks only the
-run heads of each set (a 2-way L1 replay of ``g721``: 300-400 ms →
-30-90 ms).
-FIFO and random replacement keep :func:`_walk_generic`.  Both backends
-are bit-identical by contract and by differential test.
+LRU pipelines at any associativity are priced by the numpy kernels of
+:mod:`repro.sim.kernels`: the direct-mapped carry kernel, and an exact
+set-associative kernel that walks only the run heads of each set.  Any
+other pipeline (FIFO or random replacement) is walked access by access
+by :func:`_walk_replay`, through the same touch closures the execution
+engine prices with; the tests hold the kernels to that walk.
 
 :func:`replay_sweep` goes further for the paper's bread-and-butter
 sweep: same-geometry direct-mapped LRU caches of different sizes
@@ -35,30 +32,16 @@ sweep: same-geometry direct-mapped LRU caches of different sizes
 set contents of a cache are exactly the most recently used blocks
 mapping to each set — Mattson et al.'s stack property, which for the
 direct-mapped case degenerates to "resident iff most recent allocation
-in the set".  One pass over the trace therefore evaluates *every* size
-at once: per access, each candidate size checks/updates one last-block
-cell, and a most-recent-block shortcut skips the (dominant) runs of
-consecutive same-line accesses that hit at every size.  Writes never
-allocate, so the shared recency state stays exact across all sizes.
+in the set".  The stream is therefore reduced once and every size
+prices from one grouping per set count
+(:func:`~repro.sim.kernels.dm_sweep_counts`).  Writes never allocate,
+so they only read the residency the allocations leave behind.
 
 :func:`replay_grid` generalises the sweep to full per-set Mattson stack
-distances: one pass prices an entire (size × associativity) LRU grid at
-fixed line size.  On the numpy backend the associativity-1 points take
-the vectorised sweep and the others the set-associative kernel, one
-grouping and one walk per set count.  The scalar pass keeps three
-exactness regimes:
-
-* associativity-1 points reuse the sweep tables (write probes are
-  statistics-only there, so sharing is exact);
-* when no write ever reaches the cache (instruction-cache grids, or
-  write-free traces), all deeper points share per-set LRU stacks
-  trimmed to the deepest associativity: a hit at associativity A is a
-  stack distance < A, read off a depth histogram;
-* unified grids over traces *with* writes get exact per-point LRU
-  lists walked together in the same pass — the write-recency subtlety
-  the sweep regression tests pin down (a write hit refreshes LRU order
-  conditionally on residency, which is associativity-dependent and
-  provably cannot share one stack).
+distances: one call prices an entire (size × associativity) LRU grid at
+fixed line size.  The associativity-1 points take the sweep kernel and
+the others the set-associative kernel, one grouping and one walk per
+set count.
 """
 
 from __future__ import annotations
@@ -214,19 +197,6 @@ def _fixed_cycles(trace: Trace, plan: _ReplayPlan,
     return total
 
 
-def _result(trace: Trace, hierarchy: MemoryHierarchy,
-            cycles: int) -> SimResult:
-    hierarchy.flush_fast_stats()
-    return SimResult(
-        cycles=cycles,
-        instructions=trace.instructions,
-        exit_code=trace.exit_code,
-        console=list(trace.console),
-        cache_stats=hierarchy.cache_stats,
-        level_stats=hierarchy.level_stats,
-    )
-
-
 def _plan_result(trace: Trace, plan: _ReplayPlan, cycles: int,
                  counts_per_cache) -> SimResult:
     """Build a SimResult from counters alone (no tag arrays needed)."""
@@ -286,7 +256,7 @@ def replay(trace: Trace, config: SystemConfig,
         cycles = trace.base_cycles + _fixed_cycles(
             trace, plan, fetches_fixed=True, reads_fixed=True)
         return _plan_result(trace, plan, cycles, ())
-    if plan.lru_chain and kernels.active_kernel() == "numpy":
+    if plan.lru_chain:
         COUNTERS["replay_numpy"] += 1
         counts = kernels.lru_chain_counts(
             kernels.ops_view(trace.ops), plan.kernel_caches,
@@ -296,109 +266,40 @@ def replay(trace: Trace, config: SystemConfig,
                                 reads_fixed=not plan.data_order)
         return _plan_result(trace, plan, cycles, counts)
     COUNTERS["replay_scalar"] += 1
+    return _walk_replay(trace, config)
+
+
+def _touches(hierarchy: MemoryHierarchy):
+    """``(fetch, read, write)`` touch chains of *hierarchy*, outermost-in.
+
+    Each chain holds one ``(touch, line_size, num_sets)`` per cache on
+    that path: the closures the execution engine's fast path prices
+    with, so a walk over them is the engine's cache model exactly.
+    """
+    def chain(caches, make):
+        return tuple((make(cache), cache.config.line_size,
+                      cache.config.num_sets) for cache in caches)
+    return (chain(hierarchy._fetch_chain,
+                  lambda cache: hierarchy._make_touch(cache, 0)),
+            chain(hierarchy._data_chain,
+                  lambda cache: hierarchy._make_touch(cache, 2)),
+            chain(hierarchy._data_chain, hierarchy._make_write_touch))
+
+
+def _walk_replay(trace: Trace, config: SystemConfig) -> SimResult:
+    """Re-price *trace* under any level pipeline, access by access.
+
+    The path of FIFO and random replacement, and the oracle the tests
+    hold the LRU kernels to: every access walks the hierarchy's touch
+    closures (:func:`_touches`), outermost level first.
+    """
     hierarchy = MemoryHierarchy(config)
-    fchain = hierarchy._fetch_chain
-    dchain = hierarchy._data_chain
-    cycles = trace.base_cycles + _fixed_cycles(
-        trace, plan, fetches_fixed=not fchain,
-        reads_fixed=not dchain)
-    if fchain == dchain and len(fchain) == 1 \
-            and fchain[0].config.assoc == 1:
-        cycles += _walk_unified_dm(trace, hierarchy)
-    elif len(fchain) == 1 and not dchain \
-            and fchain[0].config.assoc == 1:
-        cycles += _walk_fetch_dm(trace, hierarchy)
-    elif fchain or dchain:
-        cycles += _walk_generic(trace, hierarchy)
-    return _result(trace, hierarchy, cycles)
-
-
-def _walk_unified_dm(trace: Trace, hierarchy: MemoryHierarchy) -> int:
-    """One shared direct-mapped cache on both paths (the paper's shape)."""
-    cache = hierarchy._fetch_chain[0]
-    sets = cache.sets
-    counts = cache.fast_counts
-    line = cache.config.line_size
-    nsets = cache.config.num_sets
-    f_hit, f_miss = (out.cycles for out in hierarchy._fetch_out)
-    r_hit, r_miss = (out.cycles for out in hierarchy._data_out)
-    cycles = 0
-    for value in trace.ops:
-        tag = value & 7
-        block = (value >> 3) // line
-        ways = sets[block % nsets]
-        if tag == 0 or tag == 7:
-            if ways and ways[0] == block:
-                counts[0] += 1
-                cycles += f_hit
-            else:
-                if ways:
-                    ways[0] = block
-                else:
-                    ways.append(block)
-                counts[1] += 1
-                cycles += f_miss
-        elif tag < 4:
-            if ways and ways[0] == block:
-                counts[2] += 1
-                cycles += r_hit
-            else:
-                if ways:
-                    ways[0] = block
-                else:
-                    ways.append(block)
-                counts[3] += 1
-                cycles += r_miss
-        else:  # write-through, no allocate: stats only
-            if ways and ways[0] == block:
-                counts[4] += 1
-            else:
-                counts[5] += 1
-    return cycles
-
-
-def _walk_fetch_dm(trace: Trace, hierarchy: MemoryHierarchy) -> int:
-    """A single direct-mapped instruction cache; data bypasses."""
-    cache = hierarchy._fetch_chain[0]
-    sets = cache.sets
-    counts = cache.fast_counts
-    line = cache.config.line_size
-    nsets = cache.config.num_sets
-    f_hit, f_miss = (out.cycles for out in hierarchy._fetch_out)
-    cycles = 0
-    for value in trace.ops:
-        tag = value & 7
-        if tag and tag != 7:
-            continue
-        block = (value >> 3) // line
-        ways = sets[block % nsets]
-        if ways and ways[0] == block:
-            counts[0] += 1
-            cycles += f_hit
-        else:
-            if ways:
-                ways[0] = block
-            else:
-                ways.append(block)
-            counts[1] += 1
-            cycles += f_miss
-    return cycles
-
-
-def _walk_generic(trace: Trace, hierarchy: MemoryHierarchy) -> int:
-    """Any level pipeline: per-level touch closures, outermost-in."""
-    fts = tuple(
-        (hierarchy._make_touch(c, 0), c.config.line_size,
-         c.config.num_sets) for c in hierarchy._fetch_chain)
-    dts = tuple(
-        (hierarchy._make_touch(c, 2), c.config.line_size,
-         c.config.num_sets) for c in hierarchy._data_chain)
-    wts = tuple(
-        (hierarchy._make_write_touch(c), c.config.line_size,
-         c.config.num_sets) for c in hierarchy._data_chain)
+    fts, dts, wts = _touches(hierarchy)
     fcosts = [out.cycles for out in hierarchy._fetch_out]
     dcosts = [out.cycles for out in hierarchy._data_out]
-    cycles = 0
+    cycles = trace.base_cycles + _fixed_cycles(
+        trace, _plan_for(config), fetches_fixed=not fts,
+        reads_fixed=not dts)
     for value in trace.ops:
         tag = value & 7
         addr = value >> 3
@@ -426,7 +327,15 @@ def _walk_generic(trace: Trace, hierarchy: MemoryHierarchy) -> int:
             for touch, line, nsets in wts:
                 block = addr // line
                 touch(block, block % nsets)
-    return cycles
+    hierarchy.flush_fast_stats()
+    return SimResult(
+        cycles=cycles,
+        instructions=trace.instructions,
+        exit_code=trace.exit_code,
+        console=list(trace.console),
+        cache_stats=hierarchy.cache_stats,
+        level_stats=hierarchy.level_stats,
+    )
 
 
 def replay_misses(trace: Trace, config: SystemConfig,
@@ -446,16 +355,7 @@ def replay_misses(trace: Trace, config: SystemConfig,
     """
     _check_budget(trace, max_steps)
     _check_spm(trace, config)
-    hierarchy = MemoryHierarchy(config)
-    fts = tuple(
-        (hierarchy._make_touch(c, 0), c.config.line_size,
-         c.config.num_sets) for c in hierarchy._fetch_chain)
-    dts = tuple(
-        (hierarchy._make_touch(c, 2), c.config.line_size,
-         c.config.num_sets) for c in hierarchy._data_chain)
-    wts = tuple(
-        (hierarchy._make_write_touch(c), c.config.line_size,
-         c.config.num_sets) for c in hierarchy._data_chain)
+    fts, dts, wts = _touches(MemoryHierarchy(config))
     main_depth = len(fts)
     fetch_misses = {}
     fetch_main_misses = {}
@@ -563,24 +463,16 @@ def replay_sweep(trace: Trace, configs,
     line, unified, _spm = next(iter(keys))
 
     if len(configs) == 1:
-        # Degenerate sweep: the specialized single-config paths are
-        # cheaper than the multi-table kernels.
+        # Degenerate sweep: a plain replay prices the one config.
         results = [replay(trace, configs[0], max_steps)]
         COUNTERS["replay_runs"] -= 1
     else:
         plans = [_plan_for(config) for config in configs]
-        nsets_list = [plan.caches[0][0].num_sets for plan in plans]
-        if kernels.active_kernel() == "numpy":
-            COUNTERS["sweep_numpy"] += 1
-            counts_list = kernels.dm_sweep_counts(
-                kernels.ops_view(trace.ops), line, unified, nsets_list,
-                memo=trace._memo)
-        else:
-            COUNTERS["sweep_scalar"] += 1
-            tables = [([-1] * nsets, nsets, [0] * 6)
-                      for nsets in nsets_list]
-            _sweep_walk(trace.ops, tables, line, unified)
-            counts_list = [counts for _last, _nsets, counts in tables]
+        COUNTERS["sweep_numpy"] += 1
+        counts_list = kernels.dm_sweep_counts(
+            kernels.ops_view(trace.ops), line, unified,
+            [plan.caches[0][0].num_sets for plan in plans],
+            memo=trace._memo)
         results = [
             _plan_result(trace, plan,
                          _sweep_cycles(trace, plan, counts, unified),
@@ -600,62 +492,6 @@ def _sweep_cycles(trace: Trace, plan: _ReplayPlan, counts,
     if unified:
         cycles += counts[2] * plan.dcosts[0] + counts[3] * plan.dcosts[1]
     return cycles
-
-
-def _sweep_walk(ops, tables, line, unified):
-    """The single-pass multi-size kernel over the packed stream.
-
-    ``prev`` is the block of the most recent *allocating* access
-    (fetch/read).  Immediately after it, that block is the MRU line of
-    its set in every candidate size, so a repeat access hits everywhere
-    and no table needs touching — the case that dominates straight-line
-    fetch runs.  Writes never allocate, so they check residency without
-    perturbing the shared recency state.
-    """
-    prev = -1
-    for value in ops:
-        tag = value & 7
-        if tag == 7:
-            tag = 0  # continuation fetches price like plain fetches
-        if tag and not unified:
-            continue  # instruction cache: data bypasses every size
-        block = (value >> 3) // line
-        if tag == 0:
-            if block == prev:
-                for _last, _nsets, counts in tables:
-                    counts[0] += 1
-            else:
-                prev = block
-                for last, nsets, counts in tables:
-                    index = block % nsets
-                    if last[index] == block:
-                        counts[0] += 1
-                    else:
-                        last[index] = block
-                        counts[1] += 1
-        elif tag < 4:
-            if block == prev:
-                for _last, _nsets, counts in tables:
-                    counts[2] += 1
-            else:
-                prev = block
-                for last, nsets, counts in tables:
-                    index = block % nsets
-                    if last[index] == block:
-                        counts[2] += 1
-                    else:
-                        last[index] = block
-                        counts[3] += 1
-        else:
-            if block == prev:
-                for _last, _nsets, counts in tables:
-                    counts[4] += 1
-            else:
-                for last, nsets, counts in tables:
-                    if last[block % nsets] == block:
-                        counts[4] += 1
-                    else:
-                        counts[5] += 1
 
 
 # -- single-pass geometry grids ----------------------------------------------
@@ -684,40 +520,21 @@ def replay_grid(trace: Trace, configs,
     plans = [_plan_for(config) for config in configs]
     specs = [plan.caches[0][0] for plan in plans]
     counts_for = [None] * len(configs)
-    use_numpy = kernels.active_kernel() == "numpy"
+    values = kernels.ops_view(trace.ops)
 
     dm_positions = [i for i, spec in enumerate(specs) if spec.assoc == 1]
     lru_positions = [i for i, spec in enumerate(specs) if spec.assoc > 1]
-
     if dm_positions:
-        nsets_list = [specs[i].num_sets for i in dm_positions]
-        if use_numpy:
-            dm_counts = kernels.dm_sweep_counts(
-                kernels.ops_view(trace.ops), line, unified, nsets_list,
-                memo=trace._memo)
-        else:
-            tables = [([-1] * nsets, nsets, [0] * 6)
-                      for nsets in nsets_list]
-            _sweep_walk(trace.ops, tables, line, unified)
-            dm_counts = [counts for _last, _nsets, counts in tables]
+        dm_counts = kernels.dm_sweep_counts(
+            values, line, unified,
+            [specs[i].num_sets for i in dm_positions], memo=trace._memo)
         for position, counts in zip(dm_positions, dm_counts):
             counts_for[position] = counts
     if lru_positions:
-        points = [(specs[i].assoc, specs[i].num_sets)
-                  for i in lru_positions]
-        if use_numpy:
-            lru_counts = kernels.lru_grid_counts(
-                kernels.ops_view(trace.ops), line, unified, points,
-                memo=trace._memo)
-        elif unified and any(trace.op_counts[4:7]):
-            # Write hits refresh LRU order conditionally on residency,
-            # which depends on the associativity — no shared stack is
-            # exact here, so these points get their own LRU lists,
-            # still walked together in the one pass.
-            lru_counts = _grid_exact_walk(trace.ops, line, points)
-        else:
-            lru_counts = _grid_stack_walk(trace.ops, line, unified,
-                                          points)
+        lru_counts = kernels.lru_grid_counts(
+            values, line, unified,
+            [(specs[i].assoc, specs[i].num_sets) for i in lru_positions],
+            memo=trace._memo)
         for position, counts in zip(lru_positions, lru_counts):
             counts_for[position] = counts
     results = [
@@ -727,112 +544,5 @@ def replay_grid(trace: Trace, configs,
         for plan, counts in zip(plans, counts_for)]
     COUNTERS["grid_passes"] += 1
     COUNTERS["grid_points"] += len(configs)
-    COUNTERS["grid_numpy" if use_numpy else "grid_scalar"] += 1
+    COUNTERS["grid_numpy"] += 1
     return results
-
-
-def _grid_stack_walk(ops, line, unified, points):
-    """Shared per-set Mattson stacks for write-free LRU grid points.
-
-    *points* is a list of ``(assoc, nsets)``; no write probe ever
-    reaches the cache (instruction-cache side, or a write-free trace),
-    so every access refreshes LRU order unconditionally and one stack
-    per set serves every associativity: an access at stack distance
-    ``d`` hits every point with ``assoc > d``.  Stacks are trimmed to
-    the deepest associativity per set count — depths beyond it price
-    identically to a miss everywhere, and trimming bounds the
-    ``list.index`` search.
-    """
-    groups = {}  # nsets -> positions into points
-    for position, (_assoc, nsets) in enumerate(points):
-        groups.setdefault(nsets, []).append(position)
-    walkers = []
-    for nsets, members in groups.items():
-        deepest = max(points[i][0] for i in members)
-        walkers.append((nsets, deepest, [[] for _ in range(nsets)],
-                        [0] * (deepest + 1), [0] * (deepest + 1)))
-    prev = -1
-    for value in ops:
-        tag = value & 7
-        if tag == 7:
-            tag = 0
-        if tag and not unified:
-            continue
-        block = (value >> 3) // line
-        read = tag != 0
-        if block == prev:
-            for _nsets, _deepest, _stacks, fetch_hist, read_hist \
-                    in walkers:
-                (read_hist if read else fetch_hist)[0] += 1
-            continue
-        prev = block
-        for nsets, deepest, stacks, fetch_hist, read_hist in walkers:
-            stack = stacks[block % nsets]
-            try:
-                depth = stack.index(block)
-                del stack[depth]
-            except ValueError:
-                depth = deepest
-                if len(stack) >= deepest:
-                    stack.pop()
-            stack.insert(0, block)
-            (read_hist if read else fetch_hist)[depth] += 1
-    counts_for = [None] * len(points)
-    for (nsets, _deepest, _stacks, fetch_hist, read_hist), members \
-            in zip(walkers, groups.values()):
-        total_fetch = sum(fetch_hist)
-        total_read = sum(read_hist)
-        for position in members:
-            assoc = points[position][0]
-            fetch_hits = sum(fetch_hist[:assoc])
-            read_hits = sum(read_hist[:assoc])
-            counts_for[position] = [fetch_hits, total_fetch - fetch_hits,
-                                    read_hits, total_read - read_hits,
-                                    0, 0]
-    return counts_for
-
-
-def _grid_exact_walk(ops, line, points):
-    """Exact per-point LRU lists for unified grids with write traffic.
-
-    Matches the hierarchy's touch closures bit for bit: fetch/read hits
-    and write hits refresh LRU order, misses allocate (fetch/read) or
-    do nothing (write-through, no allocate).
-    """
-    states = [([[] for _ in range(nsets)], nsets, assoc, [0] * 6)
-              for assoc, nsets in points]
-    for value in ops:
-        tag = value & 7
-        block = (value >> 3) // line
-        if tag == 0 or tag == 7:
-            base = 0
-        elif tag < 4:
-            base = 2
-        else:
-            base = -1  # write: refresh residents, never allocate
-        if base < 0:
-            for sets, nsets, _assoc, counts in states:
-                ways = sets[block % nsets]
-                if block in ways:
-                    if ways[0] != block:
-                        ways.remove(block)
-                        ways.insert(0, block)
-                    counts[4] += 1
-                else:
-                    counts[5] += 1
-        else:
-            for sets, nsets, assoc, counts in states:
-                ways = sets[block % nsets]
-                if block in ways:
-                    if ways[0] != block:
-                        ways.remove(block)
-                        ways.insert(0, block)
-                    counts[base] += 1
-                else:
-                    if len(ways) < assoc:
-                        ways.insert(0, block)
-                    else:
-                        ways.pop()
-                        ways.insert(0, block)
-                    counts[base + 1] += 1
-    return [counts for _sets, _nsets, _assoc, counts in states]

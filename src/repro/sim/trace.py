@@ -51,6 +51,7 @@ from ..memory.hierarchy import SystemConfig
 from ..memory.regions import STACK_TOP
 from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
 from .engine import compile_program
+from .kernels import expand_runs
 from .simulator import MemoryFault, SimError, Simulator
 
 #: Access-kind tags in the packed ``ops`` stream (low 3 bits).
@@ -86,13 +87,12 @@ COUNTERS = {
     "sweep_points": 0,
     "grid_passes": 0,
     "grid_points": 0,
-    # Which backend served each replay/sweep/grid pass
-    # (:mod:`repro.sim.kernels` selection; `repro-cc trace --profile`).
+    # What served each replay/sweep/grid pass (`repro-cc trace
+    # --profile`): the numpy kernels, or for replays plan arithmetic
+    # (no caches) and the per-access walk (FIFO/random).
     "replay_scalar": 0,
     "replay_numpy": 0,
-    "sweep_scalar": 0,
     "sweep_numpy": 0,
-    "grid_scalar": 0,
     "grid_numpy": 0,
     # Bounded-memory in-process layers (PR 8): evictions from the
     # trace LRU and from the per-trace kernel memos.
@@ -139,11 +139,11 @@ class Trace:
     a ``uint32`` ``count << 1 | stride`` word — so the encoding never
     exceeds the flat stream and shrinks it whenever any run is longer
     than one.  The encoding is lossless; :meth:`compact` drops the flat
-    form (the ``ops`` property re-expands lazily, numpy-accelerated
-    when available), and pickling stores the compact form — that is
-    what shrinks the on-disk trace cache and worker-to-worker
-    transfers.  Foreign ingested streams whose deltas overflow 32 bits
-    stay flat (:meth:`runs` returns None).
+    form (the ``ops`` property re-expands lazily, in numpy), and
+    pickling stores the compact form — that is what shrinks the on-disk
+    trace cache and worker-to-worker transfers.  Foreign ingested
+    streams whose deltas overflow 32 bits stay flat (:meth:`runs`
+    returns None).
 
     ``_memo`` caches config-independent stream reductions computed by
     the vectorised replay kernels (:mod:`repro.sim.kernels`): block-id
@@ -175,7 +175,7 @@ class Trace:
         """The flat packed stream, re-expanded from runs if compacted."""
         ops = self._ops
         if ops is None:
-            ops = self._ops = _expand_runs(*self._runs)
+            ops = self._ops = expand_runs(*self._runs)
         return ops
 
     def runs(self):
@@ -300,28 +300,6 @@ def _compress_ops(ops):
         prev = first
         i = k
     return base, heads, packed
-
-
-def _expand_runs(base, heads, packed):
-    """Decode :func:`_compress_ops` output back into a flat stream."""
-    from . import kernels
-    if kernels.have_numpy():
-        return kernels.expand_runs(base, heads, packed)
-    ops = array("Q")
-    extend = ops.extend
-    append = ops.append
-    first = base
-    for head, record in zip(heads, packed):
-        first += head
-        count = record >> 1
-        if record & 1:
-            extend(range(first, first + count * _RUN_STRIDE,
-                         _RUN_STRIDE))
-        elif count == 1:
-            append(first)
-        else:
-            extend([first] * count)
-    return ops
 
 
 class _TraceTap:

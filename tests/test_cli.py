@@ -48,6 +48,14 @@ class TestRun:
     def test_spm_and_cache_conflict(self, source_file, capsys):
         with pytest.raises(SystemExit):
             main(["run", source_file, "--spm", "64", "--cache", "64"])
+        # A geometry no cache can have is an option error too.
+        for geometry in (["--cache", "100"],
+                         ["--cache", "256", "--assoc", "0"],
+                         ["--cache", "256", "--assoc", "-2"]):
+            with pytest.raises(SystemExit, match="invalid memory pipeline"):
+                main(["run", source_file, *geometry])
+        with pytest.raises(SystemExit, match="not divisible"):
+            main(["sweep", source_file, "--sizes", "256", "--assoc", "3"])
 
 
 class TestWcet:

@@ -1,26 +1,22 @@
 """Pins for the vectorised replay kernels and the trace RLE form.
 
-Five layers:
+Four layers, the first three against one oracle: ``_walk_replay``, the
+per-access walk through the hierarchy's touch closures (the execution
+engine's own cache model, pinned to the engine by
+``tests/test_trace_replay.py``):
 
-* **backend differential** — every committed hierarchy shape replayed
-  under the scalar and the numpy kernels must agree on the full result
-  (the scalar walk is itself pinned against the execution engine by
-  ``tests/test_trace_replay.py``, so agreement here closes the loop);
-  the set-associative shapes include a 4-way L2 behind an L1, 2-way
-  split sides and a set count that is not a power of two;
+* **shape differential** — every committed hierarchy shape replayed
+  by the kernels must equal the walk on the full result; the
+  set-associative shapes include a 4-way L2 behind an L1, 2-way split
+  sides and a set count that is not a power of two;
 * **set-associative kernel property** — the numpy LRU kernel must equal
-  the scalar ``_walk_generic`` on write-heavy synthetic streams at
-  associativity 2, 3, 4 and 8, per config and in grids whose points
-  share a set count;
+  the walk on write-heavy synthetic streams at associativity 2, 3, 4
+  and 8, per config and in grids whose points share a set count;
 * **geometry-grid property** — one :func:`replay_grid` pass over a
-  (size × associativity) grid must equal per-point replays on
-  adversarial synthetic streams (hypothesis-driven, write-heavy
+  (size × associativity) grid must equal per-point replays and the walk
+  on adversarial synthetic streams (hypothesis-driven, write-heavy
   included) and equal the engine on generated (``gen:<seed>``)
   programs;
-* **kernel selection** — the ``set_kernel`` override, the
-  ``REPRO_REPLAY_KERNEL`` environment knob, and the numpy-absent
-  fallback (the scalar kernels must serve everything when
-  ``kernels._np`` is None, which is what the numpy-less CI job runs);
 * **run-length encoding** — compress/expand round trips (strided,
   constant and unencodable streams), the pickle fast path in both its
   ``"runs"`` and ``"flat"`` branches, and :meth:`Trace.compact`.
@@ -40,9 +36,8 @@ from repro.memory.regions import MAIN_BASE
 from repro.minic import compile_source
 from repro.sim import Simulator
 from repro.sim import kernels
-from repro.sim.replay import replay, replay_grid, replay_sweep
+from repro.sim.replay import _walk_replay, replay, replay_grid
 from repro.sim.trace import (READ_TAGS, WRITE_TAGS, Trace, record_trace)
-from repro.sim import trace as trace_mod
 
 SPM_SIZE = 512
 
@@ -71,9 +66,6 @@ SHAPES = {
     "l1-2way-15sets": lambda: SystemConfig.cached(
         CacheConfig(size=480, assoc=2)),
 }
-
-needs_numpy = pytest.mark.skipif(not kernels.have_numpy(),
-                                 reason="numpy not installed")
 
 _IMAGES = {}
 _TRACES = {}
@@ -121,25 +113,14 @@ def _assert_same(got, want, context):
             _stats_tuple(want.level_stats[level]), (context, level)
 
 
-@pytest.fixture(autouse=True)
-def _reset_kernel():
-    yield
-    kernels.set_kernel(None)
+# -- kernels == walk over every committed shape -------------------------------
 
-
-# -- backend differential over every committed shape -------------------------
-
-@needs_numpy
 @pytest.mark.parametrize("shape", SHAPES)
 def test_numpy_matches_scalar_every_shape(shape):
     spm = shape in ("spm", "hybrid")
     trace = _trace(spm)
     config = SHAPES[shape]()
-    kernels.set_kernel("scalar")
-    want = replay(trace, config)
-    kernels.set_kernel("numpy")
-    got = replay(trace, config)
-    _assert_same(got, want, shape)
+    _assert_same(replay(trace, config), _walk_replay(trace, config), shape)
 
 
 # -- geometry grid: one pass == per-point == engine --------------------------
@@ -182,21 +163,12 @@ def _grid_configs(unified, sizes=(128, 512), assocs=(1, 2, 4, 8)):
        write_frac=st.sampled_from((0.15, 0.45)))
 def test_grid_property_matches_per_point(seed, write_frac):
     trace = _synthetic_trace(random.Random(seed), write_frac=write_frac)
-    backends = ("scalar", "numpy") if kernels.have_numpy() else ("scalar",)
-    results = {}
     for unified in (True, False):
         configs = _grid_configs(unified)
-        for backend in backends:
-            kernels.set_kernel(backend)
-            for pos, (config, priced) in enumerate(
-                    zip(configs, replay_grid(trace, configs))):
-                _assert_same(priced, replay(trace, config),
-                             (seed, backend, config.name))
-                results.setdefault((unified, pos), []).append(priced)
-    kernels.set_kernel(None)
-    for name, priced in results.items():
-        for other in priced[1:]:
-            _assert_same(other, priced[0], ("backends", seed, name))
+        for config, priced in zip(configs, replay_grid(trace, configs)):
+            _assert_same(priced, replay(trace, config), (seed, config.name))
+            _assert_same(priced, _walk_replay(trace, config),
+                         ("walk", seed, config.name))
 
 
 #: Set-associative geometries for the kernel property, in pairs and
@@ -206,15 +178,14 @@ _ASSOC_GEOMETRIES = ((256, 2), (384, 3), (512, 4), (1024, 8),
                      (160, 2), (240, 3), (128, 2), (512, 8))
 
 
-@needs_numpy
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 1 << 20),
        write_frac=st.sampled_from((0.3, 0.6)),
        blocks=st.sampled_from((24, 80)))
 def test_lru_kernel_matches_generic_walk(seed, write_frac, blocks):
-    """The set-associative kernel equals the scalar ``_walk_generic`` on
-    write-heavy streams: per config through ``replay`` (single levels
-    and an L1 + L2 chain) and per grid through ``replay_grid``."""
+    """The set-associative kernel equals ``_walk_replay`` on write-heavy
+    streams: per config through ``replay`` (single levels and an L1 + L2
+    chain) and per grid through ``replay_grid``."""
     trace = _synthetic_trace(random.Random(seed), blocks=blocks,
                              write_frac=write_frac)
     configs = [SystemConfig.cached(CacheConfig(size=size, assoc=assoc,
@@ -226,9 +197,7 @@ def test_lru_kernel_matches_generic_walk(seed, write_frac, blocks):
     configs.append(SystemConfig.split_l1(
         CacheConfig(size=128, assoc=4, unified=False),
         CacheConfig(size=240, assoc=3)))
-    kernels.set_kernel("scalar")
-    want = [replay(trace, config) for config in configs]
-    kernels.set_kernel("numpy")
+    want = [_walk_replay(trace, config) for config in configs]
     for config, expected in zip(configs, want):
         _assert_same(replay(trace, config), expected, (seed, config))
     for unified in (True, False):
@@ -254,7 +223,6 @@ def test_grid_matches_engine_on_generated_programs(seed):
             assert priced.console == executed.console
 
 
-@needs_numpy
 def test_sweep_counts_non_chain_and_shuffled_orders():
     trace = _synthetic_trace(random.Random(7))
     values = kernels.ops_view(trace.ops)
@@ -267,57 +235,6 @@ def test_sweep_counts_non_chain_and_shuffled_orders():
                 for nsets in nsets_list]
             got = kernels.dm_sweep_counts(values, 16, unified, nsets_list)
             assert got == expect, (unified, nsets_list)
-
-
-# -- kernel selection ---------------------------------------------------------
-
-def test_set_kernel_validation():
-    with pytest.raises(ValueError):
-        kernels.set_kernel("fortran")
-    kernels.set_kernel("scalar")
-    assert kernels.active_kernel() == "scalar"
-    kernels.set_kernel("auto")
-    assert kernels.active_kernel() in ("scalar", "numpy")
-
-
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "scalar")
-    assert kernels.active_kernel() == "scalar"
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "cobol")
-    with pytest.raises(RuntimeError):
-        kernels.active_kernel()
-    # An installed override beats the environment.
-    kernels.set_kernel("scalar")
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "numpy")
-    assert kernels.active_kernel() == "scalar"
-
-
-def test_numpy_requested_but_absent(monkeypatch):
-    monkeypatch.setattr(kernels, "_np", None)
-    assert not kernels.have_numpy()
-    with pytest.raises(RuntimeError):
-        kernels.set_kernel("numpy")
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "numpy")
-    with pytest.raises(RuntimeError):
-        kernels.active_kernel()
-
-
-def test_replay_without_numpy_falls_back(monkeypatch):
-    trace = _synthetic_trace(random.Random(3))
-    config = SystemConfig.cached(CacheConfig(size=512))
-    want = None
-    if kernels.have_numpy():
-        kernels.set_kernel("numpy")
-        want = replay(trace, config)
-        kernels.set_kernel(None)
-    monkeypatch.setattr(kernels, "_np", None)
-    assert kernels.active_kernel() == "scalar"
-    got = replay(trace, config)
-    for c, p in zip(_grid_configs(True, sizes=(256,)),
-                    replay_grid(trace, _grid_configs(True, sizes=(256,)))):
-        _assert_same(p, replay(trace, c), ("no-numpy grid", c.name))
-    if want is not None:
-        _assert_same(got, want, "no-numpy replay")
 
 
 # -- run-length encoding ------------------------------------------------------
@@ -341,22 +258,12 @@ def test_rle_round_trip_strided_and_constant():
     runs = trace.runs()
     assert runs is not None
     assert len(runs[2]) < len(ops)  # actually compressed
-    assert list(trace_mod._expand_runs(*runs)) == ops
+    assert list(kernels.expand_runs(*runs)) == ops
     flat = [value
             for first, count, stride in trace.iter_runs()
             for value in (range(first, first + 16 * count, 16) if stride
                           else [first] * count)]
     assert flat == ops
-
-
-def test_rle_scalar_expand_matches_numpy(monkeypatch):
-    ops = [((0x8000 + 2 * i) << 3) for i in range(50)] + \
-        [((0x9000 << 3) | 2)] * 7 + [((0x6000 << 3) | 1)]
-    trace = _raw_trace(ops)
-    runs = trace.runs()
-    expanded = list(trace_mod._expand_runs(*runs))
-    monkeypatch.setattr(kernels, "_np", None)
-    assert list(trace_mod._expand_runs(*runs)) == expanded == ops
 
 
 def test_rle_refuses_foreign_overflow():

@@ -34,6 +34,9 @@ class TestConfig:
             CacheConfig(size=0)
         with pytest.raises(ValueError):
             CacheConfig(size=64, line_size=12)  # not a power of two
+        for bad in (dict(assoc=0), dict(assoc=-2), dict(line_size=0)):
+            with pytest.raises(ValueError):
+                CacheConfig(size=512, **bad)
 
     def test_describe(self):
         assert "direct mapped" in CacheConfig(size=64).describe()

@@ -21,6 +21,7 @@ import pickle
 import subprocess
 import sys
 import time
+import zlib
 
 import pytest
 
@@ -79,6 +80,18 @@ class TestEnvelope:
 
     def test_rejects_trailing_garbage(self):
         assert open_envelope(envelope(b"payload") + b"x") is None
+
+    def test_reads_crc32_envelopes_of_older_installs(self):
+        # Writers emit word-sum ("s") envelopes only; a crc32 ("c")
+        # envelope is an older install's entry and must still verify.
+        payload = b"an older entry"
+        header = envelope(payload)[:-len(payload)]
+        blob = (header[:14] + b"c%016x" % zlib.crc32(payload)
+                + header[31:] + payload)
+        assert open_envelope(blob) == payload
+        flipped = bytearray(blob)
+        flipped[-1] ^= 0x01
+        assert open_envelope(bytes(flipped)) is None
 
 
 # --------------------------------------------------------------------------

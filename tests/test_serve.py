@@ -129,6 +129,14 @@ class TestProtocol:
         {"op": "grid", "bench": "crc", "sizes": [256]},    # no assocs
         {"op": "sleep", "seconds": -1},
         {"op": "sleep", "seconds": 1e9},
+        # Cache geometries no cache can have (not divisible, zero
+        # line or ways, negative ways, a grid cell of 3 ways).
+        {"op": "simulate", "bench": "crc", "config": {"cache": 100}},
+        {"op": "wcet", "bench": "crc", "config": {"cache": 256, "line": 0}},
+        {"op": "wcet", "bench": "crc",
+         "config": {"cache": 256, "assoc": 0}},
+        {"op": "sweep", "bench": "crc", "sizes": [256], "assoc": -2},
+        {"op": "grid", "bench": "crc", "sizes": [256], "assocs": [3]},
     ])
     def test_malformed_requests_rejected(self, request_):
         with pytest.raises(ProtocolError):

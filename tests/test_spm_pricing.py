@@ -14,8 +14,7 @@ import pytest
 from repro.benchmarks import BENCHMARKS, get
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
-from repro.sim import kernels, place_trace, placement, simulate, \
-    trace_profile
+from repro.sim import place_trace, placement, simulate
 from repro.sim.replay import replay
 from repro.sim.trace import clear_trace_caches, record_trace, trace_counters
 from repro.spm.allocator import Allocation
@@ -319,15 +318,3 @@ class TestPlacementContract:
         with pytest.raises(ValueError):
             place_trace(crc.baseline_trace(), crc.baseline_image(),
                         fir.baseline_image(), 0)
-
-    def test_without_numpy_profiles_but_executes(self, monkeypatch):
-        workflow = _workflow("crc")
-        image = workflow.baseline_image()
-        expected = [(p.name, p.accesses) for p in workflow.profile()]
-        placed = link(workflow.program, spm_size=256,
-                      spm_objects=workflow.allocate(256).objects)
-        monkeypatch.setattr(kernels, "_np", None)
-        trace = record_trace(image, 0)
-        profile = trace_profile(trace, image)
-        assert [(p.name, p.accesses) for p in profile] == expected
-        assert place_trace(trace, image, placed, 256) is None

@@ -9,7 +9,8 @@ Three layers of evidence that replay is exact:
 * a **randomized property test** for the single-pass Mattson kernel:
   synthetic traces with adversarial reuse/write patterns must yield the
   same hit counts and cycles from ``replay_sweep`` as from per-size
-  replays (and per-size execution is pinned by the differential layer);
+  replays and from the per-access walk (``_walk_replay``, the
+  hierarchy's own touch closures);
 * **cache tests**: content-addressed invalidation, the shared disk
   layer, and the reuse counters that prove a workflow size sweep is
   served by one recorded trace and one single-pass replay.
@@ -27,8 +28,8 @@ from repro.memory.regions import MAIN_BASE
 from repro.minic import compile_source
 from repro.sim import SimError, Simulator, simulate
 from repro.sim import trace as trace_mod
-from repro.sim.replay import (replay, replay_misses, replay_sweep,
-                              sweep_geometry)
+from repro.sim.replay import (_walk_replay, replay, replay_misses,
+                              replay_sweep, sweep_geometry)
 from repro.sim.trace import (
     READ_TAGS,
     WRITE_TAGS,
@@ -38,15 +39,7 @@ from repro.sim.trace import (
     set_trace_cache_dir,
     trace_for,
 )
-from repro.sim import kernels
 from repro.workflow import Workflow
-
-#: Workflow pricing runs the IPET LP, which has a hard numpy
-#: dependency — unlike replay itself, which falls back to the scalar
-#: kernels (the numpy-less CI job runs this module).
-needs_lp = pytest.mark.skipif(not kernels.have_numpy(),
-                              reason="WCET pricing needs the numpy "
-                                     "LP solver")
 
 SPM_SIZE = 512
 
@@ -238,6 +231,8 @@ def test_sweep_property_random_traces(seed, unified):
     for from_sweep, config in zip(replay_sweep(trace, configs), configs):
         _assert_same(from_sweep, replay(trace, config),
                      (seed, unified, config.name))
+        _assert_same(from_sweep, _walk_replay(trace, config),
+                     ("walk", seed, unified, config.name))
 
 
 def test_sweep_geometry_gate():
@@ -340,7 +335,6 @@ int main(void) {
 """
 
 
-@needs_lp
 def test_workflow_cache_sweep_reuses_one_trace(fresh_trace_cache):
     counters = fresh_trace_cache
     counters.update(trace_hits=0, trace_misses=0, trace_records=0,
@@ -366,7 +360,6 @@ def test_workflow_cache_sweep_reuses_one_trace(fresh_trace_cache):
                      simulate(point.image, point.config), point.config.name)
 
 
-@needs_lp
 def test_workflow_mixed_geometry_sweep(fresh_trace_cache):
     counters = fresh_trace_cache
     counters.update(trace_records=0, sweep_passes=0, grid_passes=0,
@@ -392,7 +385,6 @@ def test_workflow_mixed_geometry_sweep(fresh_trace_cache):
                      simulate(point.image, point.config), point.config.name)
 
 
-@needs_lp
 def test_uncached_point_is_memoized():
     workflow = Workflow(_SWEEP_SOURCE)
     assert workflow.uncached_point() is workflow.uncached_point()

@@ -85,8 +85,10 @@ class TestFigures:
     def test_fig2_annotation_artifact(self):
         result = fig2_annotations.run()
         assert "# Scratchpad" in result["text"]
+        assert "Literal pool" in result["text"]
         assert result["rows"][0]["areas"] > 5
         assert result["rows"][0]["loop_bounds"] > 3
+        assert result["rows"][0]["access_ranges"] > 10
 
     def test_fig3_shapes(self):
         result = fig3_g721.run(fast=True)
@@ -125,10 +127,14 @@ class TestFigures:
         assert cache[0]["sim_cycles"] > 1.5 * spm[0]["sim_cycles"]
         # ADPCM deviation low on SPM (mostly critical path).
         assert all(r["ratio"] < 1.5 for r in spm)
+        # Cache WCET does not follow the average case.
+        assert cache[-1]["ratio"] > 2 * spm[-1]["ratio"]
 
     def test_worstcase_sort_tight(self):
-        result = xtra_worstcase_sort.run()
-        assert result["rows"][0]["gap_percent"] < 3.0
+        row = xtra_worstcase_sort.run()["rows"][0]
+        # Paper: WCET and simulation differ by a small percentage.
+        assert 0 <= row["gap_percent"] < 3.0
+        assert row["wcet_cycles"] >= row["sim_cycles"]
 
 
 class TestAblations:
