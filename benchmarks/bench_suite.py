@@ -374,27 +374,19 @@ def bench_serve() -> dict:
 
     mix = ["--requests", "120", "--clients", "4",
            "--benches", "crc,fir", "--workers", "2", "--seed", "1234"]
-    report = {}
-    # Two transports, same mix: the unix row is the PR-9 baseline, the
-    # tcp row (one authenticated daemon behind the cluster client)
-    # prices the AF_INET handshake + framing on identical work.
-    for label, extra in (("serve-load", []),
-                         ("serve-load-tcp", ["--spawn-cluster", "1"])):
-        args = loadgen.build_parser().parse_args(mix + extra)
-        code, metrics, failures = loadgen.run_load(args)
-        if code != 0:
-            raise RuntimeError(
-                f"serve load run ({label}) failed: {failures}")
-        report[label] = {
-            "requests": metrics["requests"],
-            "clients": metrics["clients"],
-            "throughput_rps": metrics["throughput_rps"],
-            "latency_p50_ms": metrics["latency_ms"]["p50"],
-            "latency_p95_ms": metrics["latency_ms"]["p95"],
-            "served": metrics["served"],
-            "distinct_keys_verified": metrics["distinct_keys_verified"],
-        }
-    return report
+    code, metrics, failures = loadgen.run_load(
+        loadgen.build_parser().parse_args(mix))
+    if code != 0:
+        raise RuntimeError(f"serve load run failed: {failures}")
+    return {"serve-load": {
+        "requests": metrics["requests"],
+        "clients": metrics["clients"],
+        "throughput_rps": metrics["throughput_rps"],
+        "latency_p50_ms": metrics["latency_ms"]["p50"],
+        "latency_p95_ms": metrics["latency_ms"]["p95"],
+        "served": metrics["served"],
+        "distinct_keys_verified": metrics["distinct_keys_verified"],
+    }}
 
 
 def bench_experiments() -> dict:

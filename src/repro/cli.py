@@ -16,9 +16,9 @@ Subcommands (all take a mini-C source file):
   (size × associativity) cache-geometry grid in one replay pass
 * ``gen``        — the seeded workload generator (same as ``repro-gen``)
 * ``serve``      — the analysis-as-a-service daemon (same as
-  ``repro-serve``); ``cache stats --daemon ADDRESS`` (a socket path,
-  ``unix:/path`` or ``tcp://host:port`` with ``--auth-key``) queries
-  a running daemon's dedup/backpressure/supervision counters
+  ``repro-serve``); ``cache stats --daemon SOCKET`` (a socket path or
+  ``unix:/path``) queries a running daemon's
+  dedup/backpressure/supervision counters
 * ``wcet``       — static WCET analysis; print the per-function report
 * ``compare``    — the paper's experiment on one program: sim vs. WCET
 * ``map``        — placement map (the linker's view)
@@ -458,26 +458,20 @@ def _cache_daemon_stats(args) -> int:
         raise SystemExit("cache: --daemon supports only the stats "
                          "action (the daemon owns its stores)")
     from .serve.client import ServeClient, ServeTransportError
-    from .serve.transport import AuthError, load_auth_key
-    auth_key = None
-    if args.auth_key:
-        try:
-            auth_key = load_auth_key(args.auth_key)
-        except (OSError, ConnectionError) as error:
-            raise SystemExit(f"cache: {error}") from None
-    client = ServeClient(args.daemon, timeout=10.0,
-                         auth_key=auth_key)
+    try:
+        client = ServeClient(args.daemon, timeout=10.0)
+    except ValueError as error:
+        raise SystemExit(f"cache: {error}") from None
     try:
         stats = client.stats()
-    except (ServeTransportError, AuthError) as error:
+    except ServeTransportError as error:
         raise SystemExit(f"cache: {error}") from None
     finally:
         client.close()
     counters = stats["counters"]
     memo = stats["memo"]
     supervisor = stats.get("supervisor", {})
-    where = " ".join(stats.get("addresses") or [str(stats["socket"])])
-    print(f"# daemon: {where} (pid {stats['pid']}, "
+    print(f"# daemon: {stats['socket']} (pid {stats['pid']}, "
           f"up {stats['uptime_seconds']}s"
           f"{', draining' if stats['draining'] else ''})")
     print(f"# requests:     {counters['requests']} "
@@ -601,13 +595,10 @@ def main(argv=None) -> int:
     cache.add_argument("--max-bytes", type=int, default=None,
                        metavar="N", help="byte cap for gc (oldest "
                                          "entries evicted first)")
-    cache.add_argument("--daemon", default=None, metavar="ADDRESS",
+    cache.add_argument("--daemon", default=None, metavar="SOCKET",
                        help="stats of a running repro-serve daemon "
                             "instead of an on-disk store; a socket "
-                            "path, unix:/path, or tcp://host:port "
-                            "(the latter needs --auth-key)")
-    cache.add_argument("--auth-key", default=None, metavar="FILE",
-                       help="shared-secret file for a tcp:// daemon")
+                            "path or unix:/path")
     cache.set_defaults(func=cmd_cache)
 
     sub.add_parser("gen", add_help=False,

@@ -11,10 +11,13 @@ from **one** recorded trace in **one** replay pass: the per-set Mattson
 stack kernel yields the hit count of all associativities per set count
 simultaneously (points with fewer than one set are skipped).
 
-The simulation side only: WCET bounds for set-associative caches stay
-future work on the analysis side, so the table reports observed cycles
-and fetch miss rates, making the latency cliffs between neighbouring
-geometries visible.
+The simulation side only: the table reports observed cycles and fetch
+miss rates, making the latency cliffs between neighbouring geometries
+visible.  It carries no WCET column because a bound costs one cache
+analysis per geometry, not one pass for the whole grid; the analysis
+itself (:mod:`repro.wcet.cacheanalysis`) bounds any associativity, and
+``Workflow.config_point`` or a served ``wcet`` request prices a single
+set-associative geometry.
 """
 
 from __future__ import annotations

@@ -18,21 +18,15 @@ The package splits along the robustness spine:
 * :mod:`repro.serve.worker` — the worker-side request evaluator (the
   only place requests touch :class:`~repro.workflow.Workflow`);
 * :mod:`repro.serve.daemon` — admission control (in-flight dedup,
-  bounded queue with backpressure, per-request deadlines), the socket
-  front ends (Unix + authenticated TCP) and graceful drain;
-* :mod:`repro.serve.transport` — the ``unix:/path`` /
-  ``tcp://host:port`` address scheme and the HMAC-SHA256
-  challenge/response handshake gating the TCP transport;
-* :mod:`repro.serve.client` — the fault-tolerant single-daemon client
-  (reconnect with jittered backoff) used by the tests, the CLI and
-  the load generator;
-* :mod:`repro.serve.cluster` — :class:`~repro.serve.cluster.
-  ClusterClient`: rendezvous-hash request routing over N daemons,
-  health-probed failover and optional tail hedging;
-* :mod:`repro.serve.loadgen` — ``repro-serve-load``, the headline
-  scale benchmark (thousands of mixed cold/warm queries, optional
-  fault injection via the ``REPRO_FAULT_*`` environment knobs,
-  cluster mode with daemon-kill chaos);
+  bounded queue with backpressure, per-request deadlines), the Unix
+  socket front end with its lock-file claim, and graceful drain;
+* :mod:`repro.serve.client` — the fault-tolerant client (reconnect
+  with jittered backoff) used by the tests, the CLI and the load
+  generator;
+* :mod:`repro.serve.loadgen` — ``repro-serve-load``, the load
+  generator and correctness harness (mixed cold/warm queries, every
+  answer verified against direct evaluation, optional fault injection
+  via the ``REPRO_FAULT_*`` environment knobs);
 * :mod:`repro.serve.cli` — ``repro-serve`` (also ``repro-cc serve``).
 
 See ``docs/serving.md`` for the protocol, error taxonomy, operational

@@ -18,7 +18,6 @@ import tempfile
 import threading
 
 from .daemon import ServeDaemon, flush_stats
-from .transport import load_auth_key
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,23 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--socket", default="repro-serve.sock",
                         metavar="PATH",
                         help="Unix socket path to listen on "
-                             "(default: ./repro-serve.sock; 'none' "
-                             "disables the Unix transport)")
-    parser.add_argument("--listen", default=None, metavar="HOST:PORT",
-                        help="additionally listen on TCP (port 0 "
-                             "picks a free port; requires --auth-key)")
-    parser.add_argument("--auth-key", default=None, metavar="FILE",
-                        help="shared-secret file authenticating TCP "
-                             "clients (HMAC challenge/response)")
-    parser.add_argument("--shard-dir", action="append", default=[],
-                        metavar="DIR",
-                        help="reuse-cache shard root (repeatable); "
-                             "partitions the artifact store over the "
-                             "shards by rendezvous hash, overriding "
-                             "--cache-dir")
-    parser.add_argument("--replicas", type=int, default=1,
-                        help="write-behind artifact copies across "
-                             "shards (default 1 = owner only)")
+                             "(default: ./repro-serve.sock)")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes (default 2)")
     parser.add_argument("--queue-depth", type=int, default=32,
@@ -85,56 +68,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    socket_path = args.socket
-    if socket_path and socket_path.lower() == "none":
-        socket_path = None
-    auth_key = None
-    if args.auth_key:
-        try:
-            auth_key = load_auth_key(args.auth_key)
-        except (OSError, ConnectionError) as error:
-            print(f"repro-serve: {error}", file=sys.stderr)
-            return 2
     cache_dir, private_cache = args.cache_dir, False
-    if args.shard_dir:
-        cache_dir = None
-    elif cache_dir is None:
+    if cache_dir is None:
         cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
         private_cache = True
     elif cache_dir.lower() == "none":
         cache_dir = None
-    warm = tuple(key for key in args.warm.split(",") if key)
     try:
-        daemon = ServeDaemon(
-            socket_path, listen=args.listen, auth_key=auth_key,
-            workers=args.workers,
-            queue_depth=args.queue_depth,
-            task_timeout=args.task_timeout,
-            retries=args.retries, backoff=args.backoff,
-            default_deadline=args.deadline,
-            memo_capacity=args.memo_capacity, cache_dir=cache_dir,
-            warm=warm, shard_dirs=args.shard_dir,
-            replicas=args.replicas)
-    except ValueError as error:
-        print(f"repro-serve: {error}", file=sys.stderr)
-        return 2
+        return _serve(args, cache_dir)
+    finally:
+        if private_cache:
+            shutil.rmtree(cache_dir, ignore_errors=True)
+
+
+def _serve(args, cache_dir) -> int:
+    warm = tuple(key for key in args.warm.split(",") if key)
+    daemon = ServeDaemon(
+        args.socket, workers=args.workers,
+        queue_depth=args.queue_depth,
+        task_timeout=args.task_timeout,
+        retries=args.retries, backoff=args.backoff,
+        default_deadline=args.deadline,
+        memo_capacity=args.memo_capacity, cache_dir=cache_dir,
+        warm=warm)
     stop = threading.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, lambda _s, _f: stop.set())
     try:
         daemon.start()
-    except RuntimeError as error:
+    except (RuntimeError, OSError) as error:
         print(f"repro-serve: {error}", file=sys.stderr)
         return 2
     print(f"repro-serve: pid {os.getpid()} listening on "
-          f"{' '.join(daemon.addresses())} ({args.workers} workers, "
+          f"{args.socket} ({args.workers} workers, "
           f"queue depth {args.queue_depth})", flush=True)
     stop.wait()
     print("repro-serve: draining", flush=True)
     drained = daemon.drain(args.drain_timeout)
     flush_stats(daemon, path=args.stats_json)
-    if private_cache:
-        shutil.rmtree(cache_dir, ignore_errors=True)
     if not drained:
         print(f"repro-serve: drain timed out "
               f"(> {args.drain_timeout:g}s)", file=sys.stderr)

@@ -1,39 +1,34 @@
 """Client for the serving daemon's JSON-lines socket protocol.
 
 :class:`ServeClient` is deliberately paranoid about the transport,
-because the daemon's connection layer is where ``REPRO_FAULT_SERVE``
-and ``REPRO_FAULT_NET`` inject faults: a dropped response (EOF or a
-TCP reset mid-request) reconnects and resends — safe because every
-evaluation is a pure function and the daemon dedups/memoises, so a
-resend coalesces instead of recomputing — garbage lines on the stream
-are skipped until a well-formed response with the matching request id
-appears, and stalls/partitions are bounded by the socket timeout.
-``overloaded`` responses are retried after the daemon's ``retry_after``
-hint; every other error surfaces as a structured :class:`ServeError`.
+because the daemon's response writer is where ``REPRO_FAULT_SERVE``
+injects faults: a dropped response (EOF mid-request) reconnects and
+resends — safe because every evaluation is a pure function and the
+daemon dedups/memoises, so a resend coalesces instead of recomputing —
+garbage lines on the stream are skipped until a well-formed response
+with the matching request id appears, and stalls are bounded by the
+socket timeout.  ``overloaded`` responses are retried after the
+daemon's ``retry_after`` hint; every other error surfaces as a
+structured :class:`ServeError`.
 
-Addresses follow the :mod:`repro.serve.transport` scheme —
-``unix:/path`` (or a bare path) and ``tcp://host:port``, the latter
-authenticated with *auth_key* — so the client is transport-agnostic:
-the wire protocol and error taxonomy are identical either way.
+The address is the daemon's unix socket, as a bare path or
+``unix:PATH``; any other ``scheme://`` address is a ``ValueError``.
 
 Reconnect backoff is exponential from *backoff* capped at
 *backoff_cap*, plus uniform jitter bounded by *jitter* (the jitter
 cap) so a fleet of clients hammering a recovering daemon doesn't
-reconnect in lockstep; *max_retries* bounds the resend budget.  The
-``counters`` dict (``client_reconnects`` / ``client_failovers`` /
-``client_hedges``) feeds the load generator's ``--profile`` metrics;
-the failover/hedge slots are owned by
-:class:`~repro.serve.cluster.ClusterClient`, which aggregates its
-members' counters into the same block.
+reconnect in lockstep; it is slept between attempts, never after the
+last one.  *max_retries* bounds the resend budget.  The ``counters``
+dict (``client_reconnects``) feeds the load generator's metrics.
 """
 
 from __future__ import annotations
 
 import random
+import socket
 import time
 
 from .protocol import ProtocolError, decode, encode
-from .transport import AuthError, connect as transport_connect
 
 #: Default resend budget across reconnects for one request.
 TRANSPORT_RETRIES = 8
@@ -45,10 +40,20 @@ OVERLOAD_RETRIES = 200
 #: response (the ``garbage`` serve fault writes such lines).
 MAX_GARBAGE_LINES = 64
 
-#: Fresh client counter block (shared with :class:`ClusterClient`).
-CLIENT_COUNTER_KEYS = (
-    "client_reconnects", "client_failovers", "client_hedges",
-)
+
+def _socket_path(address) -> str:
+    """The unix socket path *address* names (a path or ``unix:PATH``)."""
+    if not isinstance(address, str) or not address:
+        raise ValueError(f"bad daemon address {address!r}")
+    if address.startswith("unix:"):
+        path = address[len("unix:"):]
+        if not path:
+            raise ValueError("unix: address needs a socket path")
+        return path
+    if "://" in address:
+        raise ValueError(f"unsupported daemon address {address!r} "
+                         "(want a socket path or unix:PATH)")
+    return address
 
 
 def reconnect_delay(attempt: int, *, base=0.05, cap=0.5, jitter=0.1,
@@ -91,18 +96,18 @@ class ServeClient:
     """One connection to a serving daemon (reconnects as needed)."""
 
     def __init__(self, address, *, timeout=120.0,
-                 retry_overloaded=True, auth_key=None,
+                 retry_overloaded=True,
                  max_retries=TRANSPORT_RETRIES, backoff=0.05,
                  backoff_cap=0.5, jitter=0.1):
         self.address = address
+        self._path = _socket_path(address)
         self.timeout = timeout
         self.retry_overloaded = retry_overloaded
-        self.auth_key = auth_key
         self.max_retries = max(0, int(max_retries))
         self.backoff = backoff
         self.backoff_cap = backoff_cap
         self.jitter = jitter
-        self.counters = dict.fromkeys(CLIENT_COUNTER_KEYS, 0)
+        self.counters = {"client_reconnects": 0}
         self._sock = None
         self._reader = None
         self._connected_once = False
@@ -111,8 +116,13 @@ class ServeClient:
     # -- transport -----------------------------------------------------------
 
     def _connect(self):
-        sock = transport_connect(self.address, timeout=self.timeout,
-                                 auth_key=self.auth_key)
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(self.timeout)
+            sock.connect(self._path)
+        except BaseException:
+            sock.close()
+            raise
         self._sock = sock
         self._reader = sock.makefile("rb")
         if self._connected_once:
@@ -161,10 +171,7 @@ class ServeClient:
 
         Reconnects and resends on transport failure (EOF, reset,
         timeout, refused) — idempotent by construction, since the
-        daemon dedups identical requests and memoises results.  An
-        authentication rejection is *not* retried: a wrong key stays
-        wrong, and hammering the daemon with it only feeds its
-        ``auth_failed`` counter.
+        daemon dedups identical requests and memoises results.
         """
         if "id" not in request:
             self._next_id += 1
@@ -172,20 +179,18 @@ class ServeClient:
         payload = encode(request)
         last_error = None
         for attempt in range(self.max_retries + 1):
+            if attempt:
+                time.sleep(reconnect_delay(
+                    attempt, base=self.backoff,
+                    cap=self.backoff_cap, jitter=self.jitter))
             try:
                 if self._sock is None:
                     self._connect()
                 self._sock.sendall(payload)
                 return self._read_response(request["id"])
-            except AuthError:
-                self.close()
-                raise
-            except (OSError, ConnectionError) as error:
+            except OSError as error:
                 last_error = error
                 self.close()
-                time.sleep(reconnect_delay(
-                    attempt + 1, base=self.backoff,
-                    cap=self.backoff_cap, jitter=self.jitter))
         raise ServeTransportError(
             f"daemon at {self.address} unreachable after "
             f"{self.max_retries + 1} attempts: {last_error!r}")

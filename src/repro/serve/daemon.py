@@ -39,20 +39,14 @@ The robustness spine:
   ``draining`` error — waits for in-flight work under a deadline,
   publishes final stats, and tears the pool down.
 
-* **Multi-host transport.**  Beside the Unix socket the daemon can
-  listen on TCP (``listen=("host", port)``), carrying the *identical*
-  wire protocol behind a per-connection HMAC challenge/response
-  (:mod:`repro.serve.transport`).  Unauthenticated connections are
-  shed before they touch the pool; the Unix path needs no handshake
-  (filesystem permissions gate it) and its claim is arbitrated by an
-  exclusive lock file, so two daemons pointed at one socket path
-  cannot both start, however exactly their startups interleave.
+* **One socket.**  The claim on the socket path is arbitrated by an
+  exclusive lock file, so two daemons pointed at one path cannot both
+  start, however exactly their startups interleave; filesystem
+  permissions on the path gate who may connect.
 
 ``REPRO_FAULT_SERVE`` (see :mod:`repro.testing.faults`) injects
 connection-layer faults — dropped, stalled or garbage-prefixed
-responses — just before each response is written;
-``REPRO_FAULT_NET`` injects socket-layer chaos (refused connections,
-partitions, slow links, TCP resets) one layer below.
+responses — just before each response is written.
 """
 
 from __future__ import annotations
@@ -76,7 +70,6 @@ from .protocol import (
     request_key,
 )
 from .supervisor import SupervisedPool, TaskFailure
-from .transport import abort_connection, format_address, server_handshake
 from ..store import LRUCache
 
 try:
@@ -88,15 +81,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 SERVE_COUNTER_KEYS = (
     "connections", "requests", "ok", "computed", "coalesced",
     "memo_hits", "sheds", "deadline_expired", "failed", "invalid",
-    "draining_rejected", "bad_lines", "auth_ok", "auth_failed",
-    "net_refused",
+    "draining_rejected", "bad_lines",
 )
 
 #: How long a ``stall`` serve fault delays one response.
 STALL_SECONDS = 0.25
-
-#: How long a ``slow`` net fault delays one response write.
-NET_SLOW_SECONDS = 0.25
 
 
 class ServeDaemon:
@@ -107,27 +96,11 @@ class ServeDaemon:
     wraps it with signal handling.
     """
 
-    def __init__(self, socket_path=None, *, listen=None, auth_key=None,
-                 workers=2, queue_depth=32,
+    def __init__(self, socket_path, *, workers=2, queue_depth=32,
                  task_timeout=300.0, retries=2, backoff=0.25,
                  default_deadline=None, retry_after=0.05,
-                 memo_capacity=1024, cache_dir=None, warm=(),
-                 shard_dirs=(), replicas=1):
-        if socket_path is None and listen is None:
-            raise ValueError("daemon needs a socket path, a TCP "
-                             "listen address, or both")
-        if listen is not None and not auth_key:
-            raise ValueError("TCP transport requires an auth key "
-                             "(--auth-key FILE)")
+                 memo_capacity=1024, cache_dir=None, warm=()):
         self.socket_path = socket_path
-        if isinstance(listen, str):
-            host, _, port = listen.rpartition(":")
-            listen = (host or "127.0.0.1", int(port))
-        self.listen = listen
-        self.auth_key = auth_key
-        self.tcp_address = None  # (host, port) actually bound
-        self.shard_dirs = tuple(shard_dirs)
-        self.replicas = max(1, int(replicas))
         self.workers = max(1, int(workers))
         self.queue_depth = max(1, int(queue_depth))
         self.task_timeout = task_timeout
@@ -146,79 +119,62 @@ class ServeDaemon:
         self._settled = threading.Condition(self._lock)
         self._pool = None
         self._listener = None
-        self._tcp_listener = None
-        self._accept_threads = []
         self._lock_fd = None
         self._started = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self):
-        """Bind the socket(s), build the pool, begin accepting clients."""
-        if self.socket_path is not None:
-            # Claim before building the pool: a losing racer exits
-            # without having forked workers it must then tear down.
-            self._claim_socket_path()
-        if self.cache_dir:
-            os.makedirs(os.path.join(self.cache_dir, "analysis"),
-                        exist_ok=True)
-            os.makedirs(os.path.join(self.cache_dir, "traces"),
-                        exist_ok=True)
-        for shard in self.shard_dirs:
-            os.makedirs(os.path.join(shard, "analysis"), exist_ok=True)
-            os.makedirs(os.path.join(shard, "traces"), exist_ok=True)
-        # Pre-warm in the daemon process so fork-platform workers
-        # inherit the compiled workflows instead of redoing them.
-        from ..experiments.common import workflow_for
-        for key in self.warm:
-            workflow_for(key).warm()
-        import multiprocessing
+        """Claim the socket, build the pool, begin accepting clients.
+
+        Any failure after the claim (an over-long socket path, say)
+        tears down the pool and releases the claim before it
+        propagates, so the caller is left with no forked worker to
+        wait on and no lock file behind.
+        """
+        # Claim before building the pool: a losing racer exits
+        # without having forked workers it must then tear down.
+        self._claim_socket_path()
         try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = multiprocessing.get_context()
-        from .worker import serve_unit, serve_worker_init
-        self._pool = SupervisedPool(
-            serve_unit, self.workers, mp_context=context,
-            initializer=serve_worker_init,
-            initargs=(self.cache_dir, self.warm, self.shard_dirs,
-                      self.replicas),
-            timeout=self.task_timeout, retries=self.retries,
-            backoff=self.backoff, name="serve-pool")
-        if self.socket_path is not None:
+            if self.cache_dir:
+                os.makedirs(os.path.join(self.cache_dir, "analysis"),
+                            exist_ok=True)
+                os.makedirs(os.path.join(self.cache_dir, "traces"),
+                            exist_ok=True)
+            # Pre-warm in the daemon process so fork-platform workers
+            # inherit the compiled workflows instead of redoing them.
+            from ..experiments.common import workflow_for
+            for key in self.warm:
+                workflow_for(key).warm()
+            import multiprocessing
+            try:
+                context = multiprocessing.get_context("fork")
+            except ValueError:
+                context = multiprocessing.get_context()
+            from .worker import serve_unit, serve_worker_init
+            self._pool = SupervisedPool(
+                serve_unit, self.workers, mp_context=context,
+                initializer=serve_worker_init,
+                initargs=(self.cache_dir, self.warm),
+                timeout=self.task_timeout, retries=self.retries,
+                backoff=self.backoff, name="serve-pool")
             self._listener = socket.socket(socket.AF_UNIX,
                                            socket.SOCK_STREAM)
             self._listener.bind(self.socket_path)
             self._listener.listen(128)
-        if self.listen is not None:
-            self._tcp_listener = socket.socket(socket.AF_INET,
-                                               socket.SOCK_STREAM)
-            self._tcp_listener.setsockopt(socket.SOL_SOCKET,
-                                          socket.SO_REUSEADDR, 1)
-            self._tcp_listener.bind(self.listen)
-            self._tcp_listener.listen(128)
-            self.tcp_address = self._tcp_listener.getsockname()[:2]
+        except BaseException:
+            if self._listener is not None:
+                self._listener.close()
+                self._listener = None
+            if self._pool is not None:
+                self._pool.shutdown()
+                self._pool = None
+            self._release_socket_path()
+            raise
         self._started = time.monotonic()
-        self._accept_threads = []
-        for listener, authenticated in (
-                (self._listener, False), (self._tcp_listener, True)):
-            if listener is None:
-                continue
-            thread = threading.Thread(
-                target=self._accept_loop, args=(listener, authenticated),
-                name="serve-accept", daemon=True)
-            thread.start()
-            self._accept_threads.append(thread)
+        threading.Thread(target=self._accept_loop, name="serve-accept",
+                         daemon=True).start()
         return self
-
-    def addresses(self) -> list:
-        """Every address this daemon serves, in scheme form."""
-        addresses = []
-        if self.socket_path is not None:
-            addresses.append(format_address("unix", self.socket_path))
-        if self.tcp_address is not None:
-            addresses.append(format_address("tcp", self.tcp_address))
-        return addresses
 
     def _lock_path(self) -> str:
         return self.socket_path + ".lock"
@@ -285,8 +241,6 @@ class ServeDaemon:
             probe.close()
 
     def _release_socket_path(self):
-        if self.socket_path is None:
-            return
         try:
             os.unlink(self.socket_path)
         except OSError:
@@ -312,19 +266,18 @@ class ServeDaemon:
         """
         with self._lock:
             self._draining = True
-        for listener in (self._listener, self._tcp_listener):
-            if listener is not None:
-                try:
-                    # close() alone does not wake a thread blocked in
-                    # accept(); shutdown() does, so the accept loop
-                    # exits now instead of leaking until process exit.
-                    listener.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    listener.close()
-                except OSError:
-                    pass
+        if self._listener is not None:
+            try:
+                # close() alone does not wake a thread blocked in
+                # accept(); shutdown() does, so the accept loop exits
+                # now instead of leaking until process exit.
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                self._listener.close()
+            except OSError:
+                pass
         deadline = time.monotonic() + (timeout or 0.0)
         drained = self._pool.drain(timeout) if self._pool else True
         # Pool futures resolving is not the end: connection threads
@@ -343,51 +296,20 @@ class ServeDaemon:
 
     # -- connection handling -------------------------------------------------
 
-    def _accept_loop(self, listener, authenticated):
+    def _accept_loop(self):
         while True:
             try:
-                conn, _addr = listener.accept()
+                conn, _addr = self._listener.accept()
             except OSError:
                 return  # listener closed (drain)
             with self._lock:
                 self.counters["connections"] += 1
             thread = threading.Thread(target=self._serve_connection,
-                                      args=(conn, authenticated),
-                                      daemon=True, name="serve-conn")
+                                      args=(conn,), daemon=True,
+                                      name="serve-conn")
             thread.start()
 
-    def _net_fault(self, stage):
-        if os.environ.get("REPRO_FAULT_NET"):
-            from ..testing.faults import net_fault
-            return net_fault(stage)
-        return None
-
-    def _serve_connection(self, conn, authenticated=False):
-        if self._net_fault("accept") == "refuse":
-            # A dead/firewalled listener from the peer's point of view.
-            with self._lock:
-                self.counters["net_refused"] += 1
-            abort_connection(conn)
-            return
-        if authenticated:
-            # The HMAC challenge/response gate: anything that fails it
-            # is shed right here, on this connection thread, before a
-            # single request line is read — the pool never sees
-            # unauthenticated traffic.
-            if not server_handshake(conn, self.auth_key):
-                with self._lock:
-                    self.counters["auth_failed"] += 1
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                return
-            with self._lock:
-                self.counters["auth_ok"] += 1
+    def _serve_connection(self, conn):
         reader = conn.makefile("rb")
         try:
             for line in reader:
@@ -430,24 +352,11 @@ class ServeDaemon:
                 self._settled.notify_all()
 
     def _send(self, conn, response) -> bool:
-        """Write one response line, honouring the injected faults.
+        """Write one response line, honouring the injected fault.
 
-        ``REPRO_FAULT_NET`` acts at the socket layer (partition /
-        slow / reset), ``REPRO_FAULT_SERVE`` at the response layer
-        (drop / stall / garbage); both are no-ops unless their
-        environment variable is set.
+        ``REPRO_FAULT_SERVE`` (drop / stall / garbage) is a no-op
+        unless its environment variable is set.
         """
-        net = self._net_fault("send")
-        if net == "partition":
-            # Blackhole: the response vanishes and the connection
-            # stays open, so the client blocks until its own socket
-            # timeout — exactly what a partitioned link looks like.
-            return True
-        if net == "reset":
-            abort_connection(conn)  # peer sees ECONNRESET, not EOF
-            return False
-        if net == "slow":
-            time.sleep(NET_SLOW_SECONDS)
         if os.environ.get("REPRO_FAULT_SERVE"):
             from ..testing.faults import serve_fault
             fault = serve_fault()
@@ -596,7 +505,6 @@ class ServeDaemon:
         payload = {
             "protocol": PROTOCOL_VERSION,
             "socket": self.socket_path,
-            "addresses": self.addresses(),
             "pid": os.getpid(),
             "uptime_seconds": round(
                 time.monotonic() - self._started, 3),
@@ -613,32 +521,21 @@ class ServeDaemon:
                 "evictions": self._memo.evictions,
             },
         }
-        if self.cache_dir or self.shard_dirs:
+        if self.cache_dir:
             payload["stores"] = self._store_stats()
         return payload
 
     def _store_stats(self) -> dict:
         from ..store import ArtifactStore
-        roots = list(self.shard_dirs) or [self.cache_dir]
         stores = {}
         for name in ("analysis", "traces"):
-            entries = size = quarantined = 0
-            found = False
-            for base in roots:
-                root = os.path.join(base, name)
-                if not os.path.isdir(root):
-                    continue
-                found = True
+            root = os.path.join(self.cache_dir, name)
+            if os.path.isdir(root):
                 stats = ArtifactStore(root).stats()
-                entries += stats["entries"]
-                size += stats["bytes"]
-                quarantined += stats["quarantined_files"]
-            if found:
                 stores[name] = {
-                    "entries": entries,
-                    "bytes": size,
-                    "quarantined": quarantined,
-                    "shards": len(roots),
+                    "entries": stats["entries"],
+                    "bytes": stats["bytes"],
+                    "quarantined": stats["quarantined_files"],
                 }
         return stores
 

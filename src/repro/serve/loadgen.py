@@ -21,19 +21,6 @@ not just measured:
   rejected as ``draining`` (counted, not failed), and the daemon
   process must exit 0 within its drain deadline.
 
-The harness also drives *clusters*: ``--addr`` (repeatable, with
-``--auth-key``) points the clients at existing daemons through a
-:class:`~repro.serve.cluster.ClusterClient` each, and
-``--spawn-cluster N`` spawns N private TCP daemons sharing one
-rendezvous-sharded artifact store.  ``--sigkill-one`` SIGKILLs one
-spawned daemon mid-load — no drain, no goodbye — and the run passes
-only if every *completed* request still verified byte-identical and
-the failover counters prove the degraded path actually ran
-(``--expect-failover``).  When ``REPRO_FAULT_NET`` is set the run is
-*chaos-aware*: transport failures become expected outcomes (a
-partitioned or resetting daemon legitimately loses requests), while
-the byte-identity check still covers everything that completed.
-
 Exit status is 0 only when every check passed.  ``--json FILE`` writes
 the metrics (the ``benchmarks/bench_suite.py`` serve section reads
 them into ``BENCH_serve.json``).
@@ -45,7 +32,6 @@ import argparse
 import json
 import os
 import random
-import re
 import signal
 import subprocess
 import sys
@@ -54,9 +40,7 @@ import threading
 import time
 
 from .client import ServeClient, ServeError, ServeTransportError
-from .cluster import ClusterClient
 from .protocol import canonical_request, request_key
-from .transport import load_auth_key
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,36 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--socket", default=None, metavar="PATH",
                         help="existing daemon socket (default: spawn "
                              "a private daemon for the run)")
-    parser.add_argument("--addr", action="append", default=[],
-                        metavar="ADDRESS",
-                        help="existing daemon address (repeatable; "
-                             "unix:/path or tcp://host:port) — with "
-                             "more than one, clients route and fail "
-                             "over through a ClusterClient")
-    parser.add_argument("--auth-key", default=None, metavar="FILE",
-                        help="shared-secret file for tcp:// daemons")
-    parser.add_argument("--hedge-after", type=float, default=None,
-                        metavar="MS",
-                        help="hedge cluster requests to the next-"
-                             "ranked daemon after this many "
-                             "milliseconds (default: no hedging)")
-    parser.add_argument("--spawn-cluster", type=int, default=0,
-                        metavar="N",
-                        help="spawn N private TCP daemons sharing a "
-                             "rendezvous-sharded artifact store and "
-                             "drive them as a cluster")
-    parser.add_argument("--replicas", type=int, default=None,
-                        help="artifact replication factor for "
-                             "--spawn-cluster daemons (default: "
-                             "min(2, N))")
-    parser.add_argument("--sigkill-one", action="store_true",
-                        help="SIGKILL one spawned cluster daemon "
-                             "mid-load (no drain) and require the "
-                             "survivors to absorb the traffic")
-    parser.add_argument("--expect-failover", action="store_true",
-                        help="fail unless the clients' failover "
-                             "counter is nonzero (proves the "
-                             "degraded path ran)")
     parser.add_argument("--requests", type=int, default=300,
                         help="total requests to send (default 300)")
     parser.add_argument("--clients", type=int, default=4,
@@ -205,11 +159,9 @@ class _Run:
                     self.client_counters.get(key, 0) + value
 
 
-def _client_thread(make_client, run, draining_seen, chaos_expected):
-    """One client worker.  *chaos_expected* is a callable: is a
-    transport failure an expected outcome right now (net chaos is
-    injected, a daemon was SIGKILLed, or the daemon is draining)?"""
-    client = make_client()
+def _client_thread(socket_path, run, draining_seen):
+    """One client worker: requests until the run's list is empty."""
+    client = ServeClient(socket_path, timeout=120.0)
     try:
         while True:
             handout = run.next_request()
@@ -233,8 +185,6 @@ def _client_thread(make_client, run, draining_seen, chaos_expected):
                 if kind == "draining":
                     draining_seen.set()
                     expected = True
-                if kind == "transport" and chaos_expected():
-                    expected = True
                 run.record({"key": key, "ok": False, "kind": kind,
                             "expected": expected,
                             "elapsed": time.monotonic() - t0})
@@ -256,10 +206,7 @@ def _client_thread(make_client, run, draining_seen, chaos_expected):
                             "expected": kind == "draining",
                             "elapsed": elapsed})
     finally:
-        counters = (client.all_counters()
-                    if hasattr(client, "all_counters")
-                    else client.counters)
-        run.add_counters(counters)
+        run.add_counters(client.counters)
         client.close()
 
 
@@ -309,110 +256,6 @@ def _loadgen_env() -> dict:
     return env
 
 
-def _spawn_cluster(args, workdir, count):
-    """Spawn *count* private TCP daemons sharing one sharded store.
-
-    Every daemon listens on a kernel-assigned port (``--listen
-    127.0.0.1:0``), authenticates against one generated key file, and
-    mounts the same *count* shard roots with a replication factor of
-    ``min(2, count)`` unless overridden — so a SIGKILLed daemon's
-    artifacts remain readable through the survivors' read-through
-    path.  Returns ``(daemons, shard_dirs, auth_key)`` where each
-    daemon is a dict with ``process`` / ``address`` / ``log`` /
-    ``stats`` keys.
-    """
-    key_path = os.path.join(workdir, "auth.key")
-    with open(key_path, "w") as handle:
-        handle.write(os.urandom(16).hex() + "\n")
-    auth_key = load_auth_key(key_path)
-    shard_dirs = [os.path.join(workdir, f"shard{index}")
-                  for index in range(count)]
-    replicas = (args.replicas if args.replicas is not None
-                else min(2, count))
-    env = _loadgen_env()
-    daemons = []
-    for index in range(count):
-        log_path = os.path.join(workdir, f"daemon{index}.log")
-        stats_path = os.path.join(workdir,
-                                  f"daemon{index}-stats.json")
-        command = [sys.executable, "-m", "repro.serve.cli",
-                   "--socket", "none",
-                   "--listen", "127.0.0.1:0",
-                   "--auth-key", key_path,
-                   "--workers", str(args.workers),
-                   "--queue-depth", str(args.queue_depth),
-                   "--drain-timeout", str(args.drain_timeout),
-                   "--warm", args.benches,
-                   "--replicas", str(replicas),
-                   "--stats-json", stats_path]
-        for shard in shard_dirs:
-            command.extend(["--shard-dir", shard])
-        with open(log_path, "w") as log:
-            process = subprocess.Popen(command, stdout=log,
-                                       stderr=subprocess.STDOUT,
-                                       env=env)
-        daemons.append({"process": process, "address": None,
-                        "log": log_path, "stats": stats_path})
-    deadline = time.monotonic() + 120.0
-
-    def fail(message):
-        for daemon in daemons:
-            if daemon["process"].poll() is None:
-                daemon["process"].kill()
-        raise RuntimeError(message)
-
-    for daemon in daemons:
-        # The daemon prints its bound addresses once ready; port 0
-        # means the log line is the only place the port exists.
-        while daemon["address"] is None:
-            if daemon["process"].poll() is not None:
-                fail(f"cluster daemon died during startup (rc "
-                     f"{daemon['process'].returncode}); log: "
-                     f"{daemon['log']}")
-            if time.monotonic() > deadline:
-                fail(f"cluster daemon never became ready; log: "
-                     f"{daemon['log']}")
-            try:
-                with open(daemon["log"]) as handle:
-                    match = re.search(r"listening on.*?"
-                                      r"(tcp://[\d.]+:\d+)",
-                                      handle.read())
-            except OSError:
-                match = None
-            if match:
-                daemon["address"] = match.group(1)
-                break
-            time.sleep(0.05)
-    for daemon in daemons:
-        probe = ServeClient(daemon["address"], timeout=5.0,
-                            auth_key=auth_key, max_retries=0)
-        while True:
-            if time.monotonic() > deadline:
-                probe.close()
-                fail(f"cluster daemon never answered a ping; log: "
-                     f"{daemon['log']}")
-            try:
-                probe.ping()
-                probe.close()
-                break
-            except (ServeTransportError, ServeError, OSError):
-                time.sleep(0.1)
-    return daemons, shard_dirs, auth_key
-
-
-def _quarantined_files(shard_dirs) -> int:
-    """Committed-then-quarantined entries across every shard layer."""
-    count = 0
-    for shard in shard_dirs:
-        for layer in ("analysis", "traces"):
-            corrupt = os.path.join(shard, layer, "corrupt")
-            try:
-                count += len(os.listdir(corrupt))
-            except OSError:
-                continue
-    return count
-
-
 def _verify(records, requests):
     """Byte-identical check: consistency across responses per key,
     then equality with direct fault-free evaluation."""
@@ -453,49 +296,16 @@ def run_load(args) -> tuple:
     benches = [bench for bench in args.benches.split(",") if bench]
     requests = build_requests(benches, args.requests, args.seed,
                               heavy=not args.quick)
-    workdir = tempfile.mkdtemp(prefix="repro-serve-load-")
+    if args.sigterm_mid and args.socket:
+        raise SystemExit("--sigterm-mid needs a spawned daemon "
+                         "(drop --socket)")
     process = stats_path = log_path = None
-    daemons, shard_dirs = [], []
-    auth_key = None
-    addresses = list(args.addr)
     socket_path = args.socket
-    chaos_spec = os.environ.get("REPRO_FAULT_NET")
-    kill_happened = threading.Event()
-    if args.spawn_cluster:
-        if socket_path or addresses:
-            raise SystemExit("--spawn-cluster conflicts with "
-                             "--socket/--addr")
-        daemons, shard_dirs, auth_key = _spawn_cluster(
-            args, workdir, max(1, args.spawn_cluster))
-        addresses = [daemon["address"] for daemon in daemons]
-    elif addresses:
-        if args.auth_key:
-            auth_key = load_auth_key(args.auth_key)
-    elif socket_path is None:
-        process, socket_path, stats_path, log_path = \
-            _spawn_daemon(args, workdir)
-    if args.sigterm_mid and process is None:
-        raise SystemExit("--sigterm-mid needs a spawned single "
-                         "daemon (drop --socket/--addr/"
-                         "--spawn-cluster)")
-    if args.sigkill_one and not daemons:
-        raise SystemExit("--sigkill-one needs --spawn-cluster")
-    hedge_after = (args.hedge_after / 1000.0
-                   if args.hedge_after else None)
-    if addresses:
-        def make_client():
-            return ClusterClient(addresses, auth_key=auth_key,
-                                 timeout=120.0,
-                                 hedge_after=hedge_after)
-    else:
-        def make_client():
-            return ServeClient(socket_path, timeout=120.0)
+    if socket_path is None:
+        process, socket_path, stats_path, log_path = _spawn_daemon(
+            args, tempfile.mkdtemp(prefix="repro-serve-load-"))
     run = _Run(requests)
     draining_seen = threading.Event()
-
-    def chaos_expected():
-        return bool(chaos_spec) or kill_happened.is_set()
-
     terminator = None
     if args.sigterm_mid:
         half = max(1, args.requests // 2)
@@ -508,25 +318,10 @@ def run_load(args) -> tuple:
                 process.send_signal(signal.SIGTERM)
 
         terminator = threading.Thread(target=_terminate, daemon=True)
-    elif args.sigkill_one:
-        third = max(1, args.requests // 3)
-        victim = daemons[0]["process"]
-
-        def _kill():
-            while run.completed < third and victim.poll() is None:
-                time.sleep(0.02)
-            # Flag *before* the kill so a request caught mid-flight
-            # is never misjudged as an unexpected transport failure.
-            kill_happened.set()
-            if victim.poll() is None:
-                victim.send_signal(signal.SIGKILL)
-
-        terminator = threading.Thread(target=_kill, daemon=True)
     t0 = time.monotonic()
     threads = [threading.Thread(
         target=_client_thread,
-        args=(make_client, run, draining_seen, chaos_expected),
-        daemon=True)
+        args=(socket_path, run, draining_seen), daemon=True)
         for _ in range(max(1, args.clients))]
     for thread in threads:
         thread.start()
@@ -545,11 +340,10 @@ def run_load(args) -> tuple:
         if not record["ok"] and not record.get("expected"):
             failures.append(f"unexpected {record.get('kind')} "
                             f"for {record['key']}")
-    distinct = verified = 0
+    distinct = 0
     if not args.no_verify:
-        verified, problems = _verify(run.records, requests)
+        distinct, problems = _verify(run.records, requests)
         failures.extend(problems)
-        distinct = verified
     daemon_rc = None
     daemon_stats = None
     if process is not None:
@@ -567,46 +361,6 @@ def run_load(args) -> tuple:
         if stats_path and os.path.exists(stats_path):
             with open(stats_path) as handle:
                 daemon_stats = json.load(handle)
-    cluster_rcs = []
-    cluster_stats = []
-    quarantined = None
-    if daemons:
-        killed = daemons[0]["process"] if args.sigkill_one else None
-        for daemon in daemons:
-            proc = daemon["process"]
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-            try:
-                rc = proc.wait(timeout=args.drain_timeout + 30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                failures.append("cluster daemon did not exit after "
-                                f"SIGTERM (log: {daemon['log']})")
-                rc = proc.wait()
-            cluster_rcs.append(rc)
-            if proc is killed:
-                if rc != -signal.SIGKILL:
-                    failures.append(
-                        f"SIGKILLed daemon exited {rc}, not "
-                        f"-{int(signal.SIGKILL)}")
-                continue
-            if rc != 0:
-                failures.append(f"cluster daemon exited {rc} "
-                                f"(log: {daemon['log']})")
-            if os.path.exists(daemon["stats"]):
-                with open(daemon["stats"]) as handle:
-                    cluster_stats.append(json.load(handle))
-        quarantined = _quarantined_files(shard_dirs)
-        if quarantined and not os.environ.get(
-                "REPRO_FAULT_STORE_WRITE"):
-            # Atomic commits mean a SIGKILL, reset or partition must
-            # never leave a *committed* entry corrupt.
-            failures.append(f"{quarantined} quarantined artifacts "
-                            "after chaos run (expected 0)")
-    if args.expect_failover and \
-            not run.client_counters.get("client_failovers"):
-        failures.append("no failovers recorded; the degraded path "
-                        "never ran (--expect-failover)")
     latencies = [record["elapsed"] for record in ok_records]
     served = {}
     for record in ok_records:
@@ -637,20 +391,6 @@ def run_load(args) -> tuple:
         "daemon_exit_code": daemon_rc,
         "client_counters": dict(run.client_counters),
     }
-    if addresses:
-        metrics["addresses"] = addresses
-        metrics["cluster_size"] = len(addresses)
-    if chaos_spec:
-        metrics["net_chaos"] = chaos_spec
-    if daemons:
-        metrics["sigkill_one"] = bool(args.sigkill_one)
-        metrics["cluster_exit_codes"] = cluster_rcs
-        metrics["quarantined_files"] = quarantined
-        metrics["cluster_daemons"] = [
-            {"counters": stats.get("counters"),
-             "supervisor": stats.get("supervisor"),
-             "stores": stats.get("stores")}
-            for stats in cluster_stats]
     if daemon_stats is not None:
         metrics["daemon"] = {
             "counters": daemon_stats.get("counters"),

@@ -150,6 +150,10 @@ def config_namespace(spec: dict) -> argparse.Namespace:
                                   or value < 0):
             raise ProtocolError(
                 f"config field {field} must be a non-negative integer")
+    for field in ("icache", "hybrid"):
+        if not isinstance(merged[field], bool):
+            raise ProtocolError(
+                f"config field {field} must be true or false")
     return argparse.Namespace(**merged)
 
 
@@ -199,15 +203,31 @@ def _canonical_target(request: dict, canonical: dict):
         canonical["source"] = source
 
 
-def _int_list(request, field, *, required=True) -> list:
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value > 0
+
+
+def _int_field(request, field, default) -> int:
+    value = request.get(field, default)
+    if not _is_positive_int(value):
+        raise ProtocolError(f"{field} must be a positive integer")
+    return value
+
+
+def _flag(request, field, default=False) -> bool:
+    value = request.get(field, default)
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{field} must be true or false")
+    return value
+
+
+def _int_list(request, field) -> list:
     values = request.get(field)
     if values is None:
-        if required:
-            raise ProtocolError(f"{field} is required")
-        return None
+        raise ProtocolError(f"{field} is required")
     if (not isinstance(values, list) or not values
-            or not all(isinstance(v, int) and not isinstance(v, bool)
-                       and v > 0 for v in values)):
+            or not all(_is_positive_int(v) for v in values)):
         raise ProtocolError(
             f"{field} must be a non-empty list of positive integers")
     return list(values)
@@ -244,7 +264,7 @@ def canonical_request(request: dict) -> dict:
     if op == "compile":
         return canonical
     if op in ("simulate", "wcet"):
-        spec = request.get("config") or {}
+        spec = request.get("config")
         namespace = config_namespace(spec)
         if namespace.spm and (namespace.dcache or namespace.l2):
             raise ProtocolError(
@@ -256,33 +276,29 @@ def canonical_request(request: dict) -> dict:
             for field in sorted(CONFIG_DEFAULTS)
             if getattr(namespace, field) != CONFIG_DEFAULTS[field]}
         if op == "wcet":
-            canonical["persistence"] = bool(request.get("persistence",
-                                                        False))
+            canonical["persistence"] = _flag(request, "persistence")
         return canonical
     from ..memory.cache import CacheConfig
     if op == "sweep":
         sizes = _int_list(request, "sizes")
-        line = request.get("line", 16)
-        assoc = request.get("assoc", 1)
-        unified = bool(request.get("unified", True))
+        line = _int_field(request, "line", 16)
+        assoc = _int_field(request, "assoc", 1)
+        unified = _flag(request, "unified", True)
         for size in sizes:
             try:
                 CacheConfig(size=size, line_size=line, assoc=assoc,
                             unified=unified)
-            except (TypeError, ValueError) as error:
+            except ValueError as error:
                 raise ProtocolError(f"bad sweep point: {error}") \
                     from None
         canonical.update(sizes=sizes, line=line, assoc=assoc,
                          unified=unified,
-                         persistence=bool(request.get("persistence",
-                                                      False)))
+                         persistence=_flag(request, "persistence"))
         return canonical
     if op == "grid":
         sizes = _int_list(request, "sizes")
         assocs = _int_list(request, "assocs")
-        line = request.get("line", 16)
-        if not isinstance(line, int) or line <= 0:
-            raise ProtocolError("line must be a positive integer")
+        line = _int_field(request, "line", 16)
         # The cells the worker evaluates (smaller ones are skipped).
         for size in sizes:
             for assoc in assocs:
@@ -294,7 +310,7 @@ def canonical_request(request: dict) -> dict:
                         raise ProtocolError(
                             f"bad grid point: {error}") from None
         canonical.update(sizes=sizes, assocs=assocs, line=line,
-                         icache=bool(request.get("icache", False)))
+                         icache=_flag(request, "icache"))
         return canonical
     raise ProtocolError(f"unhandled op {op!r}")  # pragma: no cover
 

@@ -38,34 +38,17 @@ from ..store import LRUCache
 _SOURCE_WORKFLOWS = LRUCache(capacity=32)
 
 
-def serve_worker_init(cache_dir=None, warm_keys=(), shard_dirs=(),
-                      replicas=1):
+def serve_worker_init(cache_dir=None, warm_keys=()):
     """Worker bootstrap (the pool initializer the daemon installs).
 
     Joins the daemon's shared on-disk reuse caches and warms the named
     benchmarks — a no-op on fork platforms when the daemon pre-warmed
     them (the compiled workflows are inherited), a one-off cost on
     spawn platforms or after a pool rebuild.
-
-    With *shard_dirs* the reuse caches become one
-    :class:`~repro.store.ShardedArtifactStore` per layer, partitioned
-    over the shard roots with *replicas* write-behind copies — the
-    cluster deployment, where every daemon mounts the same shard set
-    and a lost shard only loses the keys it owned.
     """
     from ..experiments import common
     common.set_jobs(1)  # serve workers never nest their own pools
-    if shard_dirs:
-        from ..sim.trace import set_trace_store
-        from ..store import ShardedArtifactStore
-        from ..wcet.cacheanalysis import set_analysis_store
-        set_analysis_store(ShardedArtifactStore(
-            [os.path.join(root, "analysis") for root in shard_dirs],
-            suffix=".pkl", replicas=replicas))
-        set_trace_store(ShardedArtifactStore(
-            [os.path.join(root, "traces") for root in shard_dirs],
-            suffix=".trace.pkl", replicas=replicas))
-    elif cache_dir:
+    if cache_dir:
         from ..sim.trace import set_trace_cache_dir
         from ..wcet.cacheanalysis import set_analysis_cache_dir
         set_analysis_cache_dir(os.path.join(cache_dir, "analysis"))

@@ -417,18 +417,6 @@ def set_trace_cache_dir(path, max_bytes=None):
                                   max_bytes=max_bytes))
 
 
-def set_trace_store(store):
-    """Install a prebuilt store object as the on-disk trace layer.
-
-    The cluster tier passes a
-    :class:`repro.store.ShardedArtifactStore` here; anything with the
-    ``load`` / ``store`` / ``counters`` surface works.  ``None``
-    disables the layer, same as ``set_trace_cache_dir(None)``.
-    """
-    global _TRACE_STORE
-    _TRACE_STORE = store
-
-
 def trace_cache_dir():
     return None if _TRACE_STORE is None else _TRACE_STORE.root
 

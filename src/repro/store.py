@@ -37,18 +37,6 @@ store garbage-collects by mtime (oldest first) under a byte cap, reaps
 stale ``.tmp*`` orphans, and can re-verify every entry in place
 (``repro-cc cache verify``).
 
-:class:`ShardedArtifactStore` composes N of those stores into one
-partitioned keyspace for the serving cluster: every key is owned by
-the shard that wins the rendezvous (HRW) hash over the shard roots —
-the same :func:`rendezvous_rank` the cluster client routes requests
-with, so a daemon's shard ordering and a client's daemon ordering
-degrade identically when a node drops out.  Reads fall through to
-peer shards on a primary miss (and read-repair the primary), writes
-replicate to the first *R* ranked shards with the extra copies
-written behind a queue thread so the caller never waits on
-replication, and each member shard keeps its own quarantine and
-degradation state — one shard on a full disk never stops the others.
-
 :class:`LRUCache` is the bounded in-process companion: a move-to-front
 dict with an eviction counter, used for the trace table, the analysis
 reuse table and the per-trace replay-kernel memo.
@@ -98,28 +86,6 @@ STORE_COUNTER_KEYS = (
     "hits", "misses", "corrupt", "writes", "write_errors",
     "write_skips", "evictions", "reaped",
 )
-
-#: Extra counters a :class:`ShardedArtifactStore` adds on top of the
-#: aggregated per-shard block.
-SHARD_COUNTER_KEYS = ("peer_hits", "read_repairs", "replica_writes")
-
-
-def rendezvous_rank(key: str, nodes) -> list:
-    """*nodes* ranked by HRW (rendezvous) hash for *key*.
-
-    Highest-random-weight hashing: every participant computes, with no
-    coordination and no ring state, the same total order of nodes for
-    a key, and removing a node never reorders the survivors — the key
-    simply promotes its next-ranked node.  Used for both the cluster
-    client's request routing and the sharded store's keyspace
-    partition, so request ownership and artifact ownership move in
-    lockstep when a daemon dies.
-    """
-    return sorted(
-        nodes,
-        key=lambda node: hashlib.sha256(
-            f"{node}|{key}".encode()).digest(),
-        reverse=True)
 
 
 def _fault_write_mode():
@@ -602,182 +568,6 @@ class ArtifactStore:
             "quarantined_files": quarantined,
             "degraded": self.degraded,
             "counters": dict(self.counters),
-        }
-
-
-class ShardedArtifactStore:
-    """N :class:`ArtifactStore` shards behind one keyspace.
-
-    Each key is *owned* by the shard that wins
-    :func:`rendezvous_rank` over the shard root paths.  ``load`` asks
-    the owner first and falls through the remaining ranked shards on a
-    miss — a hit on a peer (a key rehomed by topology change, or an
-    owner whose copy was corrupted and quarantined) counts in
-    ``peer_hits`` and is *read-repaired* back into the owner.
-    ``store`` writes the owner synchronously and, with ``replicas``
-    R > 1, queues copies for the next R-1 ranked shards on a
-    write-behind thread (:meth:`flush` drains it; tests and daemon
-    shutdown call it so no replica is lost to process exit).
-
-    Every shard keeps its own quarantine directory, degradation state
-    and counters — a full disk under one shard degrades *that* shard
-    while the others keep serving, and :attr:`counters` aggregates the
-    per-shard blocks plus the sharding-specific extras.
-    """
-
-    def __init__(self, roots, suffix: str = ".pkl", max_bytes=None,
-                 replicas: int = 1):
-        roots = [str(root) for root in roots]
-        if not roots:
-            raise ValueError("sharded store needs at least one root")
-        if len(set(roots)) != len(roots):
-            raise ValueError(f"duplicate shard roots: {roots}")
-        self.roots = roots
-        self.replicas = max(1, min(int(replicas), len(roots)))
-        self.shards = {root: ArtifactStore(root, suffix=suffix,
-                                           max_bytes=max_bytes)
-                       for root in roots}
-        self._extra = dict.fromkeys(SHARD_COUNTER_KEYS, 0)
-        self._queue = None
-        self._writer = None
-
-    #: Cosmetic root for status surfaces (``repro-cc cache stats``).
-    @property
-    def root(self) -> str:
-        return "+".join(self.roots)
-
-    @property
-    def counters(self) -> dict:
-        merged = dict.fromkeys(STORE_COUNTER_KEYS, 0)
-        for shard in self.shards.values():
-            for key in STORE_COUNTER_KEYS:
-                merged[key] += shard.counters[key]
-        merged.update(self._extra)
-        return merged
-
-    @property
-    def degraded(self) -> bool:
-        return all(shard.degraded for shard in self.shards.values())
-
-    # -- placement -----------------------------------------------------------
-
-    def ranked_for(self, key) -> list:
-        """Shard roots in ownership order for *key* (owner first)."""
-        return rendezvous_rank(ArtifactStore.digest(key), self.roots)
-
-    def shard_for(self, key) -> ArtifactStore:
-        """The shard that owns *key*."""
-        return self.shards[self.ranked_for(key)[0]]
-
-    def path_for(self, key) -> str:
-        return self.shard_for(key).path_for(key)
-
-    # -- write-behind plumbing -----------------------------------------------
-
-    def _enqueue(self, root, key, value):
-        if self._queue is None:
-            import queue
-            import threading
-            self._queue = queue.Queue()
-
-            def drain():
-                while True:
-                    item = self._queue.get()
-                    try:
-                        if item is None:
-                            return
-                        target, k, v = item
-                        if self.shards[target].store(k, v):
-                            self._extra["replica_writes"] += 1
-                    finally:
-                        self._queue.task_done()
-
-            self._writer = threading.Thread(
-                target=drain, name="store-replicator", daemon=True)
-            self._writer.start()
-        self._queue.put((root, key, value))
-
-    def flush(self):
-        """Block until every queued replica write has been attempted."""
-        if self._queue is not None:
-            self._queue.join()
-
-    def close(self):
-        """Flush and stop the write-behind thread (idempotent)."""
-        if self._queue is not None:
-            self._queue.join()
-            self._queue.put(None)
-            self._writer.join(timeout=5.0)
-            self._queue = None
-            self._writer = None
-
-    # -- the pickle-level key API -------------------------------------------
-
-    def load(self, key):
-        """The owner's entry, read through peers on an owner miss."""
-        ranked = self.ranked_for(key)
-        value = self.shards[ranked[0]].load(key)
-        if value is not None:
-            return value
-        for root in ranked[1:]:
-            value = self.shards[root].load(key)
-            if value is None:
-                continue
-            self._extra["peer_hits"] += 1
-            # Read repair: rehome the entry so the owner answers the
-            # next load directly (and the HRW invariant — owner has
-            # the freshest copy — self-heals after corruption).
-            if self.shards[ranked[0]].store(key, value):
-                self._extra["read_repairs"] += 1
-            return value
-        return None
-
-    def store(self, key, value) -> bool:
-        ranked = self.ranked_for(key)
-        committed = self.shards[ranked[0]].store(key, value)
-        for root in ranked[1:self.replicas]:
-            self._enqueue(root, key, value)
-        return committed
-
-    # -- maintenance (aggregated over the shards) ---------------------------
-
-    def reap_tmp(self, max_age: float = TMP_MAX_AGE) -> int:
-        return sum(shard.reap_tmp(max_age)
-                   for shard in self.shards.values())
-
-    def gc(self, max_bytes: int) -> int:
-        # The cap is per shard: shards are independent disks in the
-        # deployment this models, not slices of one budget.
-        return sum(shard.gc(max_bytes)
-                   for shard in self.shards.values())
-
-    def verify(self) -> dict:
-        self.flush()
-        totals = {"checked": 0, "quarantined": 0}
-        for shard in self.shards.values():
-            report = shard.verify()
-            totals["checked"] += report["checked"]
-            totals["quarantined"] += report["quarantined"]
-        return totals
-
-    def clear(self) -> int:
-        self.flush()
-        return sum(shard.clear() for shard in self.shards.values())
-
-    def stats(self) -> dict:
-        shard_stats = [self.shards[root].stats()
-                       for root in self.roots]
-        return {
-            "root": self.root,
-            "entries": sum(s["entries"] for s in shard_stats),
-            "bytes": sum(s["bytes"] for s in shard_stats),
-            "shards": len(self.roots),
-            "replicas": self.replicas,
-            "quarantined_files": sum(s["quarantined_files"]
-                                     for s in shard_stats),
-            "degraded": self.degraded,
-            "counters": dict(self.counters),
-            "shard_stats": shard_stats,
         }
 
 

@@ -54,28 +54,6 @@ layer:
   - ``garbage`` — write a non-protocol line before the real response
     (a corrupted stream the client must skip or resync past).
 
-A fourth injection point sits below that, at the daemon's *socket*
-transport — the network-chaos layer the cluster tier leans on:
-
-* ``REPRO_FAULT_NET`` — spec ``<kind>@<n>[+]``, counted per daemon
-  process (the fork hook below keeps ``@n`` meaningful in forked TCP
-  daemons too).  ``refuse`` is consulted per **accepted connection**
-  (before authentication); the other kinds per **response write**:
-
-  - ``refuse``    — close the fresh connection immediately, as a dead
-    or firewalled listener would;
-  - ``partition`` — blackhole: stop writing to this connection but
-    hold it open, so the client blocks until its own socket timeout
-    (what a partitioned link looks like from user space);
-  - ``slow``      — sleep before the write (a congested link);
-  - ``reset``     — abort the connection (shutdown + ``SO_LINGER 0``
-    close): the peer fails immediately — EOF mid-response or a hard
-    TCP RST (``ECONNRESET``) — and any unsent data is dropped.
-
-  Every kind is *survivable by construction* for a failover client:
-  the request key is pure, so resending to the same daemon coalesces
-  and failing over to a peer recomputes identical bytes.
-
 File-corruption faults need no hooks at all: :func:`corrupt_file` /
 :func:`truncate_file` mutate committed store entries directly, which
 is exactly what a real bit flip or torn sector looks like to the
@@ -97,7 +75,7 @@ import os
 import time
 
 #: Per-process trigger counters, keyed by injection point.
-_COUNTS = {"store_write": 0, "unit": 0, "serve": 0, "net": 0}
+_COUNTS = {"store_write": 0, "unit": 0, "serve": 0}
 
 
 class FaultInjected(RuntimeError):
@@ -171,36 +149,6 @@ def serve_fault():
     if kind not in ("drop", "stall", "garbage"):
         raise ValueError(f"unknown serve fault {kind!r}")
     if not _triggers("serve", n, repeat):
-        return None
-    return kind
-
-
-#: Which :func:`net_fault` stage each ``REPRO_FAULT_NET`` kind fires
-#: at.  A spec names one kind, so only that kind's stage consumes the
-#: counter — ``refuse@3`` counts accepted connections, ``reset@3``
-#: counts response writes — keeping ``@n`` deterministic either way.
-_NET_STAGES = {"refuse": "accept", "partition": "send",
-               "slow": "send", "reset": "send"}
-
-
-def net_fault(stage: str):
-    """The injected network fault for this transport event, or None.
-
-    Called by the serving daemon's socket layer only when
-    ``REPRO_FAULT_NET`` is set: once per accepted connection with
-    ``stage="accept"`` and once per response write with
-    ``stage="send"``.  Returns the fault kind when the spec's kind
-    belongs to *stage* and its trigger count is reached.
-    """
-    spec = os.environ.get("REPRO_FAULT_NET")
-    if not spec:
-        return None
-    kind, n, repeat, _ = _parse(spec)
-    if kind not in _NET_STAGES:
-        raise ValueError(f"unknown net fault {kind!r}")
-    if _NET_STAGES[kind] != stage:
-        return None
-    if not _triggers("net", n, repeat):
         return None
     return kind
 

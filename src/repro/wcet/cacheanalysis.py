@@ -546,18 +546,6 @@ def set_analysis_cache_dir(path, max_bytes=None):
                                   max_bytes=max_bytes))
 
 
-def set_analysis_store(store):
-    """Install a prebuilt store object as the on-disk reuse layer.
-
-    The cluster tier passes a
-    :class:`repro.store.ShardedArtifactStore` here; anything with the
-    ``load`` / ``store`` / ``counters`` surface works.  ``None``
-    disables the layer, same as ``set_analysis_cache_dir(None)``.
-    """
-    global _REUSE_STORE
-    _REUSE_STORE = store
-
-
 def analysis_cache_dir():
     return None if _REUSE_STORE is None else _REUSE_STORE.root
 

@@ -18,7 +18,9 @@ subprocesses.
 
 import json
 import os
+import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -26,7 +28,12 @@ import time
 
 import pytest
 
-from repro.serve.client import ServeClient, ServeError, ServeTransportError
+from repro.serve.client import (
+    ServeClient,
+    ServeError,
+    ServeTransportError,
+    reconnect_delay,
+)
 from repro.serve.daemon import ServeDaemon
 from repro.serve.protocol import (
     ProtocolError,
@@ -56,7 +63,6 @@ def _no_leftover_faults(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_STORE_WRITE", raising=False)
     monkeypatch.delenv("REPRO_FAULT_UNIT", raising=False)
     monkeypatch.delenv("REPRO_FAULT_SERVE", raising=False)
-    monkeypatch.delenv("REPRO_FAULT_NET", raising=False)
     reset_fault_counters()
     yield
     reset_fault_counters()
@@ -137,6 +143,23 @@ class TestProtocol:
          "config": {"cache": 256, "assoc": 0}},
         {"op": "sweep", "bench": "crc", "sizes": [256], "assoc": -2},
         {"op": "grid", "bench": "crc", "sizes": [256], "assocs": [3]},
+        # Fields the workers cannot evaluate, or would read wrongly: a
+        # float or bool geometry, a config that is not an object, and
+        # flags that are not booleans.
+        {"op": "sweep", "bench": "crc", "sizes": [256], "assoc": 2.0},
+        {"op": "grid", "bench": "crc", "sizes": [256], "assocs": [1],
+         "line": True},
+        {"op": "simulate", "bench": "crc", "config": []},
+        {"op": "wcet", "bench": "crc", "config": 0},
+        {"op": "wcet", "bench": "crc", "config": {"cache": 256},
+         "persistence": "no"},
+        {"op": "sweep", "bench": "crc", "sizes": [256], "unified": 0},
+        {"op": "sweep", "bench": "crc", "sizes": [256],
+         "persistence": 1},
+        {"op": "grid", "bench": "crc", "sizes": [256], "assocs": [1],
+         "icache": "yes"},
+        {"op": "simulate", "bench": "crc",
+         "config": {"cache": 256, "icache": "no"}},
     ])
     def test_malformed_requests_rejected(self, request_):
         with pytest.raises(ProtocolError):
@@ -158,6 +181,58 @@ class TestProtocol:
         rerun_request(json.dumps(canonical))
         printed = json.loads(capsys.readouterr().out)
         assert printed == evaluate_request(canonical)
+
+
+# --------------------------------------------------------------------------
+# The client: addresses and the reconnect backoff schedule
+# --------------------------------------------------------------------------
+
+class TestAddressScheme:
+    def test_unix_scheme_and_bare_path(self, daemon_factory):
+        daemon = daemon_factory(workers=1)
+        for address in (daemon.socket_path, f"unix:{daemon.socket_path}"):
+            with ServeClient(address, timeout=10.0) as client:
+                assert client.ping()["pong"] is True
+
+    @pytest.mark.parametrize("bad", [
+        "", None, "unix:", "tcp://", "tcp://host", "tcp://:123",
+        "tcp://host:port", "http://x:1",
+    ])
+    def test_malformed_addresses_raise(self, bad):
+        with pytest.raises(ValueError):
+            ServeClient(bad)
+
+    def test_tcp_address_rejected_without_connecting(self):
+        # The constructor does no I/O, so raising there proves no
+        # connection was tried.
+        with pytest.raises(ValueError,
+                           match=re.escape("tcp://127.0.0.1:1")):
+            ServeClient("tcp://127.0.0.1:1")
+
+
+class TestReconnectDelay:
+    def test_schedule_is_exponential_then_capped(self):
+        delays = [reconnect_delay(attempt, base=0.05, cap=0.5,
+                                  jitter=0)
+                  for attempt in range(1, 7)]
+        assert delays == [0.05, 0.1, 0.2, 0.4, 0.5, 0.5]
+
+    def test_jitter_is_bounded_by_its_cap(self):
+        class FullJitter:
+            @staticmethod
+            def random():
+                return 1.0
+
+        worst = reconnect_delay(50, base=0.05, cap=0.5, jitter=0.1,
+                                rng=FullJitter)
+        assert worst == pytest.approx(0.6)
+        for _ in range(100):
+            delay = reconnect_delay(3, base=0.05, cap=0.5, jitter=0.1)
+            assert 0.2 <= delay <= 0.3 + 1e-9
+
+    def test_attempt_floor(self):
+        assert reconnect_delay(0, jitter=0) == \
+            reconnect_delay(1, jitter=0)
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +400,50 @@ class TestServeTransportFaults:
         with pytest.raises(ServeTransportError):
             client.ping()
 
+    def test_backoff_sleeps_only_between_attempts(self, tmp_path):
+        address = str(tmp_path / "nobody.sock")
+
+        def seconds_to_give_up(**kwargs):
+            client = ServeClient(address, jitter=0, **kwargs)
+            began = time.monotonic()
+            with pytest.raises(ServeTransportError):
+                client.ping()
+            return time.monotonic() - began
+
+        # One attempt: nothing is left to wait for once it fails.
+        assert seconds_to_give_up(max_retries=0, backoff=2.0,
+                                  backoff_cap=2.0) < 1.0
+        # Two attempts: one backoff, between them.
+        assert 0.4 <= seconds_to_give_up(max_retries=1, backoff=0.4,
+                                         backoff_cap=0.4) < 0.7
+
+    def test_stall_past_client_timeout_raises(self, daemon_factory,
+                                              monkeypatch):
+        daemon = daemon_factory(workers=1)
+        monkeypatch.setenv("REPRO_FAULT_SERVE", "stall@1")
+        client = ServeClient(daemon.socket_path, timeout=0.1,
+                             max_retries=0)
+        began = time.monotonic()
+        with pytest.raises(ServeTransportError):
+            client.ping()
+        assert time.monotonic() - began < 5.0  # the timeout, no hang
+        client.close()
+
+    def test_serve_fault_drop_holds_across_forked_workers(
+            self, daemon_factory, monkeypatch):
+        """``@n`` counts the daemon's responses: evaluations run in
+        forked workers, but the n-th response written is still the
+        n-th, so ``drop@2`` costs exactly one reconnect."""
+        daemon = daemon_factory(workers=2)
+        monkeypatch.setenv("REPRO_FAULT_SERVE", "drop@2")
+        reset_fault_counters()
+        client = ServeClient(daemon.socket_path, timeout=30.0,
+                             max_retries=4, jitter=0)
+        assert client.call("sleep", seconds=0.05) == {"slept": 0.05}
+        assert client.call("sleep", seconds=0.06) == {"slept": 0.06}
+        assert client.counters["client_reconnects"] == 1
+        client.close()
+
 
 # --------------------------------------------------------------------------
 # Served answers are byte-identical to direct Workflow evaluation
@@ -441,6 +560,180 @@ class TestSigtermDrain:
         assert "final stats" in output
         # The socket was removed on the way out.
         assert not os.path.exists(tmp_path / "drain.sock")
+
+
+def _live_group_members(pgid):
+    """Pids of the processes in group *pgid* that are not yet dead.
+
+    Zombies count as dead: a killed daemon's forked worker is
+    re-parented to init, which reaps it whenever it gets to it.
+    """
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        state, group = fields[0], int(fields[2])
+        if group == pgid and state not in ("Z", "X"):
+            members.append(int(entry))
+    return members
+
+
+def _assert_groups_die(pgids, seconds=10.0):
+    """Every member of every group in *pgids* dies within *seconds*."""
+    if not os.path.isdir("/proc"):
+        return  # no cheap way to list a group's members here
+    survivors = {pgid: _live_group_members(pgid) for pgid in pgids}
+    deadline = time.monotonic() + seconds
+    while any(survivors.values()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+        survivors = {pgid: _live_group_members(pgid)
+                     for pgid in survivors}
+    assert not any(survivors.values()), survivors
+
+
+class TestStartFailure:
+    def test_failed_start_exits_without_residue(self, tmp_path):
+        """A socket path over the AF_UNIX limit fails ``bind`` after
+        the pool has forked its worker.  ``repro-serve`` must still
+        exit 2 at once, leaving no lock file and no live process."""
+        socket_path = str(tmp_path / ("s" * 110))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        # Its own session, so the check and the cleanup reach the
+        # forked worker as well as the daemon.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve.cli",
+             "--socket", socket_path, "--workers", "1",
+             "--cache-dir", "none"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, env=env, start_new_session=True)
+        try:
+            output, _ = process.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            output = None
+        try:
+            assert output is not None, "repro-serve hung after start"
+            assert process.returncode == 2, output
+            assert "repro-serve:" in output
+            assert not os.path.exists(socket_path + ".lock")
+            _assert_groups_die([process.pid])
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the whole group has exited already
+            if output is None:
+                process.communicate()
+
+
+# --------------------------------------------------------------------------
+# Socket-claim lockfile (two racing subprocesses)
+# --------------------------------------------------------------------------
+
+CLAIM_RACER = r"""
+import sys
+sys.path.insert(0, {src!r})
+from repro.serve.daemon import ServeDaemon
+
+daemon = ServeDaemon({path!r}, workers=1, cache_dir=None)
+try:
+    daemon.start()
+except RuntimeError:
+    print("LOST", flush=True)
+    sys.exit(21)
+print("WON", flush=True)
+import time
+time.sleep(30)
+"""
+
+
+class TestSocketClaimRace:
+    def test_two_racers_one_socket_exactly_one_wins(self, tmp_path):
+        """Two daemons starting concurrently on one dead socket path
+        must never both bind: the flock claim makes exactly one win,
+        every time."""
+        socket_path = str(tmp_path / "contested.sock")
+        # A stale socket file from a "crashed" daemon sweetens the race:
+        # both racers must decide it is dead and try to take the path.
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        stale.bind(socket_path)
+        stale.close()  # bound then closed: path exists, nobody listens
+        script = CLAIM_RACER.format(src=SRC, path=socket_path)
+        # Each racer leads its own process group, so cleanup reaches
+        # the worker its daemon forks as well as the racer itself.
+        racers = [subprocess.Popen([sys.executable, "-c", script],
+                                   stdout=subprocess.PIPE,
+                                   stderr=subprocess.STDOUT, text=True,
+                                   start_new_session=True)
+                  for _ in range(2)]
+        verdicts = {}
+        deadline = time.monotonic() + 60.0
+        try:
+            while len(verdicts) < 2 and time.monotonic() < deadline:
+                for index, racer in enumerate(racers):
+                    if index in verdicts or racer.stdout is None:
+                        continue
+                    line = racer.stdout.readline().strip()
+                    if line:
+                        verdicts[index] = line
+            assert sorted(verdicts.values()) == ["LOST", "WON"], \
+                f"verdicts: {verdicts}"
+            winner = [racers[i] for i, v in verdicts.items()
+                      if v == "WON"][0]
+            loser = [racers[i] for i, v in verdicts.items()
+                     if v == "LOST"][0]
+            assert loser.wait(timeout=30) == 21
+            # The winner holds the lock and actually serves.
+            with ServeClient(socket_path, timeout=10.0) as client:
+                assert client.ping()["pong"] is True
+            assert os.path.exists(socket_path + ".lock")
+            assert winner.poll() is None
+        finally:
+            for racer in racers:
+                try:
+                    os.killpg(racer.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # the whole group has exited already
+                racer.wait()
+                racer.stdout.close()
+        _assert_groups_die([racer.pid for racer in racers])
+
+    def test_lock_released_after_drain(self, tmp_path):
+        socket_path = str(tmp_path / "reusable.sock")
+        for _ in range(2):  # claim, drain, claim again: no residue
+            daemon = ServeDaemon(socket_path, workers=1,
+                                 cache_dir=None)
+            daemon.start()
+            daemon.drain(timeout=10.0)
+            assert not os.path.exists(socket_path)
+            assert not os.path.exists(socket_path + ".lock")
+
+
+# --------------------------------------------------------------------------
+# repro-cc cache stats --daemon
+# --------------------------------------------------------------------------
+
+class TestCliSurfaces:
+    def test_cache_stats_over_daemon_socket(self, daemon_factory,
+                                            capsys):
+        from repro.cli import main
+        daemon = daemon_factory(workers=1)
+        rc = main(["cache", "stats", "--daemon",
+                   f"unix:{daemon.socket_path}"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"# daemon: {daemon.socket_path} " in out
+        assert "# requests:" in out
+
+    def test_cache_stats_daemon_failure_is_reported(self):
+        from repro.cli import main
+        with pytest.raises(SystemExit, match="cache: .*tcp://"):
+            main(["cache", "stats", "--daemon", "tcp://127.0.0.1:1"])
 
 
 class TestLoadGenerator:
