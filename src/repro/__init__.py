@@ -11,10 +11,11 @@ relies on, implemented from scratch:
 * :mod:`repro.link` — per-object linker (functions/globals are relocatable)
 * :mod:`repro.memory` — memory map, Table-1 timing, cache models
 * :mod:`repro.sim` — cycle-accurate instruction-set simulator (ARMulator role)
-* :mod:`repro.ilp` — simplex + branch-and-bound ILP solver (CPLEX role)
 * :mod:`repro.wcet` — static WCET analyser (aiT role): CFG reconstruction,
-  loop bounds, cache must/persistence analysis, IPET
-* :mod:`repro.spm` — static scratchpad allocation (knapsack ILP)
+  loop bounds, cache must/persistence analysis, IPET (the Li/Malik ILP,
+  whose optimum a loop-forest dynamic program computes exactly)
+* :mod:`repro.spm` — static scratchpad allocation (the knapsack ILP,
+  whose optimum a dynamic program over capacities computes exactly)
 * :mod:`repro.energy` — instruction-level energy model (knapsack benefit)
 * :mod:`repro.benchmarks` — G.721, ADPCM and MultiSort in mini-C (Table 2)
 * :mod:`repro.workflow` — the Figure-1 pipelines

@@ -1,12 +1,11 @@
 """Scratchpad allocation: energy-optimal knapsack + WCET-driven variant."""
 
-from .knapsack import Item, KnapsackError, solve_knapsack_dp, \
-    solve_knapsack_ilp
+from .knapsack import Item, solve_knapsack
 from .allocator import Allocation, allocate_energy_optimal, build_items
 from .wcet_driven import allocate_wcet_driven, wcet_cycle_benefits
 
 __all__ = [
-    "Item", "KnapsackError", "solve_knapsack_dp", "solve_knapsack_ilp",
+    "Item", "solve_knapsack",
     "Allocation", "allocate_energy_optimal", "build_items",
     "allocate_wcet_driven", "wcet_cycle_benefits",
 ]

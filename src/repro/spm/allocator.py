@@ -3,8 +3,9 @@
 The paper's left branch (Figure 1): given a profile of a typical run, each
 memory object (function or global) gets a *benefit* — the energy saved if
 all its accesses were served by the scratchpad — and the object subset is
-chosen by a knapsack ILP under the SPM capacity.  Placement is then fixed
-at link time, which is what makes every access statically predictable.
+chosen by a knapsack under the SPM capacity (:mod:`repro.spm.knapsack`
+solves the paper's ILP exactly).  Placement is then fixed at link time,
+which is what makes every access statically predictable.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from ..energy.model import EnergyModel
 from ..link.objects import Program
 from ..sim.profile import ProgramProfile
-from .knapsack import Item, solve_knapsack_dp, solve_knapsack_ilp
+from .knapsack import Item, solve_knapsack
 
 
 @dataclass
@@ -25,7 +26,8 @@ class Allocation:
     objects: set = field(default_factory=set)
     benefit: float = 0.0
     used_bytes: int = 0
-    method: str = "ilp"
+    #: the objective the set maximises: ``"energy"`` or ``"wcet"``
+    method: str = "energy"
 
     def __contains__(self, name):
         return name in self.objects
@@ -60,22 +62,13 @@ def build_items(program: Program, profile: ProgramProfile,
 
 
 def allocate_energy_optimal(program: Program, profile: ProgramProfile,
-                            spm_size: int, model: EnergyModel = None,
-                            method: str = "ilp") -> Allocation:
-    """Choose the energy-optimal object set for an *spm_size* scratchpad.
-
-    *method* selects the solver: ``"ilp"`` (the paper's formulation) or
-    ``"dp"`` (exact dynamic program; used for cross-validation).
-    """
+                            spm_size: int,
+                            model: EnergyModel = None) -> Allocation:
+    """Choose the energy-optimal object set for an *spm_size* scratchpad."""
     if spm_size <= 0:
-        return Allocation(spm_size=spm_size, method=method)
+        return Allocation(spm_size=spm_size)
     items = build_items(program, profile, model)
-    if method == "ilp":
-        chosen, benefit = solve_knapsack_ilp(items, spm_size)
-    elif method == "dp":
-        chosen, benefit = solve_knapsack_dp(items, spm_size)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    chosen, benefit = solve_knapsack(items, spm_size)
     used = sum(it.size for it in items if it.name in chosen)
     return Allocation(spm_size=spm_size, objects=chosen, benefit=benefit,
-                      used_bytes=used, method=method)
+                      used_bytes=used)

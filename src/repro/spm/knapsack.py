@@ -1,17 +1,31 @@
-"""Knapsack solvers for scratchpad allocation.
+"""The 0/1 knapsack behind scratchpad allocation.
 
 The paper formulates static allocation as a knapsack problem in ILP form
-and solves it with a commercial solver; :func:`solve_knapsack_ilp` does the
-same with :mod:`repro.ilp`.  :func:`solve_knapsack_dp` is an independent
-exact dynamic program used to cross-validate the ILP path in tests (both
-must agree on the optimal benefit).
+and solves it with a commercial solver::
+
+    maximise   sum(benefit_i * y_i)
+    subject to sum(size_i * y_i) <= capacity,   y_i in {0, 1}
+
+:func:`solve_knapsack` computes that optimum exactly with a dynamic
+program over capacities, vectorised with numpy.  Benefits (float energy
+savings or integer cycle savings) become exact integers over their
+common power-of-two denominator (``float.as_integer_ratio``), so the
+optimum is decided by integer arithmetic, not by a rounding scale or a
+tolerance.
+
+Ties: an item joins the chosen set only if it strictly improves on the
+best set of the items before it.  Among optimal sets the DP therefore
+keeps the one that leaves out the latest item (in input order) it can,
+then the latest of the rest, and so on: of identical items, the first
+ones are chosen.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..ilp import Model, Status
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -23,54 +37,37 @@ class Item:
     benefit: float
 
 
-class KnapsackError(Exception):
-    pass
+def solve_knapsack(items, capacity: int):
+    """0/1 knapsack: returns (chosen names, total benefit).
 
-
-def solve_knapsack_ilp(items, capacity: int):
-    """0/1 knapsack via ILP: returns (chosen names, total benefit)."""
-    candidates = [it for it in items if it.benefit > 0 and
-                  it.size <= capacity]
+    Items without a positive benefit, or larger than *capacity*, are
+    never chosen.
+    """
+    candidates = [it for it in items
+                  if it.benefit > 0 and it.size <= capacity]
     if not candidates:
         return set(), 0.0
-    model = Model("spm_knapsack", maximize=True)
-    xs = {it.name: model.add_var(f"y_{it.name}", lo=0, hi=1, integer=True)
-          for it in candidates}
-    model.add_le({xs[it.name]: it.size for it in candidates}, capacity)
-    model.set_objective({xs[it.name]: it.benefit for it in candidates})
-    solution = model.solve()
-    if solution.status != Status.OPTIMAL:
-        raise KnapsackError(f"knapsack ILP is {solution.status}")
-    chosen = {it.name for it in candidates
-              if round(solution[xs[it.name]]) == 1}
-    total = sum(it.benefit for it in candidates if it.name in chosen)
-    return chosen, total
+    ratios = [it.benefit.as_integer_ratio() for it in candidates]
+    denominator = max(den for _num, den in ratios)
+    values = [num * (denominator // den) for num, den in ratios]
+    unit = math.gcd(capacity, *(it.size for it in candidates))
+    slots = capacity // unit
 
+    # best[c]: the largest benefit within c units of capacity.
+    best = np.zeros(slots + 1, dtype=object)
+    taken = np.zeros((len(candidates), slots + 1), dtype=bool)
+    for index, (item, value) in enumerate(zip(candidates, values)):
+        weight = item.size // unit
+        with_item = best[:slots + 1 - weight] + value
+        better = with_item > best[weight:]
+        taken[index, weight:] = better
+        best[weight:] = np.where(better, with_item, best[weight:])
 
-def solve_knapsack_dp(items, capacity: int, scale: int = 1000):
-    """0/1 knapsack via dynamic programming over capacities.
-
-    Benefits are floats; they are scaled to integers for exactness of the
-    DP table comparisons (ties resolved identically to the ILP's optimum
-    value up to 1/scale).
-    """
-    candidates = [it for it in items if it.benefit > 0 and
-                  it.size <= capacity]
-    best = [0] * (capacity + 1)
-    keep = [[False] * (capacity + 1) for _ in candidates]
-    for index, item in enumerate(candidates):
-        weight = item.size
-        value = round(item.benefit * scale)
-        for cap in range(capacity, weight - 1, -1):
-            candidate_value = best[cap - weight] + value
-            if candidate_value > best[cap]:
-                best[cap] = candidate_value
-                keep[index][cap] = True
     chosen = set()
-    cap = capacity
+    room = slots
     for index in range(len(candidates) - 1, -1, -1):
-        if keep[index][cap]:
+        if taken[index, room]:
             chosen.add(candidates[index].name)
-            cap -= candidates[index].size
+            room -= candidates[index].size // unit
     total = sum(it.benefit for it in candidates if it.name in chosen)
     return chosen, total

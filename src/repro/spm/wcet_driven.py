@@ -29,12 +29,13 @@ from ..memory.regions import RegionKind
 from ..memory.timing import AccessTiming
 from ..wcet.analyzer import analyze_wcet
 from .allocator import Allocation
-from .knapsack import Item, solve_knapsack_ilp
+from .knapsack import Item, solve_knapsack
 
 
 def _worst_case_invocations(result):
     """Function -> worst-case number of invocations, from IPET counts."""
     invocations = {result.entry: 1}
+    entry_by_addr = {c.entry: n for n, c in result.cfgs.items()}
     # Top-down: callers before callees.
     order = []
     seen = set()
@@ -45,13 +46,11 @@ def _worst_case_invocations(result):
         seen.add(name)
         order.append(name)
         cfg = result.cfgs[name]
-        entry_by_addr = {c.entry: n for n, c in result.cfgs.items()}
         for block in cfg.blocks.values():
             if block.call_target is not None:
                 visit(entry_by_addr[block.call_target])
 
     visit(result.entry)
-    entry_by_addr = {c.entry: n for n, c in result.cfgs.items()}
     for name in order:
         cfg = result.cfgs[name]
         count_self = invocations.get(name, 0)
@@ -132,7 +131,7 @@ def allocate_wcet_driven(program: Program, spm_size: int,
         if benefit > 0:
             items.append(Item(name=name, size=(size + 3) & ~3,
                               benefit=benefit))
-    chosen, benefit = solve_knapsack_ilp(items, spm_size)
+    chosen, benefit = solve_knapsack(items, spm_size)
     used = sum(it.size for it in items if it.name in chosen)
     return Allocation(spm_size=spm_size, objects=chosen, benefit=benefit,
                       used_bytes=used, method="wcet")

@@ -99,7 +99,7 @@ def _solve_ipet_cached(image_key, name, cfg, block_costs, edge_extras,
                        loops, scope_penalties):
     """Memoized per-function IPET: the CFG and loop bounds are pinned by
     the image content key, so the exact (costs, extras, penalties)
-    triple determines the ILP and therefore its solution."""
+    triple determines the IPET problem and therefore its solution."""
     key = (image_key, name,
            tuple(sorted(block_costs.items())),
            tuple(sorted(edge_extras.items())),

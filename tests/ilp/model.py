@@ -2,9 +2,11 @@
 
 The paper uses a commercial ILP solver (CPLEX) twice: for the knapsack
 scratchpad allocation and — inside aiT's IPET stage — for the longest-path
-problem.  This package replaces it with a small exact solver: a dense
-two-phase simplex (:mod:`repro.ilp.simplex`) under branch & bound
-(:mod:`repro.ilp.branch_bound`).
+problem.  The reproduction solves both with exact integer dynamic
+programs; this package keeps the ILP route as their test oracle: a dense
+two-phase simplex (:mod:`.simplex`) under branch & bound
+(:mod:`.branch_bound`), fed by the paper's formulations
+(:mod:`.formulations`).
 
 Example::
 

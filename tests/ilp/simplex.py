@@ -255,7 +255,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
 
 
 def solve_lp_model(model: Model) -> Solution:
-    """Solve a :class:`~repro.ilp.model.Model` as a pure LP."""
+    """Solve a :class:`~.model.Model` as a pure LP."""
     n = len(model.vars)
     c = np.zeros(n)
     for index, coef in model.objective.items():

@@ -1,4 +1,4 @@
-"""(I)LP solver: simplex correctness vs scipy, branch & bound vs brute force."""
+"""The oracle (I)LP solver: simplex vs scipy, branch & bound vs brute force."""
 
 import itertools
 import math
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from repro.ilp import Model, Status, solve_lp
+from .ilp import Model, Status, solve_lp
 
 
 class TestModelBuilding:

@@ -1,5 +1,8 @@
 """Scratchpad allocation (knapsack, energy and WCET-driven) + energy model."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,33 +17,101 @@ from repro.spm import (
     allocate_energy_optimal,
     allocate_wcet_driven,
     build_items,
-    solve_knapsack_dp,
-    solve_knapsack_ilp,
+    solve_knapsack,
 )
 
 from .helpers import build_profile
+from .ilp.formulations import solve_knapsack_ilp
+
+
+def exact_benefit(items, chosen):
+    return sum(Fraction(it.benefit) for it in items if it.name in chosen)
+
+
+def brute_force_knapsack(items, capacity):
+    """The optimal set under the declared tie-break, by enumeration.
+
+    Among optimal sets the solver keeps the one that leaves out the
+    latest item it can, then the latest of the rest, and so on: the set
+    whose membership vector, read from the last item back, is smallest.
+    """
+    best = None
+    for mask in itertools.product((0, 1), repeat=len(items)):
+        chosen = [it for it, bit in zip(items, mask) if bit]
+        if any(it.benefit <= 0 for it in chosen) or \
+                sum(it.size for it in chosen) > capacity:
+            continue
+        key = (-sum(Fraction(it.benefit) for it in chosen),
+               mask[::-1])
+        if best is None or key < best[0]:
+            best = (key, {it.name for it in chosen})
+    return best[1]
+
+
+#: benefit kinds the allocators produce: energy savings (accesses times
+#: a per-access saving in nJ), integer cycle savings, and exact ties.
+BENEFITS = {
+    "energy": st.builds(lambda k, nj: k * nj, st.integers(0, 5000),
+                        st.sampled_from((14.3, 29.4))),
+    "cycles": st.integers(0, 300000),
+    "ties": st.sampled_from((384, 384, 384, 768, 128)),
+}
 
 
 class TestKnapsackSolvers:
     def test_simple_choice(self):
         items = [Item("a", 10, 5.0), Item("b", 10, 8.0),
                  Item("c", 15, 9.0)]
-        chosen, benefit = solve_knapsack_ilp(items, 20)
+        chosen, benefit = solve_knapsack(items, 20)
         assert chosen == {"a", "b"}
-        assert benefit == pytest.approx(13.0)
+        assert benefit == 13.0
 
     def test_zero_benefit_never_chosen(self):
         items = [Item("dead", 4, 0.0), Item("live", 4, 1.0)]
-        chosen, _ = solve_knapsack_ilp(items, 100)
+        chosen, _ = solve_knapsack(items, 100)
         assert chosen == {"live"}
 
     def test_oversized_item_skipped(self):
         items = [Item("big", 1000, 99.0), Item("small", 4, 1.0)]
-        chosen, _ = solve_knapsack_ilp(items, 10)
+        chosen, _ = solve_knapsack(items, 10)
         assert chosen == {"small"}
 
     def test_empty(self):
-        assert solve_knapsack_ilp([], 100) == (set(), 0.0)
+        assert solve_knapsack([], 100) == (set(), 0.0)
+
+    def test_tiny_benefit_is_still_a_benefit(self):
+        # A benefit below any fixed rounding scale still beats nothing.
+        assert solve_knapsack([Item("a", 4, 0.0004)], 4) == \
+            ({"a"}, 0.0004)
+
+    def test_close_benefits_are_told_apart(self):
+        items = [Item("a", 4, 1.0002), Item("b", 4, 1.0004)]
+        assert solve_knapsack(items, 4) == ({"b"}, 1.0004)
+
+    def test_identical_items_tie_break(self):
+        # The sweep's tie (g721, WCET-driven, 1024 B): three identical
+        # 64-byte tables worth 384 cycles each.  The earliest win.
+        tables = [Item(name, 64, 384)
+                  for name in ("dqlntab", "witab", "fitab")]
+        filler = Item("update", 896, 171392)
+        assert solve_knapsack([filler, *tables], 960)[0] == \
+            {"update", "dqlntab"}
+        assert solve_knapsack(tables, 128)[0] == {"dqlntab", "witab"}
+
+    @pytest.mark.parametrize("kind", sorted(BENEFITS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force(self, kind, data):
+        raw = data.draw(st.lists(
+            st.tuples(st.sampled_from((4, 8, 12, 16, 24, 32, 64)),
+                      BENEFITS[kind]), min_size=1, max_size=12))
+        capacity = data.draw(st.integers(0, 160))
+        items = [Item(f"o{i}", size, benefit)
+                 for i, (size, benefit) in enumerate(raw)]
+        chosen, benefit = solve_knapsack(items, capacity)
+        assert chosen == brute_force_knapsack(items, capacity)
+        assert benefit == sum(it.benefit for it in items
+                              if it.name in chosen)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
@@ -49,9 +120,10 @@ class TestKnapsackSolvers:
     def test_ilp_matches_dp(self, raw_items, capacity):
         items = [Item(f"o{i}", size, round(benefit, 3))
                  for i, (size, benefit) in enumerate(raw_items)]
-        _chosen_a, benefit_a = solve_knapsack_ilp(items, capacity)
-        _chosen_b, benefit_b = solve_knapsack_dp(items, capacity)
-        assert benefit_a == pytest.approx(benefit_b, abs=1e-2)
+        chosen_ilp, _ = solve_knapsack_ilp(items, capacity)
+        chosen_dp, _ = solve_knapsack(items, capacity)
+        assert exact_benefit(items, chosen_dp) == \
+            exact_benefit(items, chosen_ilp)
 
 
 SOURCE = """
@@ -107,22 +179,17 @@ class TestEnergyAllocation:
 
     def test_dp_and_ilp_agree_on_program(self):
         compiled, _image, profile = profiled()
-        a = allocate_energy_optimal(compiled.program, profile, 512,
-                                    method="ilp")
-        b = allocate_energy_optimal(compiled.program, profile, 512,
-                                    method="dp")
-        assert a.benefit == pytest.approx(b.benefit, rel=1e-6)
+        items = build_items(compiled.program, profile)
+        allocation = allocate_energy_optimal(compiled.program, profile, 512)
+        chosen_ilp, _ = solve_knapsack_ilp(items, 512)
+        assert allocation.method == "energy"
+        assert exact_benefit(items, allocation.objects) == \
+            exact_benefit(items, chosen_ilp)
 
     def test_zero_size_allocates_nothing(self):
         compiled, _image, profile = profiled()
         allocation = allocate_energy_optimal(compiled.program, profile, 0)
         assert not allocation.objects
-
-    def test_unknown_method(self):
-        compiled, _image, profile = profiled()
-        with pytest.raises(ValueError):
-            allocate_energy_optimal(compiled.program, profile, 64,
-                                    method="magic")
 
 
 class TestWcetDrivenAllocation:

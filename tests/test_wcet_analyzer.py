@@ -176,6 +176,31 @@ class TestDiagnostics:
                    for counts in result.block_counts.values()
                    for count in counts.values())
 
+    def test_total_three_loops_deep_rejected(self):
+        # Totals are supported on a top-level loop and on its direct
+        # children; deeper, the analysis must refuse rather than bound.
+        source = """
+        int deep3(int n) {
+            int i; int j; int k; int t = 0;
+            for (i = 0; i < 4; i++) {
+                for (j = 0; j < 4; j++) {
+                    k = n;
+                    #pragma loopbound 8
+                    #pragma loopbound_total 20
+                    while (k > 0) { k = k - 1; t = t + 1; }
+                }
+            }
+            return t;
+        }
+        int main(void) { return deep3(3); }
+        """
+        image = link(compile_source(source).program)
+        (header,) = image.loop_totals
+        with pytest.raises(IPETError,
+                           match=f"deep3: loop at {header:#x} has a "
+                           "loopbound_total 3 loops deep"):
+            analyze_wcet(image, SystemConfig.uncached())
+
     def test_infinite_loop_rejected(self):
         from repro.wcet import LoopError
         func = FunctionCode("_start", [

@@ -145,6 +145,43 @@ class TestLoops:
         # inner body runs at most 3 * 5 times.
         assert result.wcet == 15
 
+    def test_sibling_totals_under_one_parent(self):
+        # Cocktail sort's shape: a top-level loop (2) whose passes enter
+        # two inner loops (4, 8) that carry per-entry bounds and totals.
+        cfg = make_cfg(
+            [(0, 2), (2, 4), (4, 6), (6, 4), (4, 8), (8, 10), (10, 8),
+             (8, 12), (12, 2), (2, 14)], entry=0, exits={14})
+        loops = find_natural_loops(cfg)
+        loops[2].bound = 4
+        loops[4].bound, loops[4].bound_total = 5, 7
+        loops[8].bound, loops[8].bound_total = 5, 12
+        result = solve_function_ipet(cfg, {6: 1, 10: 1}, {}, loops)
+        # 4 passes: min(5 * 4, 7) + min(5 * 4, 12) inner iterations.
+        assert result.wcet == 7 + 12
+        assert result.block_counts[6] == 7
+        assert result.block_counts[10] == 12
+        assert result.block_counts[12] == 4
+
+    def test_total_three_loops_deep_raises(self):
+        cfg = make_cfg(
+            [(0, 2), (2, 4), (4, 6), (6, 8), (8, 6), (6, 10), (10, 4),
+             (4, 12), (12, 2), (2, 14)], entry=0, exits={14})
+        loops = find_natural_loops(cfg)
+        for header in (2, 4, 6):
+            loops[header].bound = 3
+        loops[6].bound_total = 5
+        with pytest.raises(IPETError, match="f: loop at 0x6 has a "
+                           "loopbound_total 3 loops deep"):
+            solve_function_ipet(cfg, {8: 1}, {}, loops)
+
+    def test_irreducible_cycle_raises(self):
+        # 2 <-> 4 is entered at both ends: no natural loop covers it.
+        cfg = make_cfg([(0, 2), (0, 4), (2, 4), (4, 2), (4, 6)],
+                       entry=0, exits={6})
+        with pytest.raises(IPETError, match="irreducible"):
+            solve_function_ipet(cfg, {2: 1, 4: 1}, {},
+                                find_natural_loops(cfg))
+
     def test_no_exit_raises(self):
         cfg = make_cfg([(0, 2), (2, 0)], entry=0, exits=set())
         loops = find_natural_loops(cfg)

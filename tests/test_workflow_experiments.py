@@ -60,7 +60,7 @@ class TestWorkflow:
     def test_allocation_methods(self, adpcm_workflow):
         energy = adpcm_workflow.allocate(512, method="energy")
         wcet = adpcm_workflow.allocate(512, method="wcet")
-        assert energy.method == "ilp"
+        assert energy.method == "energy"
         assert wcet.method == "wcet"
         with pytest.raises(ValueError):
             adpcm_workflow.allocate(512, method="nope")
