@@ -3,9 +3,8 @@
 Subcommands (all take a mini-C source file):
 
 * ``run``        — compile, link, simulate; print cycles and console
-  (``--record-misses`` switches to the recording engine and reports the
-  hottest fetch-miss addresses; ``--engine replay`` records the access
-  trace once and re-prices it, bit-identical to ``--engine execute``)
+  (``--record-misses`` also reports the hottest fetch-miss addresses,
+  counted per pc from the program's recorded access trace)
 * ``trace``      — record the dynamic access trace and summarise it
   (``--profile`` dumps the trace-cache and replay counters;
   ``--export FILE`` writes the portable text format ``ingest`` reads)
@@ -184,23 +183,18 @@ def _print_result(result, config):
 
 def cmd_run(args):
     image, config = _build(args)
-    # Plain runs take the compiled fast engine; --record-misses opts
-    # into the recording engine, which tracks misses per address;
-    # --engine replay records the access trace and re-prices it.
-    if args.engine == "replay":
-        if args.record_misses:
-            raise SystemExit("--record-misses needs the recording "
-                             "engine; drop --engine replay")
-        from .sim.replay import replay
-        from .sim.trace import trace_for
-        result = replay(trace_for(image, config.spm_size), config)
-    else:
-        result = simulate(image, config, record_misses=args.record_misses)
+    result = simulate(image, config)
     for line in result.console:
         print(line)
     _print_result(result, config)
-    if args.record_misses and result.fetch_misses:
-        worst = sorted(result.fetch_misses.items(),
+    if not args.record_misses:
+        return 0
+    from .sim.replay import replay_misses
+    from .sim.trace import trace_for
+    fetch_misses, _main = replay_misses(trace_for(image, config.spm_size),
+                                        config)
+    if fetch_misses:
+        worst = sorted(fetch_misses.items(),
                        key=lambda kv: (-kv[1], kv[0]))[:5]
         print("# hottest fetch-miss addresses:")
         for addr, count in worst:
@@ -529,13 +523,7 @@ def main(argv=None) -> int:
         if name == "run":
             command.add_argument(
                 "--record-misses", action="store_true",
-                help="use the recording engine and report the hottest "
-                     "fetch-miss addresses")
-            command.add_argument(
-                "--engine", choices=("execute", "replay"),
-                default="execute",
-                help="execute the program, or record its access trace "
-                     "and replay it (bit-identical results)")
+                help="also report the hottest fetch-miss addresses")
         if name == "trace":
             command.add_argument(
                 "--profile", action="store_true",

@@ -6,10 +6,9 @@ from .model import (
     SPM_ACCESS_NJ,
     EnergyModel,
     cache_access_energy_nj,
-    program_energy_nj,
 )
 
 __all__ = [
     "CPU_INSTR_NJ", "MAIN_ACCESS_NJ", "SPM_ACCESS_NJ",
-    "EnergyModel", "cache_access_energy_nj", "program_energy_nj",
+    "EnergyModel", "cache_access_energy_nj",
 ]

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 from ..memory.cache import CacheConfig
-from ..memory.regions import RegionKind
 
 #: Base CPU energy per executed instruction (nJ).
 CPU_INSTR_NJ = 1.0
@@ -54,10 +53,6 @@ class EnergyModel:
     main: dict = field(default_factory=lambda: dict(MAIN_ACCESS_NJ))
     spm: dict = field(default_factory=lambda: dict(SPM_ACCESS_NJ))
 
-    def access_energy(self, kind: str, width: int) -> float:
-        table = self.spm if kind == RegionKind.SPM else self.main
-        return table[width]
-
     def spm_benefit_per_access(self, width: int) -> float:
         """Energy saved by serving one access from SPM instead of main."""
         return self.main[width] - self.spm[width]
@@ -71,30 +66,3 @@ class EnergyModel:
         """
         width = 2 if kind == "code" else element_width
         return accesses * self.spm_benefit_per_access(width)
-
-
-def program_energy_nj(image, result, model: EnergyModel = None) -> float:
-    """Total energy of a profiled run (fetch + data + CPU base).
-
-    *result* must come from ``simulate(..., profile=True)``.  Each access
-    is priced by the region its address landed in; a cached system prices
-    main-memory addresses at main cost for misses — callers wanting cache
-    energy should add :func:`cache_access_energy_nj` terms from the cache
-    statistics.
-    """
-    model = model or EnergyModel()
-    total = model.cpu_instr * result.instructions
-
-    def kind_of(addr):
-        placed = image.object_at(addr)
-        if placed is not None and placed.region == "scratchpad":
-            return RegionKind.SPM
-        return RegionKind.MAIN
-
-    for addr, count in result.fetch_counts.items():
-        total += count * model.access_energy(kind_of(addr), 2)
-    for addr, count in result.data_counts.items():
-        # Data widths are not recorded per address; word cost is an upper
-        # approximation used consistently for reporting.
-        total += count * model.access_energy(kind_of(addr), 4)
-    return total

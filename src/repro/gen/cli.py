@@ -9,10 +9,9 @@ Examples::
 
 ``--check`` runs every program through compile → link → execute →
 replay-differential → WCET-dominates-simulation on the default
-hierarchy shapes; ``--deep`` adds the recording-engine / per-pc
-miss-attribution differential and the packed-vs-dict abstract-domain
-comparison.  A failing seed prints its reproduction command and the
-process exits non-zero.
+hierarchy shapes; ``--deep`` adds a greedy SPM placement run, priced
+both by execution and from the baseline trace.  A failing seed prints
+its reproduction command and the process exits non-zero.
 """
 
 from __future__ import annotations
@@ -57,9 +56,7 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="run the soundness tiers on each program")
     parser.add_argument("--deep", action="store_true",
-                        help="with --check: add recording-engine, "
-                             "per-pc miss and abstract-domain "
-                             "differentials plus an SPM placement run")
+                        help="with --check: add an SPM placement run")
     parser.add_argument("--quiet", action="store_true",
                         help="only report failures and the final tally")
     args = parser.parse_args(argv)
@@ -76,9 +73,7 @@ def main(argv=None) -> int:
         for seed in seeds:
             program = generate(seed, args.size)
             try:
-                summary = check_program(program, wcet=True,
-                                        misses=args.deep,
-                                        domains=args.deep)
+                summary = check_program(program)
                 if args.deep:
                     check_spm_placement(program)
             except SoundnessFailure as failure:

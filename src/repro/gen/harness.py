@@ -8,16 +8,16 @@ increasing depth:
    engine and reaches its own embedded checksum comparison: exit code
    42 and the console the reference evaluator predicted.  Catches
    codegen/linker/engine semantic breaks;
-2. **engine differentials** — trace replay reproduces direct execution
+2. **replay differential** — trace replay reproduces direct execution
    bit for bit (cycles, instructions, exit, console, per-level stats)
-   on every hierarchy shape, and with ``misses=True`` the recording
-   engine agrees too, down to per-pc fetch-miss attribution
-   (:func:`repro.sim.replay.replay_misses`);
+   on every hierarchy shape;
 3. **WCET soundness** — the static bound dominates the simulated cycle
-   count on every shape (the paper's core invariant);
-4. **abstract-domain differential** — with ``domains=True`` the packed
-   bitset cache analysis and the dict-based reference produce identical
-   per-instruction classifications.
+   count on every shape (the paper's core invariant).
+
+:func:`check_spm_placement` adds a greedy scratchpad placement run.  The
+differentials against the test oracles (the recording interpreter's
+per-pc misses, the dict abstract domain's classifications) live in
+``tests/oracles`` and reuse these checks.
 
 Failures raise :class:`SoundnessFailure` whose message embeds the
 ``repro-gen`` command line that regenerates the exact program, so a
@@ -29,9 +29,9 @@ from __future__ import annotations
 from ..link import link
 from ..memory import CacheConfig, SystemConfig
 from ..minic import compile_source
-from ..sim import Simulator, simulate
+from ..sim import simulate
 from ..sim.placement import place_trace
-from ..sim.replay import replay, replay_misses
+from ..sim.replay import replay
 from ..sim.trace import record_trace
 from ..wcet import analyze_wcet
 from .progen import GeneratedProgram, generate
@@ -91,8 +91,8 @@ def _same_result(replayed, executed, context):
                 f"replay {name} stats diverged [{context}]")
 
 
-def check_program(program: GeneratedProgram, shapes=DEFAULT_SHAPES, *,
-                  wcet=True, misses=False, domains=False) -> dict:
+def check_program(program: GeneratedProgram,
+                  shapes=DEFAULT_SHAPES) -> dict:
     """Run *program* through the tiers; returns a small summary dict."""
     hint = _repro_hint(program)
     compiled = compile_source(program.source)
@@ -112,32 +112,19 @@ def check_program(program: GeneratedProgram, shapes=DEFAULT_SHAPES, *,
                 f"memory system changed computed values [{context}]")
         replayed = replay(trace, config)
         _same_result(replayed, executed, context)
-        if misses:
-            recorded = Simulator(image, config).run(record_misses=True)
-            _expect(recorded.cycles == executed.cycles,
-                    f"recording engine cycles diverged [{context}]")
-            fetch, main = replay_misses(trace, config)
-            _expect(fetch == dict(recorded.fetch_misses),
-                    f"replay-served fetch_misses diverged [{context}]")
-            _expect(main == dict(recorded.fetch_main_misses),
-                    f"replay-served fetch_main_misses diverged "
-                    f"[{context}]")
-        if wcet:
-            bound = analyze_wcet(image, config)
-            _expect(bound.wcet >= executed.cycles,
-                    f"UNSOUND: WCET {bound.wcet} < simulated "
-                    f"{executed.cycles} [{context}]")
-        if domains and config.cache is not None:
-            _check_domains(image, config, context)
+        bound = analyze_wcet(image, config)
+        _expect(bound.wcet >= executed.cycles,
+                f"UNSOUND: WCET {bound.wcet} < simulated "
+                f"{executed.cycles} [{context}]")
         cycles[name] = executed.cycles
     return {"seed": program.seed, "size": program.size,
             "exit": program.expected_exit, "cycles": cycles}
 
 
-def check_seed(seed: int, size: str = "small", shapes=DEFAULT_SHAPES,
-               **kwargs) -> dict:
+def check_seed(seed: int, size: str = "small",
+               shapes=DEFAULT_SHAPES) -> dict:
     """Generate-and-check in one call (the fuzz tier's inner loop)."""
-    return check_program(generate(seed, size), shapes, **kwargs)
+    return check_program(generate(seed, size), shapes)
 
 
 #: The hybrid shape the SPM slice also prices its placement under.
@@ -192,32 +179,3 @@ def check_spm_placement(program: GeneratedProgram,
                  f"priced hybrid {context}")
     return {"seed": program.seed, "spm": spm_size,
             "cycles": placed.cycles, "baseline": reference.cycles}
-
-
-def _check_domains(image, config, context):
-    """Packed bitset vs dict abstract domains: identical classes."""
-    from ..wcet import build_all_cfgs
-    from ..wcet.cacheanalysis import analyze_hierarchy
-    from ..wcet.stackdepth import stack_region
-    cfgs = build_all_cfgs(image)
-    entry_by_addr = {cfg.entry: name for name, cfg in cfgs.items()}
-    rng = stack_region(cfgs, "_start", entry_by_addr)
-    packed, plain = (
-        analyze_hierarchy(image, cfgs, config, rng, "_start",
-                          domain=domain, reuse=False)
-        for domain in ("packed", "dict"))
-    for level_packed, level_dict in zip(packed.levels, plain.levels):
-        for ours, reference in (
-                (level_packed.iresult, level_dict.iresult),
-                (level_packed.dresult, level_dict.dresult)):
-            _expect((ours is None) == (reference is None),
-                    f"domain result presence diverged [{context}]")
-            if ours is None:
-                continue
-            _expect(set(ours.classes) == set(reference.classes),
-                    f"domain classified address sets diverged "
-                    f"[{context}]")
-            for addr, entry in ours.classes.items():
-                _expect(vars(entry) == vars(reference.classes[addr]),
-                        f"packed vs dict domain diverged at "
-                        f"{addr:#x} [{context}]")

@@ -19,7 +19,6 @@ from .timing import (
 )
 from .cache import Cache, CacheConfig, CacheStats, ReplacementPolicy
 from .levels import (
-    Access,
     CacheLevel,
     MainMemoryLevel,
     SpmLevel,
@@ -34,7 +33,7 @@ __all__ = [
     "BRANCH_REFILL_CYCLES", "CACHE_HIT_CYCLES", "MAIN_CYCLES", "SPM_CYCLES",
     "AccessTiming", "instruction_extra_cycles",
     "Cache", "CacheConfig", "CacheStats", "ReplacementPolicy",
-    "Access", "CacheLevel", "MainMemoryLevel", "SpmLevel",
+    "CacheLevel", "MainMemoryLevel", "SpmLevel",
     "serve_costs", "validate_levels",
     "MemoryHierarchy", "SystemConfig",
 ]

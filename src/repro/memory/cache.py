@@ -105,11 +105,14 @@ class CacheStats:
 
 
 class Cache:
-    """Stateful tags-only cache following :class:`CacheConfig`.
+    """Tag state of one cache following :class:`CacheConfig`.
 
-    ``RANDOM`` replacement is deterministic here (an LFSR victim counter),
-    mirroring how ARM7 implements its "random" policy with a cheap counter;
-    the paper notes random replacement mainly as an *analysis* obstacle.
+    The hierarchy's fast path (:class:`~repro.memory.hierarchy.
+    MemoryHierarchy`) compiles the lookups over ``sets`` and counts into
+    ``fast_counts``.  ``RANDOM`` replacement is deterministic here (an
+    LFSR victim counter), mirroring how ARM7 implements its "random"
+    policy with a cheap counter; the paper notes random replacement
+    mainly as an *analysis* obstacle.
     """
 
     def __init__(self, config: CacheConfig):
@@ -123,16 +126,6 @@ class Cache:
         # ``stats`` by :meth:`flush_fast_counts`.
         self.fast_counts = [0, 0, 0, 0, 0, 0]
         self._victim = 1  # LFSR state for RANDOM
-
-    def reset(self):
-        # Clear in place: the fast-path closures built by
-        # MemoryHierarchy bind the set lists and counter list directly.
-        for ways in self.sets:
-            del ways[:]
-        self.stats = CacheStats()
-        for i in range(6):
-            self.fast_counts[i] = 0
-        self._victim = 1
 
     def flush_fast_counts(self):
         """Fold the fast path's plain-int counters into ``stats``."""
@@ -148,80 +141,9 @@ class Cache:
             for i in range(6):
                 counts[i] = 0
 
-    # -- internals ----------------------------------------------------------
-
     def _next_victim(self, ways: int) -> int:
         # 8-bit Galois LFSR, deterministic and seed-independent of workload.
         lfsr = self._victim
         lfsr = (lfsr >> 1) ^ (0xB8 if lfsr & 1 else 0)
         self._victim = lfsr or 1
         return self._victim % ways
-
-    def _touch(self, addr: int, allocate: bool) -> bool:
-        """Look up *addr*; optionally allocate on miss.  Returns hit."""
-        config = self.config
-        block = config.block_of(addr)
-        index = config.set_index(addr)
-        ways = self.sets[index]
-        if block in ways:
-            if config.replacement == ReplacementPolicy.LRU:
-                ways.remove(block)
-                ways.insert(0, block)
-            return True
-        if allocate:
-            if len(ways) < config.assoc:
-                ways.insert(0, block)
-            elif config.replacement == ReplacementPolicy.RANDOM:
-                ways[self._next_victim(config.assoc)] = block
-            else:  # LRU and FIFO both evict the tail
-                ways.pop()
-                ways.insert(0, block)
-        return False
-
-    # -- public access operations -------------------------------------------
-
-    def access(self, addr: int, kind: str) -> bool:
-        """One access of *kind* (``"fetch"``/``"read"``/``"write"``).
-
-        Returns the explicit hit/miss outcome — callers must never infer
-        it from cycle counts (cycles are the hierarchy's business).
-        """
-        if kind == "fetch":
-            return self.fetch(addr)
-        if kind == "read":
-            return self.read(addr)
-        if kind == "write":
-            return self.write(addr)
-        raise ValueError(f"unknown access kind {kind!r}")
-
-    def fetch(self, addr: int) -> bool:
-        """Instruction fetch; returns hit and updates state/stats."""
-        hit = self._touch(addr, allocate=True)
-        if hit:
-            self.stats.fetch_hits += 1
-        else:
-            self.stats.fetch_misses += 1
-        return hit
-
-    def read(self, addr: int) -> bool:
-        """Data read; returns hit and updates state/stats."""
-        hit = self._touch(addr, allocate=True)
-        if hit:
-            self.stats.read_hits += 1
-        else:
-            self.stats.read_misses += 1
-        return hit
-
-    def write(self, addr: int) -> bool:
-        """Data write (write-through, no allocate); returns hit."""
-        hit = self._touch(addr, allocate=False)
-        if hit:
-            self.stats.write_hits += 1
-        else:
-            self.stats.write_misses += 1
-        return hit
-
-    def contains(self, addr: int) -> bool:
-        """Non-mutating lookup (for tests and assertions)."""
-        config = self.config
-        return config.block_of(addr) in self.sets[config.set_index(addr)]

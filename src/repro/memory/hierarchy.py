@@ -19,12 +19,11 @@ memory.  The future-work shapes get constructors too:
 * ``SystemConfig.split_l1(icache, dcache)`` — separate I/D caches;
 * ``SystemConfig.with_levels(name, levels)`` — anything else.
 
-:class:`MemoryHierarchy` turns a config into a stateful cycle model the
-simulator queries once per access; every query returns an explicit
-:class:`~repro.memory.levels.Access` outcome (cycles, hit/miss, serving
-level).  The WCET analyser walks the *same* level specs and the same
-:func:`~repro.memory.levels.serve_costs` table, so simulation and
-analysis share one machine model by construction.
+:class:`MemoryHierarchy` turns a config into the stateful tag arrays
+and plain-int cost tables the execution engine and trace replay price
+every access with.  The WCET analyser walks the *same* level specs and
+the same :func:`~repro.memory.levels.serve_costs` table, so simulation
+and analysis share one machine model by construction.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from typing import Optional
 
 from .cache import Cache, CacheConfig, ReplacementPolicy
 from .levels import (
-    Access,
     CacheLevel,
     MainMemoryLevel,
     SpmLevel,
@@ -190,14 +188,14 @@ class SystemConfig:
 
 
 class MemoryHierarchy:
-    """Stateful per-access cycle model used by the simulator.
+    """Stateful cycle model used by the execution engine and replay.
 
     Each cache level gets its own tag array (one shared array for a
     unified level, two for split I/D).  An access walks its path
-    outermost-in until some level hits (or main memory serves it) and
-    returns a precomputed :class:`Access` outcome whose cycle count
-    comes from :func:`~repro.memory.levels.serve_costs` — the very table
-    the WCET cost model prices misses with.
+    outermost-in until some level hits (or main memory serves it); it
+    costs ``serve_costs[depth]`` cycles, from
+    :func:`~repro.memory.levels.serve_costs` — the very table the WCET
+    cost model prices misses with.
     """
 
     def __init__(self, config: SystemConfig):
@@ -208,7 +206,7 @@ class MemoryHierarchy:
 
         # Physical caches: one per unified level, two per split level.
         self.caches = {}  # display name -> Cache
-        self._fetch_chain = []  # [(Cache, level name)]
+        self._fetch_chain = []  # Cache per level, outermost first
         self._data_chain = []
         for level in config.cache_level_specs:
             labels = iter(level_labels(level))
@@ -231,109 +229,32 @@ class MemoryHierarchy:
         self.cache = next(iter(self.caches.values()), None)
 
         timing = self.timing
-        fetch_levels = config.fetch_path()
-        data_levels = config.data_path()
-        fetch_serve = serve_costs(path_geometry(fetch_levels, "i"), timing)
-        data_serve = serve_costs(path_geometry(data_levels, "d"), timing)
-
-        def outcomes(path_levels, serve):
-            out = []
-            for idx, cost in enumerate(serve):
-                if idx < len(path_levels):
-                    served = path_levels[idx].name
-                else:
-                    served = "main"
-                out.append(Access(cost, idx > 0, served))
-            return out
-
-        self._fetch_out = outcomes(fetch_levels, fetch_serve)
-        self._data_out = outcomes(data_levels, data_serve)
-        spm_kind, main_kind = RegionKind.SPM, RegionKind.MAIN
-        self._spm_out = {
-            width: Access(timing.cycles(spm_kind, width), False, "spm")
-            for width in (1, 2, 4)}
-        self._main_out = {
-            width: Access(timing.cycles(main_kind, width), False, "main")
-            for width in (1, 2, 4)}
-
-    def reset(self):
-        for cache in self.caches.values():
-            cache.reset()
-
-    # -- access outcomes -----------------------------------------------------
-
-    def fetch(self, addr: int) -> Access:
-        """Outcome of a 16-bit instruction fetch at *addr*."""
-        spm = self._spm
-        if spm is not None and spm.contains(addr):
-            return self._spm_out[2]
-        chain = self._fetch_chain
-        if not chain:
-            return self._main_out[2]
-        for idx, cache in enumerate(chain):
-            if cache.fetch(addr):
-                return self._fetch_out[idx]
-        return self._fetch_out[len(chain)]
-
-    def read(self, addr: int, width: int) -> Access:
-        """Outcome of a data read of *width* bytes at *addr*."""
-        spm = self._spm
-        if spm is not None and spm.contains(addr):
-            return self._spm_out[width]
-        chain = self._data_chain
-        if not chain:
-            return self._main_out[width]
-        for idx, cache in enumerate(chain):
-            if cache.read(addr):
-                return self._data_out[idx]
-        return self._data_out[len(chain)]
-
-    def write(self, addr: int, width: int) -> Access:
-        """Outcome of a data write of *width* bytes at *addr*.
-
-        Write-through, no allocate, at every level: the store pays the
-        main-memory cost for its width; each level on the data path
-        keeps its tags informed so resident lines stay warm.
-        """
-        spm = self._spm
-        if spm is not None and spm.contains(addr):
-            return self._spm_out[width]
-        for cache in self._data_chain:
-            cache.write(addr)
-        return self._main_out[width]
-
-    # -- legacy cycle-count helpers ------------------------------------------
-
-    def fetch_cycles(self, addr: int) -> int:
-        """Cycles for a 16-bit instruction fetch at *addr*."""
-        return self.fetch(addr).cycles
-
-    def read_cycles(self, addr: int, width: int) -> int:
-        """Cycles for a data read of *width* bytes at *addr*."""
-        return self.read(addr, width).cycles
-
-    def write_cycles(self, addr: int, width: int) -> int:
-        """Cycles for a data write of *width* bytes at *addr*."""
-        return self.write(addr, width).cycles
+        # Cycles by serving depth along each path (index 0 is an L1
+        # hit, the last entry main memory), and SPM/main cost by width.
+        self._fetch_costs = serve_costs(
+            path_geometry(config.fetch_path(), "i"), timing)
+        self._data_costs = serve_costs(
+            path_geometry(config.data_path(), "d"), timing)
+        self._spm_costs = {width: timing.cycles(RegionKind.SPM, width)
+                           for width in (1, 2, 4)}
+        self._main_costs = {width: timing.cycles(RegionKind.MAIN, width)
+                            for width in (1, 2, 4)}
 
     # -- fast path -----------------------------------------------------------
     #
-    # The allocating accessors above return an Access object per query —
-    # fine for the recording engine (profile / record_misses runs), far
-    # too slow for the hot loop.  The factories below compile the same
-    # machine model into closures that return *plain int* cycle counts
-    # from precomputed SPM/main cost tables and the flat per-set tag
-    # lists, updating each cache's ``fast_counts`` instead of its
-    # CacheStats (call :meth:`flush_fast_stats` when a run finishes).
-    # Tag-array behaviour is bit-identical to Cache.fetch/read/write.
+    # The factories below compile the machine model into closures that
+    # return *plain int* cycle counts from the cost tables above and the
+    # flat per-set tag lists, updating each cache's ``fast_counts``
+    # instead of its CacheStats (call :meth:`flush_fast_stats` when a run
+    # finishes).
 
     def _spm_end(self) -> int:
         return self._spm.end if self._spm is not None else 0
 
     def _make_touch(self, cache: Cache, base: int):
-        """``touch(block, index) -> hit`` matching ``Cache._touch`` with
-        ``allocate=True``; *base* indexes the hit counter (miss is
-        ``base + 1``)."""
+        """``touch(block, index) -> hit`` for a fetch or read: a hit
+        refreshes an LRU line, a miss allocates; *base* indexes the hit
+        counter (miss is ``base + 1``)."""
         config = cache.config
         sets = cache.sets
         counts = cache.fast_counts
@@ -374,8 +295,8 @@ class MemoryHierarchy:
         return touch
 
     def _make_write_touch(self, cache: Cache):
-        """``touch(block, index)`` matching ``Cache.write`` (write-
-        through, no allocate): refresh a resident line, count the rest."""
+        """``touch(block, index)`` for a write (write-through, no
+        allocate): refresh a resident line, count the rest."""
         sets = cache.sets
         counts = cache.fast_counts
         lru = cache.config.replacement == ReplacementPolicy.LRU
@@ -399,10 +320,10 @@ class MemoryHierarchy:
         one compare for the common direct-mapped hit.
         """
         spm_end = self._spm_end()
-        spm_cost = self._spm_out[2].cycles
-        main_cost = self._main_out[2].cycles
+        spm_cost = self._spm_costs[2]
+        main_cost = self._main_costs[2]
         chain = self._fetch_chain
-        costs = [out.cycles for out in self._fetch_out]
+        costs = self._fetch_costs
 
         if not chain:
             def make(addr):
@@ -478,10 +399,10 @@ class MemoryHierarchy:
         spm_tab = [None] * 5
         main_tab = [None] * 5
         for width in (1, 2, 4):
-            spm_tab[width] = self._spm_out[width].cycles
-            main_tab[width] = self._main_out[width].cycles
+            spm_tab[width] = self._spm_costs[width]
+            main_tab[width] = self._main_costs[width]
         chain = self._data_chain
-        costs = [out.cycles for out in self._data_out]
+        costs = self._data_costs
 
         if not chain:
             if spm_end:

@@ -15,7 +15,7 @@ and may sit behind a scratchpad (hybrid configurations).
 Two consumers share the declarative specs below:
 
 * :class:`~repro.memory.hierarchy.MemoryHierarchy` builds stateful
-  per-level tag arrays for the simulator;
+  per-level tag arrays for the execution engine and trace replay;
 * :class:`~repro.wcet.costmodel.CostModel` walks the same specs to price
   worst-case accesses, using the *same* :func:`serve_costs` table.
 
@@ -224,25 +224,3 @@ def serve_costs(geometry, timing: AccessTiming):
                 total += (line_size // 4) * geometry[i + 1][1]
         costs.append(total)
     return costs
-
-
-class Access:
-    """Explicit outcome of one memory access.
-
-    Replaces the old convention of callers inferring a miss from
-    ``cycles > CACHE_HIT_CYCLES``: the hierarchy states what happened.
-    ``missed`` is True iff at least one cache level on the access path
-    missed; ``served_by`` names the level that supplied the data.
-    """
-
-    __slots__ = ("cycles", "missed", "served_by")
-
-    def __init__(self, cycles: int, missed: bool, served_by: str):
-        self.cycles = cycles
-        self.missed = missed
-        self.served_by = served_by
-
-    def __repr__(self):
-        state = "miss" if self.missed else "hit"
-        return (f"Access({self.cycles} cycles, {state}, "
-                f"served by {self.served_by})")

@@ -9,6 +9,9 @@ Two complementary paths produce bit-identical results:
   (:mod:`repro.sim.replay`) re-price it under any number of
   configurations, including whole size sweeps in a single pass.
 
+Both are held to a recording interpreter with a per-access cache model,
+which is a test oracle (``tests/oracles``) and does not ship.
+
 Scratchpad placements and the knapsack's profile need no run of their
 own: :mod:`repro.sim.placement` derives both from the baseline image's
 trace, and falls back to execution when placement could change what the

@@ -1,13 +1,9 @@
 """Flat-array threaded-code execution engine for the T16 simulator.
 
-:class:`~repro.sim.simulator.Simulator` keeps two interpreters over one
-machine model:
-
-* the **recording** loop in ``simulator.py`` — an instruction dispatch
-  over decoded :class:`~repro.isa.instruction.Instr` objects that can
-  count per-address fetches, data accesses and misses (``profile=True``
-  / ``record_misses=True`` runs);
-* this module's **fast engine**, used for every plain timing run.
+:class:`~repro.sim.simulator.Simulator` runs every program on this
+engine.  A second interpreter over the same machine model — a plain
+instruction dispatch that records per-address fetches, data accesses
+and misses — lives in ``tests/oracles`` as the engine's reference.
 
 The fast engine pre-compiles each decoded instruction into a specialized
 zero-argument *step closure* at predecode time (threaded-code style).
@@ -25,9 +21,9 @@ closures; memory costs come from the hierarchy's fast path
 :meth:`~repro.memory.hierarchy.MemoryHierarchy.data_fast_ops`), which
 returns plain ints from precomputed SPM/main cost tables and flat-list
 cache sets.  Results — cycles, instruction counts, console output, exit
-codes, per-level cache hit/miss counters — are bit-identical to the
-recording loop (asserted by ``tests/test_sim_fastpath.py`` over every
-benchmark and hierarchy shape).
+codes, per-level cache hit/miss counters — are bit-identical to that
+oracle (asserted by ``tests/test_sim_fastpath.py`` over every benchmark
+and hierarchy shape).
 
 Flags live in a four-element list ``fl`` with a truthiness encoding
 private to the engine: N and V hold ``result & 0x80000000`` (so either

@@ -63,7 +63,7 @@ _STACK_OPS = frozenset((Op.LDRSP, Op.STRSP, Op.PUSH, Op.POP))
 #: rebuild late in a sweep does not raise its peak RSS.
 _BLOCK = 1 << 14
 
-#: Tags the recording engine counts per object: one fetch per
+#: Tags the knapsack profile counts per object: one fetch per
 #: instruction (a BL's second halfword is not a separate count) plus
 #: every data read and write.
 _PROFILE_TAGS = (TAG_FETCH, 1, 2, 3, 4, 5, 6)

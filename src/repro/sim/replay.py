@@ -295,8 +295,8 @@ def _walk_replay(trace: Trace, config: SystemConfig) -> SimResult:
     """
     hierarchy = MemoryHierarchy(config)
     fts, dts, wts = _touches(hierarchy)
-    fcosts = [out.cycles for out in hierarchy._fetch_out]
-    dcosts = [out.cycles for out in hierarchy._data_out]
+    fcosts = hierarchy._fetch_costs
+    dcosts = hierarchy._data_costs
     cycles = trace.base_cycles + _fixed_cycles(
         trace, _plan_for(config), fetches_fixed=not fts,
         reads_fixed=not dts)
@@ -343,8 +343,8 @@ def replay_misses(trace: Trace, config: SystemConfig,
     """Per-pc fetch-miss counters served from the trace, no re-execution.
 
     Returns ``(fetch_misses, fetch_main_misses)`` — instruction address
-    -> miss count dicts matching the recording engine's attribution
-    exactly (``simulate(..., record_misses=True)``): both halfword
+    -> miss count dicts (the second counts fetches that missed every
+    cache level and were served by main memory).  Both halfword
     fetches of a 32-bit instruction attribute to the instruction's pc
     (continuation entries carry :data:`~repro.sim.trace.TAG_FETCH_CONT`
     and name ``pc + 2``), and one execution of an instruction counts at
@@ -352,6 +352,8 @@ def replay_misses(trace: Trace, config: SystemConfig,
 
     The walk touches the full fetch *and* data pipelines: on unified
     levels, data traffic moves the very tags fetch misses depend on.
+    ``repro-cc run --record-misses`` prints the hottest of these pcs;
+    the tests hold both dicts to the recording oracle, pc by pc.
     """
     _check_budget(trace, max_steps)
     _check_spm(trace, config)

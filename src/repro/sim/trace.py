@@ -25,8 +25,7 @@ Contents, packed for tight replay loops:
   (:data:`TAG_FETCH_CONT`), so every fetch entry names the pc of the
   instruction it belongs to — ``addr`` for plain fetches, ``addr - 2``
   for continuations — and replay kernels can attribute misses per
-  instruction exactly like the recording engine does
-  (:func:`~repro.sim.replay.replay_misses`);
+  instruction (:func:`~repro.sim.replay.replay_misses`);
 * ``op_counts`` / ``spm_counts`` — per-tag totals of the main-memory
   stream and of the SPM-resident accesses.  SPM hits bypass every cache
   level and cost a fixed per-width amount, so they never need to be

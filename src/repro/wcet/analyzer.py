@@ -171,15 +171,12 @@ def _call_order(cfgs, entry_by_addr, entry: str):
 
 
 def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
-                 persistence: bool = False,
-                 domain: str = "packed") -> WCETResult:
+                 persistence: bool = False) -> WCETResult:
     """Compute a safe WCET bound for *image* under *config*.
 
     *persistence* enables the optional first-miss cache analysis
     (the paper's "full aiT" ablation); it has no effect on scratchpad or
-    uncached systems.  *domain* selects the abstract cache domain —
-    ``"packed"`` (the bitset default) or ``"dict"`` (the retained
-    reference semantics, used by differential fuzzing).
+    uncached systems.
     """
     # Memoized frontend: CFGs, stack range and every instruction's
     # resolved data access, shared by all levels and the cost model.
@@ -191,7 +188,7 @@ def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
     if config.has_cache:
         hierarchy_result = analyze_hierarchy(
             image, cfgs, config, stack_rng, entry, persistence=persistence,
-            resolved_accesses=data_accesses, domain=domain)
+            resolved_accesses=data_accesses)
         cache_result = hierarchy_result.primary
 
     costs = CostModel(config, data_accesses, hierarchy_result)

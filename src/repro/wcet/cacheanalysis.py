@@ -44,7 +44,7 @@ unclassified L1 misses all the way to main memory.
 pipeline a :class:`~repro.memory.hierarchy.SystemConfig` can express —
 unified, instruction-only, split I/D, hybrid SPM+cache, L1+L2.
 
-Two engineering layers sit on top of the abstract domains (see
+Two engineering layers sit on top of the abstract domain (see
 ``docs/performance.md``):
 
 * the **packed bitset domain** (:class:`PackedCacheDomain`): every cache
@@ -55,8 +55,9 @@ Two engineering layers sit on top of the abstract domains (see
   operations and a state's fingerprint is the word tuple itself.  States
   are hash-consed (interned), so the fixpoint's out-state memoization
   and join change-detection are pointer comparisons.  The dict-based
-  :class:`MustCache`/:class:`MayCache` remain the executable reference
-  semantics (``CacheAnalysis(domain="dict")``) for differential tests;
+  MUST/MAY semantics this domain encodes are the test oracle in
+  ``tests/oracles``, which holds the kernels below and every
+  classification to them;
 * a **content-addressed analysis reuse cache** keyed by (image content
   hash, cache config, CAC inputs, ...): :func:`analyze_hierarchy`
   consults it before running a level's fixpoints, so a sweep point that
@@ -78,204 +79,6 @@ from .cfg import FunctionCFG
 
 
 # --------------------------------------------------------------------------
-# Abstract must-cache state
-# --------------------------------------------------------------------------
-
-class MustCache:
-    """Per-set ``block -> max age`` maps; absence means "not guaranteed"."""
-
-    __slots__ = ("config", "sets")
-
-    def __init__(self, config: CacheConfig, sets=None):
-        self.config = config
-        self.sets = sets if sets is not None else {}
-
-    def copy(self) -> "MustCache":
-        return MustCache(self.config,
-                         {s: dict(ages) for s, ages in self.sets.items()})
-
-    def __eq__(self, other):
-        return self.sets == other.sets
-
-    def fingerprint(self):
-        """Hashable snapshot of the abstract state.
-
-        The fixpoint driver memoizes each node's out-state fingerprint,
-        so an unchanged transfer result short-circuits all successor
-        joins instead of deep-comparing dicts edge by edge.
-        """
-        return tuple(sorted(
-            (index, tuple(sorted(ages.items())))
-            for index, ages in self.sets.items() if ages))
-
-    # -- transfer -----------------------------------------------------------
-
-    def _age_younger(self, ages, block: int, threshold: int):
-        """Age (and evict past assoc) every block younger than
-        *threshold*, except *block* itself — the LRU aging both the
-        definite and the uncertain transfer share."""
-        for other, age in list(ages.items()):
-            if other != block and age < threshold:
-                new_age = age + 1
-                if new_age >= self.config.assoc:
-                    del ages[other]
-                else:
-                    ages[other] = new_age
-
-    def access_block(self, block: int, allocate=True):
-        """A definite access to *block* (read, or write hit refresh)."""
-        config = self.config
-        index = (block % config.num_sets)
-        ages = self.sets.get(index)
-        if ages is None:
-            if not allocate:
-                return
-            ages = self.sets[index] = {}
-        old_age = ages.get(block)
-        if old_age is None:
-            if not allocate:
-                # Write miss, no allocation: recency may shift arbitrarily
-                # among resident blocks -> age everyone, no eviction.
-                for other in ages:
-                    ages[other] = min(ages[other] + 1, config.assoc - 1)
-                return
-            threshold = config.assoc  # everyone ages
-        else:
-            threshold = old_age
-        self._age_younger(ages, block, threshold)
-        ages[block] = 0
-
-    def access_block_uncertain(self, block: int):
-        """A read of *block* that may or may not occur (CAC ``U``).
-
-        Equivalent to ``join(state after access, state unchanged)`` but
-        computed in place: the accessed block never gains residency or
-        youth, every other block ages as the definite access would have
-        aged it.  Sound whichever way the uncertainty resolves.  (Writes
-        never take this path — write-through stores reach every level
-        definitely.)
-        """
-        index = block % self.config.num_sets
-        ages = self.sets.get(index)
-        if not ages:
-            return
-        old_age = ages.get(block)
-        threshold = self.config.assoc if old_age is None else old_age
-        self._age_younger(ages, block, threshold)
-        if not ages:
-            del self.sets[index]
-
-    def age_set(self, index: int, evict=True):
-        """An unknown access may touch set *index*: age everything."""
-        ages = self.sets.get(index)
-        if not ages:
-            return
-        for block, age in list(ages.items()):
-            new_age = age + 1
-            if evict and new_age >= self.config.assoc:
-                del ages[block]
-            else:
-                ages[block] = min(new_age, self.config.assoc - 1)
-        if not ages:
-            del self.sets[index]
-
-    def contains(self, block: int) -> bool:
-        index = block % self.config.num_sets
-        return block in self.sets.get(index, ())
-
-    def join_with(self, other: "MustCache") -> bool:
-        """In-place must-join (intersection, max age); True if changed."""
-        changed = False
-        for index in list(self.sets):
-            ages = self.sets[index]
-            other_ages = other.sets.get(index, {})
-            for block in list(ages):
-                if block not in other_ages:
-                    del ages[block]
-                    changed = True
-                elif other_ages[block] > ages[block]:
-                    ages[block] = other_ages[block]
-                    changed = True
-            if not ages:
-                del self.sets[index]
-        return changed
-
-
-#: Sentinel: a MayCache set that may contain *any* block.
-MAY_TOP = "may-top"
-
-
-class MayCache:
-    """Per-set overapproximation of possibly-resident blocks.
-
-    Deliberately coarse: blocks are never evicted (the set only grows),
-    so membership is monotone and the fixpoint converges in a couple of
-    sweeps.  A block *absent* from the may-state is guaranteed not
-    resident — its access is **always-miss**, which is what licenses a
-    CAC of ``A`` at the next level down (Hardy & Puaut).  Range and
-    unknown accesses may load any block of their sets, modelled by the
-    :data:`MAY_TOP` sentinel.
-    """
-
-    __slots__ = ("config", "sets")
-
-    def __init__(self, config: CacheConfig, sets=None):
-        self.config = config
-        self.sets = sets if sets is not None else {}
-
-    def copy(self) -> "MayCache":
-        return MayCache(self.config,
-                        {s: (blocks if blocks is MAY_TOP else set(blocks))
-                         for s, blocks in self.sets.items()})
-
-    def fingerprint(self):
-        """Hashable snapshot (see :meth:`MustCache.fingerprint`)."""
-        return tuple(sorted(
-            (index, MAY_TOP if blocks is MAY_TOP
-             else tuple(sorted(blocks)))
-            for index, blocks in self.sets.items() if blocks))
-
-    def add_block(self, block: int):
-        index = block % self.config.num_sets
-        blocks = self.sets.get(index)
-        if blocks is MAY_TOP:
-            return
-        if blocks is None:
-            self.sets[index] = {block}
-        else:
-            blocks.add(block)
-
-    def mark_top(self, index: int):
-        self.sets[index] = MAY_TOP
-
-    def mark_all_top(self):
-        for index in range(self.config.num_sets):
-            self.sets[index] = MAY_TOP
-
-    def may_contain(self, block: int) -> bool:
-        blocks = self.sets.get(block % self.config.num_sets)
-        return blocks is MAY_TOP or (blocks is not None and block in blocks)
-
-    def join_with(self, other: "MayCache") -> bool:
-        """In-place may-join (union); True if changed."""
-        changed = False
-        for index, theirs in other.sets.items():
-            mine = self.sets.get(index)
-            if mine is MAY_TOP:
-                continue
-            if theirs is MAY_TOP:
-                self.sets[index] = MAY_TOP
-                changed = True
-            elif mine is None:
-                self.sets[index] = set(theirs)
-                changed = True
-            elif not theirs <= mine:
-                mine |= theirs
-                changed = True
-        return changed
-
-
-# --------------------------------------------------------------------------
 # Packed bitset domain
 # --------------------------------------------------------------------------
 #
@@ -287,8 +90,8 @@ class MayCache:
 # a per-set mask ``smask`` (the universe bits mapping to the accessed
 # set), so one access costs O(assoc) whole-word operations however many
 # blocks the set holds.  The functions below are the single executable
-# definition shared by the analysis's compiled step programs and the
-# test-facing :class:`PackedCacheDomain` wrapper.
+# definition the analysis's compiled step programs and classification
+# walks share.
 
 def _must_access(w, assoc, bit, smask):
     """Definite access: *bit* to age 0, younger set-mates age (+evict)."""
@@ -355,139 +158,27 @@ def _must_age(w, assoc, mask, evict):
 
 
 class PackedCacheDomain:
-    """Bit-packed MUST/MAY domain over a fixed universe of cache blocks.
+    """Bit numbering of a fixed universe of cache blocks.
 
     The universe is every block an analysis can ever *insert* (fetch
     targets and resolved read/write targets); blocks outside it can only
     matter through the MAY domain's per-set TOP sentinel.  MUST states
     are ``assoc``-tuples of cumulative age masks, MAY states are
     ``(blocks, top)`` pairs (possibly-resident mask, per-set-index TOP
-    mask).  All operations are pure (states are immutable values),
-    which is what makes hash-consing them sound.
+    mask).  States are immutable values, which is what makes
+    hash-consing them sound.
     """
 
     def __init__(self, config: CacheConfig, blocks):
         self.config = config
-        self.assoc = config.assoc
         self.blocks = tuple(dict.fromkeys(blocks))
         self.bit = {block: 1 << i for i, block in enumerate(self.blocks)}
-        self.block_of_bit = {1 << i: block
-                             for i, block in enumerate(self.blocks)}
         num_sets = config.num_sets
         self.set_mask = [0] * num_sets
         for block, bit in self.bit.items():
             self.set_mask[block % num_sets] |= bit
         self.universe_mask = (1 << len(self.blocks)) - 1
         self.all_top_mask = (1 << num_sets) - 1
-
-    def _smask(self, block):
-        return self.set_mask[block % self.config.num_sets]
-
-    # -- MUST ----------------------------------------------------------------
-
-    def must_empty(self):
-        return (0,) * self.assoc
-
-    def must_access(self, state, block):
-        w = list(state)
-        _must_access(w, self.assoc, self.bit[block], self._smask(block))
-        return tuple(w)
-
-    def must_access_uncertain(self, state, block):
-        w = list(state)
-        _must_uncertain(w, self.assoc, self.bit[block], self._smask(block))
-        return tuple(w)
-
-    def must_write(self, state, block):
-        w = list(state)
-        _must_write(w, self.assoc, self.bit[block], self._smask(block))
-        return tuple(w)
-
-    def must_age_sets(self, state, indices, evict=True):
-        mask = 0
-        for index in indices:
-            mask |= self.set_mask[index]
-        w = list(state)
-        _must_age(w, self.assoc, mask, evict)
-        return tuple(w)
-
-    def must_age_all(self, state, evict=True):
-        w = list(state)
-        _must_age(w, self.assoc, self.universe_mask, evict)
-        return tuple(w)
-
-    @staticmethod
-    def must_join(a, b):
-        return tuple(x & y for x, y in zip(a, b))
-
-    def must_contains(self, state, block):
-        return bool(state[self.assoc - 1] & self.bit[block])
-
-    def must_decode(self, state) -> MustCache:
-        """Expand a packed MUST state to the reference dict form."""
-        sets = {}
-        num_sets = self.config.num_sets
-        block_of_bit = self.block_of_bit
-        resident = state[self.assoc - 1]
-        while resident:
-            low = resident & -resident
-            resident ^= low
-            age = 0
-            while not state[age] & low:
-                age += 1
-            block = block_of_bit[low]
-            sets.setdefault(block % num_sets, {})[block] = age
-        return MustCache(self.config, sets)
-
-    # -- MAY -----------------------------------------------------------------
-
-    @staticmethod
-    def may_empty():
-        return (0, 0)
-
-    def may_add(self, state, block):
-        return (state[0] | self.bit[block], state[1])
-
-    def may_mark_top(self, state, indices):
-        blocks, top = state
-        for index in indices:
-            top |= 1 << index
-            blocks |= self.set_mask[index]  # canonical completion
-        return (blocks, top)
-
-    def may_mark_all_top(self, state):
-        return (state[0] | self.universe_mask, state[1] | self.all_top_mask)
-
-    @staticmethod
-    def may_join(a, b):
-        return (a[0] | b[0], a[1] | b[1])
-
-    def may_contains(self, state, block):
-        if state[1] >> (block % self.config.num_sets) & 1:
-            return True
-        return bool(state[0] & self.bit[block])
-
-    def may_decode(self, state) -> MayCache:
-        """Expand a packed MAY state to the reference dict form."""
-        blocks, top = state
-        sets = {}
-        num_sets = self.config.num_sets
-        index = 0
-        while top:
-            if top & 1:
-                sets[index] = MAY_TOP
-            top >>= 1
-            index += 1
-        block_of_bit = self.block_of_bit
-        while blocks:
-            low = blocks & -blocks
-            blocks ^= low
-            block = block_of_bit[low]
-            index = block % num_sets
-            if sets.get(index) is MAY_TOP:
-                continue
-            sets.setdefault(index, set()).add(block)
-        return MayCache(self.config, sets)
 
 
 # --------------------------------------------------------------------------
@@ -665,8 +356,7 @@ class CacheAnalysis:
                  stack_range, entry_name: str, persistence=False, *,
                  serves_fetch=True, serves_data=None, spm_size=0,
                  fetch_cac=None, data_cac=None, always_miss=False,
-                 resolved_accesses=None, domain="packed",
-                 intern_tables=None):
+                 resolved_accesses=None, intern_tables=None):
         self.image = image
         self.cfgs = cfgs
         self.config = config
@@ -680,9 +370,6 @@ class CacheAnalysis:
         self.spm_size = spm_size
         self.fetch_cac = fetch_cac
         self.data_cac = data_cac
-        if domain not in ("packed", "dict"):
-            raise ValueError(f"unknown abstract domain {domain!r}")
-        self.domain = domain
         # Hash-consing tables, shareable across the levels of one
         # hierarchy so identical out-states are one object everywhere.
         self._intern_must, self._intern_may = (intern_tables
@@ -722,8 +409,7 @@ class CacheAnalysis:
                 must, may = self._compile_block(block)
                 self._must_progs[(name, baddr)] = must
                 self._may_progs[(name, baddr)] = may
-        if domain == "packed":
-            self._compile_packed()
+        self._compile_packed()
 
     def _cached_ranges(self, ranges):
         """Clip *ranges* to the part behind the cache (above the SPM)."""
@@ -794,129 +480,6 @@ class CacheAnalysis:
             return "A"
         return self.data_cac.get(addr, "U")
 
-    def _apply_plan(self, state: MustCache, plan, addr):
-        if plan is None:
-            return
-        kind = plan[0]
-        if kind == "rblock":
-            # Reads respect the CAC: an access settled by the level in
-            # front never reaches these tags, an uncertain one joins.
-            cac = self._data_cac_for(addr)
-            if cac == "N":
-                return
-            _kind, block, count = plan
-            if cac == "A":
-                for _ in range(count):
-                    state.access_block(block)
-            else:
-                for _ in range(count):
-                    state.access_block_uncertain(block)
-        elif kind == "wblock":
-            # Writes are write-through: they touch every level's tags.
-            state.access_block(plan[1], allocate=state.contains(plan[1]))
-        elif kind == "sets":
-            _kind, sets, evict, count = plan
-            if evict and self._data_cac_for(addr) == "N":
-                return
-            for _ in range(count):
-                for index in sets:
-                    state.age_set(index, evict=evict)
-        else:  # allsets
-            _kind, evict, count = plan
-            if evict and self._data_cac_for(addr) == "N":
-                return
-            for _ in range(count):
-                for index in list(state.sets):
-                    state.age_set(index, evict=evict)
-
-    def _transfer_block(self, state: MustCache, block, classify=None):
-        """Apply one basic block's accesses to *state* (in place)."""
-        block_of = self.config.block_of
-        fetch_cac = self.fetch_cac
-        for addr, instr in block.instrs:
-            if self.serves_fetch and addr >= self.spm_size:
-                cac = "A" if fetch_cac is None else fetch_cac.get(addr, "U")
-                if cac != "N":
-                    definite = cac == "A"
-                    fetch_block = block_of(addr)
-                    if classify is not None:
-                        classify(addr, "fetch", state.contains(fetch_block))
-                    if definite:
-                        state.access_block(fetch_block)
-                    else:
-                        state.access_block_uncertain(fetch_block)
-                    if instr.size == 4:
-                        second = block_of(addr + 2)
-                        if second != fetch_block:
-                            if classify is not None and \
-                                    not state.contains(second):
-                                # Both halves must hit for an AH fetch.
-                                classify(addr, "fetch_second", False)
-                            if definite:
-                                state.access_block(second)
-                            else:
-                                state.access_block_uncertain(second)
-            if self.serves_data:
-                if classify is not None:
-                    needed = self._read_blocks[addr]
-                    if needed is not None:
-                        hit = all(state.contains(b) for b in needed)
-                        classify(addr, "data", hit)
-                self._apply_plan(state, self._plan[addr], addr)
-
-    # -- the MAY side (always-miss facts for the next level's CAC) -----------
-
-    def _transfer_block_may(self, state: MayCache, block, classify=None):
-        """Apply one basic block's accesses to a may-state (in place).
-
-        With *classify*, records whether each CAC-``A`` access targets a
-        block provably absent — an **always-miss**, i.e. an access that
-        is Always performed at the next level down.
-        """
-        block_of = self.config.block_of
-        fetch_cac = self.fetch_cac
-        for addr, instr in block.instrs:
-            if self.serves_fetch and addr >= self.spm_size:
-                cac = "A" if fetch_cac is None else fetch_cac.get(addr, "U")
-                if cac != "N":
-                    fetch_block = block_of(addr)
-                    second = (block_of(addr + 2) if instr.size == 4
-                              else fetch_block)
-                    if classify is not None and cac == "A":
-                        # Both halves must miss for the next level to be
-                        # definitely accessed on every execution.
-                        miss = not (state.may_contain(fetch_block)
-                                    or state.may_contain(second))
-                        classify(addr, "fetch", miss)
-                    state.add_block(fetch_block)
-                    if second != fetch_block:
-                        state.add_block(second)
-            if self.serves_data:
-                plan = self._plan[addr]
-                if plan is None:
-                    continue
-                kind = plan[0]
-                if kind == "rblock":
-                    cac = self._data_cac_for(addr)
-                    if cac == "N":
-                        continue
-                    _kind, block_num, count = plan
-                    if classify is not None and cac == "A" and count == 1:
-                        classify(addr, "data",
-                                 not state.may_contain(block_num))
-                    state.add_block(block_num)
-                elif kind == "wblock":
-                    pass  # write-through, no allocate: never inserts
-                elif kind == "sets":
-                    _kind, sets, evict, _count = plan
-                    if evict and self._data_cac_for(addr) != "N":
-                        for index in sets:
-                            state.mark_top(index)
-                else:  # allsets
-                    _kind, evict, _count = plan
-                    if evict and self._data_cac_for(addr) != "N":
-                        state.mark_all_top()
-
     # -- compiled transfer programs ---------------------------------------------
 
     def _compile_block(self, block):
@@ -925,9 +488,10 @@ class CacheAnalysis:
         Everything the per-instruction transfers re-derive on every
         fixpoint iteration — spm clipping, CAC decisions, block numbers,
         plan lookups — is static for one analysis, so it is folded here
-        once.  The classification passes keep using the original
-        ``_transfer_block``/``_transfer_block_may`` (whose state updates
-        these programs mirror exactly).
+        once.  :meth:`_compile_packed` translates both lists into the
+        packed programs the fixpoints run; the classification walks
+        (:meth:`_transfer_block_packed`/:meth:`_transfer_block_may_packed`)
+        apply the same state updates instruction by instruction.
         """
         block_of = self.config.block_of
         fetch_cac = self.fetch_cac
@@ -975,46 +539,6 @@ class CacheAnalysis:
                     if evict:
                         may.append((2,))
         return tuple(must), tuple(may)
-
-    @staticmethod
-    def _run_must_prog(state: MustCache, prog):
-        for step in prog:
-            opcode = step[0]
-            if opcode == 0:
-                state.access_block(step[1])
-            elif opcode == 1:
-                state.access_block_uncertain(step[1])
-            elif opcode == 2:
-                for _ in range(step[2]):
-                    state.access_block(step[1])
-            elif opcode == 3:
-                for _ in range(step[2]):
-                    state.access_block_uncertain(step[1])
-            elif opcode == 4:
-                target = step[1]
-                state.access_block(target, allocate=state.contains(target))
-            elif opcode == 5:
-                _opcode, sets, evict, count = step
-                for _ in range(count):
-                    for index in sets:
-                        state.age_set(index, evict=evict)
-            else:
-                _opcode, evict, count = step
-                for _ in range(count):
-                    for index in list(state.sets):
-                        state.age_set(index, evict=evict)
-
-    @staticmethod
-    def _run_may_prog(state: MayCache, prog):
-        for step in prog:
-            opcode = step[0]
-            if opcode == 0:
-                state.add_block(step[1])
-            elif opcode == 1:
-                for index in step[1]:
-                    state.mark_top(index)
-            else:
-                state.mark_all_top()
 
     # -- packed (bitset) transfer programs -----------------------------------
 
@@ -1178,10 +702,10 @@ class CacheAnalysis:
 
     # -- packed classification walks -----------------------------------------
     #
-    # Mirrors of ``_transfer_block``/``_transfer_block_may`` operating
-    # directly on packed states, so the classification passes need no
-    # decode back to the dict domain.  The differential tests assert
-    # instruction-level equality of the two classification paths.
+    # The per-instruction transfers of one basic block, with a
+    # ``classify`` callback at every classified access.  The differential
+    # tests hold them to the dict-domain oracle instruction by
+    # instruction.
 
     def _apply_plan_packed(self, words, plan, addr):
         if plan is None:
@@ -1222,7 +746,11 @@ class CacheAnalysis:
                 _must_age(words, assoc, domain.universe_mask, evict)
 
     def _transfer_block_packed(self, words, block, classify=None):
-        """Packed mirror of :meth:`_transfer_block` (*words* mutable)."""
+        """Apply one basic block's accesses to MUST *words* (in place).
+
+        With *classify*, reports whether each fetch and each classified
+        read is guaranteed resident (always-hit) before it happens.
+        """
         assoc = self.config.assoc
         domain = self._packed
         bits = domain.bit
@@ -1273,8 +801,13 @@ class CacheAnalysis:
                 self._apply_plan_packed(words, self._plan[addr], addr)
 
     def _transfer_block_may_packed(self, state, block, classify=None):
-        """Packed mirror of :meth:`_transfer_block_may` (*state* is a
-        mutable ``[blocks, top]`` pair of mask words)."""
+        """Apply one basic block's accesses to a MAY *state* (a mutable
+        ``[blocks, top]`` pair of mask words, in place).
+
+        With *classify*, records whether each CAC-``A`` access targets a
+        block provably absent — an **always-miss**, i.e. an access that
+        is Always performed at the next level down.
+        """
         domain = self._packed
         bits = domain.bit
         set_mask = domain.set_mask
@@ -1387,63 +920,15 @@ class CacheAnalysis:
         self._rpo_index = {node: i for i, node in enumerate(order)}
         return self._rpo_index
 
-    def _fixpoint(self, entry_state, run_prog, progs):
+    def _fixpoint_packed(self, entry_state, run_prog, progs, join):
         """Reverse-post-order worklist fixpoint; returns in-states.
 
         Nodes are processed in RPO (a priority queue over the RPO
         index), so a change flows through a whole procedure before its
-        loop headers are revisited — far fewer re-transfers than the
-        LIFO stack this replaces.  Each node's out-state fingerprint is
-        memoized: when a re-transfer reproduces the previous out-state,
-        the successor joins (deep dict walks) are skipped entirely.
-        """
-        import heapq
-
-        cfgs = self.cfgs
-        # Node = (func_name, block_addr). in-states start unknown (None);
-        # the program entry starts cold (empty state), which is sound for
-        # both directions: nothing guaranteed, nothing possibly resident.
-        entry = (self.entry_name, cfgs[self.entry_name].entry)
-        in_states = {entry: entry_state}
-        succs = self._succs_cached()
-        rpo = self._rpo()
-        fallback = len(rpo)
-
-        heap = [(rpo.get(entry, fallback), entry)]
-        pending = {entry}
-        out_fingerprints = {}
-        iterations = 0
-        limit = 400 * sum(len(c.blocks) for c in cfgs.values()) + 10_000
-        while heap:
-            iterations += 1
-            if iterations > limit:
-                raise RuntimeError("cache fixpoint failed to converge")
-            _, node = heapq.heappop(heap)
-            pending.discard(node)
-            state = in_states[node].copy()
-            run_prog(state, progs[node])
-            fingerprint = state.fingerprint()
-            if out_fingerprints.get(node) == fingerprint:
-                continue  # same out-state as last time: nothing to push
-            out_fingerprints[node] = fingerprint
-            for succ in succs.get(node, ()):
-                current = in_states.get(succ)
-                if current is None:
-                    in_states[succ] = state.copy()
-                elif not current.join_with(state):
-                    continue
-                if succ not in pending:
-                    pending.add(succ)
-                    heapq.heappush(heap, (rpo.get(succ, fallback), succ))
-        return in_states
-
-    def _fixpoint_packed(self, entry_state, run_prog, progs, join):
-        """RPO worklist fixpoint over interned immutable states.
-
-        Same shape as :meth:`_fixpoint`, but states are hash-consed
-        integer words: the out-state memo and the join change test are
-        both pointer (``is``) comparisons, and an unchanged join costs
-        one AND/OR pass plus a dict probe instead of a deep dict walk.
+        loop headers are revisited.  States are hash-consed integer
+        words: the out-state memo and the join change test are both
+        pointer (``is``) comparisons, and an unchanged join costs one
+        AND/OR pass plus a dict probe.
         """
         import heapq
 
@@ -1529,32 +1014,21 @@ class CacheAnalysis:
         return self._fixpoint_packed(entry_state, run_prog,
                                      self._packed_may, join)
 
-    def _classify_pass(self, in_states, transfer, classify, prepare=None):
+    def _classify_pass(self, in_states, transfer, classify, prepare):
         for name, cfg in self.cfgs.items():
             for baddr, block in cfg.blocks.items():
                 node = (name, baddr)
                 if node not in in_states:
                     continue  # unreachable
-                state = in_states[node]
-                state = state.copy() if prepare is None else prepare(state)
-                transfer(state, block, classify=classify)
+                transfer(prepare(in_states[node]), block, classify=classify)
 
     def run(self) -> CacheAnalysisResult:
-        packed = self.domain == "packed"
-        if packed:
-            in_states = self._must_fixpoint_packed()
-            must_transfer = self._transfer_block_packed
-            if self.config.assoc == 1:
-                def must_prepare(word):
-                    return [word]
-            else:
-                must_prepare = list
+        in_states = self._must_fixpoint_packed()
+        if self.config.assoc == 1:
+            def must_prepare(word):
+                return [word]
         else:
-            in_states = self._fixpoint(MustCache(self.config),
-                                       self._run_must_prog,
-                                       self._must_progs)
-            must_transfer = self._transfer_block
-            must_prepare = None
+            must_prepare = list
 
         # Classification pass.
         result = CacheAnalysisResult(config=self.config)
@@ -1569,21 +1043,10 @@ class CacheAnalysis:
             else:
                 entry.data = AH if hit else NC
 
-        self._classify_pass(in_states, must_transfer, classify,
-                            prepare=must_prepare)
+        self._classify_pass(in_states, self._transfer_block_packed,
+                            classify, must_prepare)
 
         if self.always_miss:
-            if packed:
-                may_states = self._may_fixpoint_packed()
-                may_transfer = self._transfer_block_may_packed
-                may_prepare = list
-            else:
-                may_states = self._fixpoint(MayCache(self.config),
-                                            self._run_may_prog,
-                                            self._may_progs)
-                may_transfer = self._transfer_block_may
-                may_prepare = None
-
             def classify_am(addr, what, miss):
                 entry = classes.setdefault(addr, AccessClass())
                 if what == "fetch":
@@ -1591,8 +1054,9 @@ class CacheAnalysis:
                 else:
                     entry.data_always_miss = miss
 
-            self._classify_pass(may_states, may_transfer, classify_am,
-                                prepare=may_prepare)
+            self._classify_pass(self._may_fixpoint_packed(),
+                                self._transfer_block_may_packed,
+                                classify_am, list)
 
         if self.persistence:
             self._apply_persistence(result)
@@ -1748,7 +1212,7 @@ def _cac_fingerprint(cac):
 
 def analyze_hierarchy(image, cfgs, config, stack_range, entry_name,
                       persistence=False, resolved_accesses=None,
-                      domain="packed", reuse=True) -> HierarchyCacheResult:
+                      reuse=True) -> HierarchyCacheResult:
     """Classify every cache level of *config*'s pipeline, outermost first.
 
     *config* is a :class:`~repro.memory.hierarchy.SystemConfig`.  Each
@@ -1763,7 +1227,7 @@ def analyze_hierarchy(image, cfgs, config, stack_range, entry_name,
     content-addressed reuse cache: the key is the image's content hash
     plus everything else a level's result depends on (its cache config,
     the CAC maps chained from the level above, the SPM clip, the served
-    sides, persistence/always-miss, the abstract *domain*), so a sweep
+    sides, persistence/always-miss), so a sweep
     point that changes only an unrelated level — or a repeat of the
     same point in another worker process, via the shared disk layer —
     skips the fixpoints entirely.
@@ -1779,7 +1243,7 @@ def analyze_hierarchy(image, cfgs, config, stack_range, entry_name,
                   serves_data, fetch_cac=None, data_cac=None):
         use_persistence = persistence and outermost
         if image_key is not None:
-            key = (_CACHE_VERSION, domain, image_key, cache_config,
+            key = (_CACHE_VERSION, image_key, cache_config,
                    stack_range, entry_name, spm_size, use_persistence,
                    chained, serves_fetch, serves_data,
                    _cac_fingerprint(fetch_cac), _cac_fingerprint(data_cac))
@@ -1791,7 +1255,7 @@ def analyze_hierarchy(image, cfgs, config, stack_range, entry_name,
             persistence=use_persistence, serves_fetch=serves_fetch,
             serves_data=serves_data, spm_size=spm_size,
             fetch_cac=fetch_cac, data_cac=data_cac, always_miss=chained,
-            resolved_accesses=resolved_accesses, domain=domain,
+            resolved_accesses=resolved_accesses,
             intern_tables=intern_tables).run()
         if image_key is not None:
             _reuse_put(key, result)

@@ -1,0 +1,34 @@
+"""Reference implementations the shipped program is tested against.
+
+The shipped path keeps one execution engine and one abstract cache
+domain.  The plainer implementations they are held to live here, like
+the ILP oracle in ``tests/ilp``:
+
+* :mod:`.memory` — the per-access hierarchy and tag model;
+* :mod:`.recording` — the recording interpreter, which counts fetches,
+  data accesses and misses per address;
+* :mod:`.domain` — the dict MUST/MAY domain and a ``CacheAnalysis``
+  running its fixpoint and classification;
+* :mod:`.differentials` — both oracles on generated programs, for the
+  fuzz tier.
+"""
+
+from .memory import Access, ReferenceCache, ReferenceHierarchy
+from .recording import RecordedRun, RecordingSimulator, record
+from .domain import (
+    MAY_TOP,
+    DictCacheAnalysis,
+    MayCache,
+    MustCache,
+    may_decode,
+    must_decode,
+)
+from .differentials import check_domains, check_misses
+
+__all__ = [
+    "Access", "ReferenceCache", "ReferenceHierarchy",
+    "RecordedRun", "RecordingSimulator", "record",
+    "MAY_TOP", "DictCacheAnalysis", "MayCache", "MustCache",
+    "may_decode", "must_decode",
+    "check_domains", "check_misses",
+]

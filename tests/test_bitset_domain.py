@@ -1,17 +1,17 @@
-"""Packed bitset abstract-cache domain vs. the dict-based reference.
+"""Packed bitset abstract-cache domain vs. the dict-based oracle.
 
-The packed domain (``repro.wcet.cacheanalysis.PackedCacheDomain`` and
-the ``CacheAnalysis(domain="packed")`` fixpoints built on it) must be
-observationally identical to the retained dict-based ``MustCache`` /
-``MayCache`` semantics.  Three layers of evidence:
+The shipped analysis (``repro.wcet.cacheanalysis``: the packed MUST
+kernels, the MAY step programs and the fixpoints built on them) must be
+observationally identical to the dict ``MustCache`` / ``MayCache``
+semantics in ``tests/oracles``.  Three layers of evidence:
 
 * randomized-trace differential tests: the same operation stream
   (definite/uncertain accesses, no-allocate writes, set and whole-cache
-  aging, joins, MAY_TOP) applied to both domains yields the same
-  decoded state after *every* step;
-* whole-analysis differential tests: ``domain="packed"`` and
-  ``domain="dict"`` produce instruction-identical classifications on
-  real benchmarks, single-level and CAC-chained multi-level;
+  aging, joins, MAY_TOP) applied to the shipped kernels and to the dict
+  domain yields the same decoded state after *every* step;
+* whole-analysis differential tests: ``CacheAnalysis`` and the oracle's
+  ``DictCacheAnalysis`` produce instruction-identical classifications
+  on real benchmarks, single-level and CAC-chained multi-level;
 * interning and reuse-cache invariants: hash-consed states are shared
   objects, and the content-addressed reuse cache (memory and disk
   layers) returns results equal to a fresh analysis.
@@ -27,12 +27,22 @@ from repro.minic import compile_source
 from repro.wcet import CacheAnalysis, PackedCacheDomain, build_all_cfgs
 from repro.wcet import cacheanalysis
 from repro.wcet.cacheanalysis import (
-    MayCache,
-    MustCache,
     _intern,
+    _must_access,
+    _must_age,
+    _must_uncertain,
+    _must_write,
     analyze_hierarchy,
 )
 from repro.wcet.stackdepth import stack_region
+
+from .oracles import (
+    DictCacheAnalysis,
+    MayCache,
+    MustCache,
+    may_decode,
+    must_decode,
+)
 
 CONFIGS = [
     CacheConfig(size=64),                 # direct mapped, 4 sets
@@ -64,8 +74,15 @@ def _random_trace(rng, config, universe, length):
     return ops
 
 
+def _age_mask(domain, indices):
+    mask = 0
+    for index in indices:
+        mask |= domain.set_mask[index]
+    return mask
+
+
 class TestMustDifferential:
-    """Random traces: packed MUST states decode to the dict reference."""
+    """Random traces: the shipped MUST kernels decode to the dict oracle."""
 
     def _apply_dict(self, state, other, op):
         if op[0] == "access":
@@ -83,18 +100,21 @@ class TestMustDifferential:
         else:
             state.join_with(other)
 
-    def _apply_packed(self, domain, state, other, op):
-        if op[0] == "access":
-            return domain.must_access(state, op[1])
-        if op[0] == "uncertain":
-            return domain.must_access_uncertain(state, op[1])
-        if op[0] == "write":
-            return domain.must_write(state, op[1])
-        if op[0] == "age_sets":
-            return domain.must_age_sets(state, op[1], evict=op[2])
-        if op[0] == "age_all":
-            return domain.must_age_all(state, evict=op[1])
-        return domain.must_join(state, other)
+    def _apply_packed(self, domain, words, other, op):
+        """Drive the kernel *op* names on *words* (in place)."""
+        assoc = domain.config.assoc
+        if op[0] in ("access", "uncertain", "write"):
+            kernel = {"access": _must_access, "uncertain": _must_uncertain,
+                      "write": _must_write}[op[0]]
+            block = op[1]
+            kernel(words, assoc, domain.bit[block],
+                   domain.set_mask[block % domain.config.num_sets])
+        elif op[0] == "age_sets":
+            _must_age(words, assoc, _age_mask(domain, op[1]), op[2])
+        elif op[0] == "age_all":
+            _must_age(words, assoc, domain.universe_mask, op[1])
+        else:
+            words[:] = [x & y for x, y in zip(words, other)]
 
     @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("seed", range(6))
@@ -105,25 +125,26 @@ class TestMustDifferential:
 
         # A second, independently evolved state feeds the joins.
         dict_state, dict_other = MustCache(config), MustCache(config)
-        packed_state = packed_other = domain.must_empty()
+        words = [0] * config.assoc
+        other = [0] * config.assoc
         for block in rng.sample(universe, 8):
             dict_other.access_block(block)
-            packed_other = domain.must_access(packed_other, block)
+            self._apply_packed(domain, other, None, ("access", block))
 
         for step, op in enumerate(_random_trace(rng, config, universe, 160)):
             self._apply_dict(dict_state, dict_other, op)
-            packed_state = self._apply_packed(domain, packed_state,
-                                              packed_other, op)
-            decoded = domain.must_decode(packed_state)
+            self._apply_packed(domain, words, other, op)
+            decoded = must_decode(domain, words)
             assert decoded.fingerprint() == dict_state.fingerprint(), \
                 f"seed {seed} {config} diverged at step {step}: {op}"
             for block in universe:
-                assert domain.must_contains(packed_state, block) == \
+                assert bool(words[-1] & domain.bit[block]) == \
                     dict_state.contains(block)
 
 
 class TestMayDifferential:
-    """Random traces: packed MAY states decode to the dict reference."""
+    """Random traces: the shipped MAY step programs decode to the dict
+    oracle (``(0, bits)`` inserts, ``(1, top, blocks)`` marks TOP)."""
 
     @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("seed", range(6))
@@ -131,37 +152,43 @@ class TestMayDifferential:
         rng = random.Random(seed * 77 + config.num_sets)
         universe = list(range(0, 24))
         domain = PackedCacheDomain(config, universe)
+        run = CacheAnalysis._run_may_packed
+
+        def mark_top(index):
+            return (1, 1 << index, domain.set_mask[index])
 
         dict_state, dict_other = MayCache(config), MayCache(config)
-        packed_state = packed_other = domain.may_empty()
+        state = other = (0, 0)
         for block in rng.sample(universe, 6):
             dict_other.add_block(block)
-            packed_other = domain.may_add(packed_other, block)
+            other = run(other, ((0, domain.bit[block]),))
         dict_other.mark_top(0)
-        packed_other = domain.may_mark_top(packed_other, (0,))
+        other = run(other, (mark_top(0),))
 
         for step in range(160):
             kind = rng.randrange(6)
             if kind <= 2:
                 block = rng.choice(universe)
                 dict_state.add_block(block)
-                packed_state = domain.may_add(packed_state, block)
+                state = run(state, ((0, domain.bit[block]),))
             elif kind == 3:
                 index = rng.randrange(config.num_sets)
                 dict_state.mark_top(index)
-                packed_state = domain.may_mark_top(packed_state, (index,))
+                state = run(state, (mark_top(index),))
             elif kind == 4 and rng.random() < 0.2:
                 dict_state.mark_all_top()
-                packed_state = domain.may_mark_all_top(packed_state)
+                state = run(state, ((1, domain.all_top_mask,
+                                     domain.universe_mask),))
             else:
                 dict_state.join_with(dict_other)
-                packed_state = domain.may_join(packed_state, packed_other)
-            decoded = domain.may_decode(packed_state)
+                state = (state[0] | other[0], state[1] | other[1])
+            decoded = may_decode(domain, *state)
             assert decoded.fingerprint() == dict_state.fingerprint(), \
                 f"seed {seed} {config} diverged at step {step}"
             for block in universe:
-                assert domain.may_contains(packed_state, block) == \
-                    dict_state.may_contain(block)
+                possible = bool(state[1] >> (block % config.num_sets) & 1
+                                or state[0] & domain.bit[block])
+                assert possible == dict_state.may_contain(block)
 
 
 # -- whole-analysis differential --------------------------------------------
@@ -214,10 +241,9 @@ class TestAnalysisDifferential:
         image, cfgs, rng = _bench_frontend(key)
         for persistence in (False, True):
             results = [
-                CacheAnalysis(image, cfgs, cache, rng, "_start",
-                              persistence=persistence, always_miss=True,
-                              domain=domain).run()
-                for domain in ("dict", "packed")
+                analysis(image, cfgs, cache, rng, "_start",
+                         persistence=persistence, always_miss=True).run()
+                for analysis in (DictCacheAnalysis, CacheAnalysis)
             ]
             _classes_equal(*results)
 
@@ -230,13 +256,15 @@ class TestAnalysisDifferential:
                               CacheConfig(size=128)),
         SystemConfig.hybrid(256, CacheConfig(size=128)),
     ])
-    def test_hierarchy(self, config):
+    def test_hierarchy(self, config, monkeypatch):
         image, cfgs, rng = _frontend(LOOPY_SOURCE)
-        results = [
-            analyze_hierarchy(image, cfgs, config, rng, "_start",
-                              domain=domain, reuse=False)
-            for domain in ("dict", "packed")
-        ]
+        packed = analyze_hierarchy(image, cfgs, config, rng, "_start",
+                                   reuse=False)
+        monkeypatch.setattr(cacheanalysis, "CacheAnalysis",
+                            DictCacheAnalysis)
+        plain = analyze_hierarchy(image, cfgs, config, rng, "_start",
+                                  reuse=False)
+        results = (plain, packed)
         for level_dict, level_packed in zip(results[0].levels,
                                             results[1].levels):
             for a, b in ((level_dict.iresult, level_packed.iresult),
@@ -260,14 +288,14 @@ class TestInterning:
         image, cfgs, rng = _frontend(LOOPY_SOURCE)
         before = dict(cacheanalysis.COUNTERS)
         result = CacheAnalysis(image, cfgs, CacheConfig(size=128), rng,
-                               "_start", domain="packed").run()
+                               "_start").run()
         after = cacheanalysis.COUNTERS
         # A fixpoint revisits nodes whose out-state stabilised: most
         # transfers reproduce an already-interned state.
         assert after["intern_hits"] > before["intern_hits"]
         assert after["intern_misses"] > before["intern_misses"]
         again = CacheAnalysis(image, cfgs, CacheConfig(size=128), rng,
-                              "_start", domain="packed").run()
+                              "_start").run()
         _classes_equal(result, again)
 
     def test_shared_tables_share_states_across_analyses(self):
@@ -275,8 +303,7 @@ class TestInterning:
         tables = ({}, {})
         for _ in range(2):
             CacheAnalysis(image, cfgs, CacheConfig(size=128), rng,
-                          "_start", domain="packed",
-                          intern_tables=tables).run()
+                          "_start", intern_tables=tables).run()
         must_table = tables[0]
         assert must_table
         for state, canonical in must_table.items():

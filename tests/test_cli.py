@@ -3,6 +3,11 @@
 import pytest
 
 from repro.cli import main
+from repro.link import link
+from repro.memory import CacheConfig, SystemConfig
+from repro.minic import compile_source
+
+from .oracles import record
 
 SOURCE = """
 int data[16];
@@ -44,6 +49,29 @@ class TestRun:
         _code, out = run_cli(capsys, "run", source_file,
                              "--cache", "256")
         assert "miss rate" in out
+
+    def test_record_misses_reports_hottest_fetch_misses(self, source_file,
+                                                        capsys):
+        _code, plain = run_cli(capsys, "run", source_file, "--cache", "256")
+        code, out = run_cli(capsys, "run", source_file, "--cache", "256",
+                            "--record-misses")
+        assert code == 0
+        assert out.startswith(plain)
+        recorded = record(link(compile_source(SOURCE).program),
+                          SystemConfig.cached(CacheConfig(size=256)))
+        worst = sorted(recorded.fetch_misses.items(),
+                       key=lambda kv: (-kv[1], kv[0]))[:5]
+        assert len(worst) == 5
+        assert out[len(plain):].splitlines() == (
+            ["# hottest fetch-miss addresses:"]
+            + [f"#   {addr:#010x}  {count} misses" for addr, count in worst])
+
+    def test_record_misses_without_a_cache(self, source_file, capsys):
+        _code, plain = run_cli(capsys, "run", source_file, "--spm", "256")
+        code, out = run_cli(capsys, "run", source_file, "--spm", "256",
+                            "--record-misses")
+        assert code == 0
+        assert out == plain
 
     def test_spm_and_cache_conflict(self, source_file, capsys):
         with pytest.raises(SystemExit):

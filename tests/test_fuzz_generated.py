@@ -14,11 +14,11 @@ Budget knobs (environment):
 
 Every program runs compile → link → execute → self-check → replay
 differential → WCET-dominates-simulation across the >= 4 default
-hierarchy shapes; subsets additionally run the recording-engine /
-per-pc miss differential, the packed-vs-dict abstract-domain
-differential, and a greedy SPM placement.  A failure message embeds
-``repro-gen --seed N --size S`` — that command alone reproduces the
-exact program locally.
+hierarchy shapes; subsets additionally run the oracle differentials of
+``tests/oracles`` (the recording interpreter's cycles and per-pc miss
+attribution, the packed-vs-dict abstract-domain classifications) and a
+greedy SPM placement.  A failure message embeds ``repro-gen --seed N
+--size S`` — that command alone reproduces the exact program locally.
 """
 
 import os
@@ -30,6 +30,8 @@ from repro.gen import (
     check_spm_placement,
     generate,
 )
+
+from .oracles import check_domains, check_misses
 
 pytestmark = pytest.mark.fuzz
 
@@ -46,14 +48,18 @@ _LARGE = range(BASE_SEED, BASE_SEED + max(EXAMPLES // 20, 1))
 
 @pytest.mark.parametrize("seed", _SMALL)
 def test_small_seed_soundness(seed):
-    # Every 8th seed also runs the recording-engine and per-pc
+    check_seed(seed, "small")
+    # Every 8th seed also runs the recording oracle and the per-pc
     # fetch-miss-attribution differential (3 engines, not 2).
-    check_seed(seed, "small", misses=seed % 8 == 0)
+    if seed % 8 == 0:
+        check_misses(generate(seed, "small"))
 
 
 @pytest.mark.parametrize("seed", _MEDIUM)
 def test_medium_seed_soundness(seed):
-    check_seed(seed, "medium", misses=seed % 4 == 0)
+    check_seed(seed, "medium")
+    if seed % 4 == 0:
+        check_misses(generate(seed, "medium"))
 
 
 @pytest.mark.parametrize("seed", _LARGE)
@@ -72,4 +78,4 @@ def test_spm_placement_soundness(seed):
                                        BASE_SEED + max(EXAMPLES // 50, 1)))
 def test_abstract_domain_differential(seed):
     """Packed bitset vs dict cache domains on generated programs."""
-    check_seed(seed, "small", wcet=False, domains=True)
+    check_domains(generate(seed, "small"))

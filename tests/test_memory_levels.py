@@ -8,13 +8,14 @@ from repro.memory import (
     CacheConfig,
     CacheLevel,
     MainMemoryLevel,
-    MemoryHierarchy,
     SpmLevel,
     SystemConfig,
     serve_costs,
     validate_levels,
 )
 from repro.memory.levels import path_geometry
+
+from .oracles import ReferenceHierarchy
 
 
 class TestLevelSpecs:
@@ -137,7 +138,7 @@ class TestSystemConfigPipelines:
 
 class TestHierarchyOutcomes:
     def test_outcome_fields(self):
-        hier = MemoryHierarchy(SystemConfig.cached(CacheConfig(size=64)))
+        hier = ReferenceHierarchy(SystemConfig.cached(CacheConfig(size=64)))
         out = hier.fetch(MAIN_BASE)
         assert (out.cycles, out.missed, out.served_by) == (16, True, "main")
         out = hier.fetch(MAIN_BASE)
@@ -146,7 +147,7 @@ class TestHierarchyOutcomes:
     def test_two_level_fetch_costs(self):
         config = SystemConfig.two_level(CacheConfig(size=64),
                                         CacheConfig(size=1024))
-        hier = MemoryHierarchy(config)
+        hier = ReferenceHierarchy(config)
         assert hier.fetch(MAIN_BASE).cycles == 20        # both cold
         # Evict the L1 line (64 B cache: +64 conflicts), keep L2 warm.
         hier.fetch(MAIN_BASE + 64)
@@ -157,7 +158,7 @@ class TestHierarchyOutcomes:
     def test_split_paths_are_independent(self):
         config = SystemConfig.split_l1(
             CacheConfig(size=64, unified=False), CacheConfig(size=64))
-        hier = MemoryHierarchy(config)
+        hier = ReferenceHierarchy(config)
         hier.fetch(MAIN_BASE)
         # A data read of the same line still misses: separate arrays.
         assert hier.read(MAIN_BASE, 4).missed
@@ -166,7 +167,7 @@ class TestHierarchyOutcomes:
 
     def test_hybrid_spm_bypasses_cache(self):
         config = SystemConfig.hybrid(256, CacheConfig(size=64))
-        hier = MemoryHierarchy(config)
+        hier = ReferenceHierarchy(config)
         out = hier.fetch(0)
         assert (out.cycles, out.missed, out.served_by) == (1, False, "spm")
         assert hier.cache.stats.fetch_misses == 0   # never consulted
@@ -175,7 +176,7 @@ class TestHierarchyOutcomes:
     def test_write_through_touches_every_level(self):
         config = SystemConfig.two_level(CacheConfig(size=64),
                                         CacheConfig(size=1024))
-        hier = MemoryHierarchy(config)
+        hier = ReferenceHierarchy(config)
         hier.read(MAIN_BASE, 4)                      # both levels warm
         assert hier.write(MAIN_BASE, 4).cycles == 4  # main cost
         stats = hier.level_stats

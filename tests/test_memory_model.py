@@ -7,12 +7,13 @@ from repro.memory import (
     STACK_TOP,
     AccessTiming,
     CacheConfig,
-    MemoryHierarchy,
     MemoryMap,
     Region,
     RegionKind,
     SystemConfig,
 )
+
+from .oracles import ReferenceHierarchy
 
 
 class TestRegions:
@@ -85,46 +86,46 @@ class TestSystemConfig:
 
 class TestHierarchyCycles:
     def test_spm_fetch_vs_main_fetch(self):
-        hier = MemoryHierarchy(SystemConfig.scratchpad(256))
-        assert hier.fetch_cycles(0) == 1
-        assert hier.fetch_cycles(MAIN_BASE) == 2
+        hier = ReferenceHierarchy(SystemConfig.scratchpad(256))
+        assert hier.fetch(0).cycles == 1
+        assert hier.fetch(MAIN_BASE).cycles == 2
 
     def test_spm_data_widths(self):
-        hier = MemoryHierarchy(SystemConfig.scratchpad(256))
-        assert hier.read_cycles(0, 4) == 1
-        assert hier.read_cycles(MAIN_BASE, 4) == 4
-        assert hier.read_cycles(MAIN_BASE, 2) == 2
-        assert hier.write_cycles(0, 2) == 1
-        assert hier.write_cycles(MAIN_BASE, 1) == 2
+        hier = ReferenceHierarchy(SystemConfig.scratchpad(256))
+        assert hier.read(0, 4).cycles == 1
+        assert hier.read(MAIN_BASE, 4).cycles == 4
+        assert hier.read(MAIN_BASE, 2).cycles == 2
+        assert hier.write(0, 2).cycles == 1
+        assert hier.write(MAIN_BASE, 1).cycles == 2
 
     def test_cache_fetch_miss_then_hit(self):
-        hier = MemoryHierarchy(SystemConfig.cached(CacheConfig(size=64)))
-        assert hier.fetch_cycles(MAIN_BASE) == 16      # line fill
-        assert hier.fetch_cycles(MAIN_BASE + 2) == 1   # same line
+        hier = ReferenceHierarchy(SystemConfig.cached(CacheConfig(size=64)))
+        assert hier.fetch(MAIN_BASE).cycles == 16      # line fill
+        assert hier.fetch(MAIN_BASE + 2).cycles == 1   # same line
 
     def test_cache_write_through_cost(self):
-        hier = MemoryHierarchy(SystemConfig.cached(CacheConfig(size=64)))
-        assert hier.write_cycles(MAIN_BASE, 4) == 4
-        assert hier.write_cycles(MAIN_BASE, 2) == 2
+        hier = ReferenceHierarchy(SystemConfig.cached(CacheConfig(size=64)))
+        assert hier.write(MAIN_BASE, 4).cycles == 4
+        assert hier.write(MAIN_BASE, 2).cycles == 2
 
     def test_icache_data_bypass(self):
         config = SystemConfig.cached(CacheConfig(size=64, unified=False))
-        hier = MemoryHierarchy(config)
-        assert hier.read_cycles(MAIN_BASE, 4) == 4     # straight to main
-        assert hier.read_cycles(MAIN_BASE, 4) == 4     # never cached
-        assert hier.fetch_cycles(MAIN_BASE) == 16      # fetches cached
-        assert hier.fetch_cycles(MAIN_BASE) == 1
+        hier = ReferenceHierarchy(config)
+        assert hier.read(MAIN_BASE, 4).cycles == 4     # straight to main
+        assert hier.read(MAIN_BASE, 4).cycles == 4     # never cached
+        assert hier.fetch(MAIN_BASE).cycles == 16      # fetches cached
+        assert hier.fetch(MAIN_BASE).cycles == 1
 
     def test_unified_read_allocates(self):
-        hier = MemoryHierarchy(SystemConfig.cached(CacheConfig(size=64)))
-        assert hier.read_cycles(MAIN_BASE, 4) == 16
-        assert hier.read_cycles(MAIN_BASE + 12, 4) == 1
+        hier = ReferenceHierarchy(SystemConfig.cached(CacheConfig(size=64)))
+        assert hier.read(MAIN_BASE, 4).cycles == 16
+        assert hier.read(MAIN_BASE + 12, 4).cycles == 1
 
     def test_reset_clears_cache(self):
-        hier = MemoryHierarchy(SystemConfig.cached(CacheConfig(size=64)))
-        hier.fetch_cycles(MAIN_BASE)
+        hier = ReferenceHierarchy(SystemConfig.cached(CacheConfig(size=64)))
+        hier.fetch(MAIN_BASE)
         hier.reset()
-        assert hier.fetch_cycles(MAIN_BASE) == 16
+        assert hier.fetch(MAIN_BASE).cycles == 16
 
     def test_stack_top_inside_main(self):
         memmap = MemoryMap.main_only()

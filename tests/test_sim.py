@@ -9,9 +9,11 @@ from repro.isa.opcodes import Op
 from repro.link import FunctionCode, Program, link
 from repro.memory import CacheConfig, SystemConfig
 from repro.memory.regions import MAIN_BASE, STACK_TOP
-from repro.sim import MemoryFault, SimError, Simulator, simulate
+from repro.sim import (MemoryFault, SimError, Simulator, record_trace,
+                       simulate, trace_profile)
 
 from .helpers import build_profile, run_main
+from .oracles import record
 
 
 def program_of(items_lists, globals_=()):
@@ -165,8 +167,7 @@ class TestCacheIntegration:
         items += [ins.swi(0)]
         program = program_of({"_start": [Label("_start")] + items})
         image = link(program)
-        result = simulate(image, SystemConfig.cached(CacheConfig(size=64)),
-                          record_misses=True)
+        result = record(image, SystemConfig.cached(CacheConfig(size=64)))
         assert sum(result.fetch_misses.values()) == \
             result.cache_stats.fetch_misses
 
@@ -185,8 +186,7 @@ class TestProfile:
         from repro.minic import compile_source
         compiled = compile_source(source)
         image = link(compiled.program)
-        result = simulate(image, SystemConfig.uncached(), profile=True)
-        profile = build_profile(image, result)
+        profile = trace_profile(record_trace(image, 0), image)
         assert profile["bump"].accesses > 0
         assert profile["total"].accesses >= 20   # 10 reads + 10 writes
         assert profile["main"].accesses > profile["bump"].accesses / 10

@@ -1,13 +1,15 @@
-"""Differential tests: the fast engine vs. the recording loop.
+"""Differential tests: the fast engine vs. the recording oracle.
 
-The simulator keeps two interpreters over one machine model — the
-compiled step-closure engine (:mod:`repro.sim.engine`) for plain timing
-runs and the recording loop for ``profile``/``record_misses`` runs.
+The simulator runs every program on the compiled step-closure engine
+(:mod:`repro.sim.engine`); the recording interpreter in
+``tests/oracles`` is a plain instruction dispatch over the same machine
+model that prices every access through its own per-access tag model.
 These tests run **every registered benchmark** through **every hierarchy
 shape** (uncached, scratchpad, L1, hybrid SPM+L1, L1+L2, split I/D, plus
-a set-associative and an instruction-only L1) on both engines and assert
-the observable results are identical: cycles, instruction counts, exit
-codes, console output, and per-level hit/miss statistics.
+a set-associative, an instruction-only, a FIFO and a random-replacement
+L1) on both and assert the observable results are identical: cycles,
+instruction counts, exit codes, console output, and per-level hit/miss
+statistics.
 """
 
 import pytest
@@ -18,7 +20,10 @@ from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
 from repro.sim import Simulator
-from repro.sim.simulator import _COND_DISPATCH
+from repro.sim.engine import _cond_test
+
+from .oracles import record
+from .oracles.recording import _COND_DISPATCH
 
 SPM_SIZE = 512
 
@@ -27,6 +32,10 @@ SHAPES = {
     "spm": lambda: SystemConfig.scratchpad(SPM_SIZE),
     "l1": lambda: SystemConfig.cached(CacheConfig(size=512)),
     "l1-2way": lambda: SystemConfig.cached(CacheConfig(size=512, assoc=2)),
+    "l1-fifo": lambda: SystemConfig.cached(
+        CacheConfig(size=512, assoc=2, replacement="fifo")),
+    "l1-random": lambda: SystemConfig.cached(
+        CacheConfig(size=512, assoc=4, replacement="random")),
     "icache": lambda: SystemConfig.cached(
         CacheConfig(size=512, unified=False)),
     "hybrid": lambda: SystemConfig.hybrid(SPM_SIZE, CacheConfig(size=256)),
@@ -78,7 +87,7 @@ def test_engines_agree(bench, shape):
     image = _image(bench, spm=bool(config.spm_size))
 
     fast = Simulator(image, config).run()
-    recorded = Simulator(image, config).run(record_misses=True)
+    recorded = record(image, config)
 
     assert fast.cycles == recorded.cycles
     assert fast.instructions == recorded.instructions
@@ -88,14 +97,6 @@ def test_engines_agree(bench, shape):
     for level in fast.level_stats:
         assert _stats_tuple(fast.level_stats[level]) == \
             _stats_tuple(recorded.level_stats[level]), level
-
-
-def test_fast_engine_reports_no_recording_fields():
-    image = _image("crc", spm=False)
-    result = Simulator(image, SystemConfig.cached(CacheConfig(size=512))
-                       ).run()
-    assert result.fetch_counts == {}
-    assert result.fetch_misses == {}
 
 
 def test_flags_visible_after_fast_run():
@@ -108,7 +109,9 @@ def test_flags_visible_after_fast_run():
 
 
 class TestCondDispatch:
-    """The Cond -> predicate table must match the ARM if-chain."""
+    """Both condition tables must match the ARM if-chain: the oracle's
+    Cond -> predicate table and the engine's tests over its own flag
+    encoding (N and V hold the sign bit)."""
 
     @staticmethod
     def _reference(cond, n, z, c, v):
@@ -147,5 +150,9 @@ class TestCondDispatch:
             for bits in range(16):
                 n, z, c, v = (bits >> 3) & 1, (bits >> 2) & 1, \
                     (bits >> 1) & 1, bits & 1
-                assert _COND_DISPATCH[cond](n, z, c, v) == \
-                    self._reference(cond, n, z, c, v), (cond, n, z, c, v)
+                expected = self._reference(cond, n, z, c, v)
+                assert _COND_DISPATCH[cond](n, z, c, v) == expected, \
+                    (cond, n, z, c, v)
+                test = _cond_test(cond, [n << 31, z, c, v << 31])
+                engine = True if test is None else bool(test())
+                assert engine == expected, (cond, n, z, c, v)

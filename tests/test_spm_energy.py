@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.energy import EnergyModel, cache_access_energy_nj, \
-    program_energy_nj
+from repro.energy import EnergyModel, cache_access_energy_nj
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
-from repro.sim import simulate
+from repro.sim import record_trace, trace_profile
 from repro.spm import (
     Item,
     allocate_energy_optimal,
@@ -20,8 +19,9 @@ from repro.spm import (
     solve_knapsack,
 )
 
-from .helpers import build_profile
+from .helpers import program_energy_nj
 from .ilp.formulations import solve_knapsack_ilp
+from .oracles import record
 
 
 def exact_benefit(items, chosen):
@@ -147,8 +147,7 @@ int main(void) {
 def profiled():
     compiled = compile_source(SOURCE)
     image = link(compiled.program)
-    result = simulate(image, SystemConfig.uncached(), profile=True)
-    return compiled, image, build_profile(image, result)
+    return compiled, image, trace_profile(record_trace(image, 0), image)
 
 
 class TestEnergyAllocation:
@@ -241,16 +240,14 @@ class TestEnergyModel:
 
     def test_program_energy_drops_with_spm(self):
         compiled, image, profile = profiled()
-        result_main = simulate(image, SystemConfig.uncached(),
-                               profile=True)
+        result_main = record(image, SystemConfig.uncached())
         energy_main = program_energy_nj(image, result_main)
 
         names = {f.name for f in compiled.program.functions}
         names |= {g.name for g in compiled.program.globals}
         spm_image = link(compiled.program, spm_size=4096,
                          spm_objects=names)
-        result_spm = simulate(spm_image, SystemConfig.scratchpad(4096),
-                              profile=True)
+        result_spm = record(spm_image, SystemConfig.scratchpad(4096))
         energy_spm = program_energy_nj(spm_image, result_spm)
         assert energy_spm < energy_main
 

@@ -21,6 +21,7 @@ from repro.spm.allocator import Allocation
 from repro.workflow import PAPER_SIZES, Workflow
 
 from .helpers import build_profile
+from .oracles import record
 
 #: Programs with pointer parameters bound to several arrays: a
 #: placement that splits those arrays between regions is declined.
@@ -67,8 +68,8 @@ class TestSuiteDifferential:
     def test_profile_matches_recording_engine(self, bench):
         workflow = _workflow(bench)
         image = workflow.baseline_image()
-        recorded = build_profile(image, simulate(
-            image, SystemConfig.uncached(), profile=True))
+        recorded = build_profile(image, record(image,
+                                               SystemConfig.uncached()))
         derived = workflow.profile()
         assert [(p.name, p.kind, p.size, p.accesses) for p in derived] == \
             [(p.name, p.kind, p.size, p.accesses) for p in recorded]

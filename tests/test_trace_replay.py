@@ -41,6 +41,8 @@ from repro.sim.trace import (
 )
 from repro.workflow import Workflow
 
+from .oracles import record
+
 SPM_SIZE = 512
 
 #: Every committed hierarchy shape (the test_sim_fastpath set plus the
@@ -398,7 +400,7 @@ MISS_BENCHES = ("crc", "matmult", "fir")
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("bench", MISS_BENCHES)
 def test_replay_misses_matches_recording_engine(bench, shape):
-    """replay_misses == simulate(record_misses=True), per pc, per shape.
+    """replay_misses == the recording oracle's misses, per pc, per shape.
 
     The trace carries the owning pc of every fetch (continuation entries
     are tagged TAG_FETCH_CONT), so the per-instruction miss attribution
@@ -406,7 +408,7 @@ def test_replay_misses_matches_recording_engine(bench, shape):
     recorded stream without re-executing."""
     spm = shape in ("spm", "hybrid")
     config = SHAPES[shape]()
-    executed = Simulator(_image(bench, spm), config).run(record_misses=True)
+    executed = record(_image(bench, spm), config)
     fetch, main = replay_misses(_trace(bench, spm), config)
     context = f"{bench}/{shape}"
     assert fetch == dict(executed.fetch_misses), context

@@ -5,11 +5,12 @@ import pytest
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
-from repro.sim import simulate
 from repro.wcet import AH, FM, NC, CacheAnalysis, build_all_cfgs
 from repro.wcet.analyzer import analyze_wcet
-from repro.wcet.cacheanalysis import MayCache, MustCache, analyze_hierarchy
+from repro.wcet.cacheanalysis import analyze_hierarchy
 from repro.wcet.stackdepth import stack_region
+
+from .oracles import MayCache, MustCache, record
 
 
 class TestMustCacheDomain:
@@ -148,27 +149,71 @@ class TestClassification:
         assert result.count(FM) > 0
 
 
+def _bench_frontend(key):
+    from repro.benchmarks import get
+    image = link(compile_source(get(key).source()).program)
+    cfgs = build_all_cfgs(image)
+    entry_by_addr = {c.entry: n for n, c in cfgs.items()}
+    return image, cfgs, stack_region(cfgs, "_start", entry_by_addr)
+
+
+#: Two-level shapes for the always-miss check: direct-mapped, wider,
+#: set-associative, and an instruction-only L1 over a unified L2.
+AM_SHAPES = {
+    "dm64+l2-1k": lambda: SystemConfig.two_level(
+        CacheConfig(size=64), CacheConfig(size=1024)),
+    "dm256+l2-2k": lambda: SystemConfig.two_level(
+        CacheConfig(size=256), CacheConfig(size=2048)),
+    "2way128+4way-l2-2k": lambda: SystemConfig.two_level(
+        CacheConfig(size=128, assoc=2), CacheConfig(size=2048, assoc=4)),
+    "i64+l2-1k": lambda: SystemConfig.two_level(
+        CacheConfig(size=64, unified=False), CacheConfig(size=1024)),
+}
+
+
 class TestSoundness:
-    """The cornerstone property: AH-classified accesses never miss."""
+    """The cornerstone property: AH-classified accesses never miss, and
+    AM-classified accesses never hit."""
 
     @pytest.mark.parametrize("size", [64, 256, 1024])
     @pytest.mark.parametrize("key", ["adpcm", "multisort"])
     def test_always_hit_fetches_never_miss(self, key, size):
-        from repro.benchmarks import get
-        image = link(compile_source(get(key).source()).program)
-        cfgs = build_all_cfgs(image)
-        entry_by_addr = {c.entry: n for n, c in cfgs.items()}
-        rng = stack_region(cfgs, "_start", entry_by_addr)
+        image, cfgs, rng = _bench_frontend(key)
         cache = CacheConfig(size=size)
         result = CacheAnalysis(image, cfgs, cache, rng, "_start").run()
 
-        sim = simulate(image, SystemConfig.cached(cache),
-                       record_misses=True)
+        sim = record(image, SystemConfig.cached(cache))
         for addr, entry in result.classes.items():
             if entry.fetch == AH:
                 assert sim.fetch_misses.get(addr, 0) == 0, hex(addr)
             if entry.data == AH:
                 assert sim.read_misses.get(addr, 0) == 0, hex(addr)
+
+    @pytest.mark.parametrize("shape", sorted(AM_SHAPES))
+    @pytest.mark.parametrize("key", ["adpcm", "crc", "matmult", "sort_wc"])
+    def test_always_miss_accesses_never_hit(self, key, shape):
+        """Every L1 access classified always-miss misses the L1 on every
+        execution: its miss count equals its execution count."""
+        image, cfgs, rng = _bench_frontend(key)
+        config = AM_SHAPES[shape]()
+        result = analyze_hierarchy(image, cfgs, config, rng, "_start",
+                                   reuse=False)
+        sim = record(image, config)
+        l1 = result.levels[0]
+        facts = 0
+        for addr, entry in (l1.iresult.classes.items()
+                            if l1.iresult is not None else ()):
+            if entry.fetch_always_miss:
+                facts += 1
+                assert sim.fetch_misses.get(addr, 0) == \
+                    sim.fetch_counts.get(addr, 0), hex(addr)
+        for addr, entry in (l1.dresult.classes.items()
+                            if l1.dresult is not None else ()):
+            if entry.data_always_miss:
+                facts += 1
+                assert sim.read_misses.get(addr, 0) == \
+                    sim.fetch_counts.get(addr, 0), hex(addr)
+        assert facts  # the property must not hold vacuously
 
 
 class TestMayCacheDomain:
@@ -253,7 +298,7 @@ class TestMultiLevelChaining:
                                         CacheConfig(size=2048))
         image, result = self.hierarchy_result(config)
         _level, l2res = result.fetch_results()[1]
-        sim = simulate(image, config, record_misses=True)
+        sim = record(image, config)
         # An L2-AH fetch may miss L1 but is guaranteed present in L2:
         # the observed access must never fall through to main memory.
         l2_ah = [addr for addr, entry in l2res.classes.items()
