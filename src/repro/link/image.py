@@ -5,7 +5,8 @@ An :class:`Image` carries, exactly as the paper's flow does:
 * the memory segments (address + bytes) to load;
 * the symbol table and per-object placement (the "map file" the automated
   annotation generation reads);
-* instruction-level access notes (which object a load/store touches);
+* instruction-level access notes (which object a load/store touches)
+  and call notes (which array each pointer argument of a call binds);
 * loop-bound flow facts resolved to header addresses.
 """
 
@@ -38,7 +39,7 @@ class Image:
 
     def __init__(self, segments, symbols, objects, entry,
                  access_notes, loop_bounds, loop_totals=None,
-                 config_name=""):
+                 config_name="", call_notes=None):
         #: list of (base_addr, bytes) to load before execution
         #: (kept base-sorted for binary-searched reads).
         self.segments = sorted(segments, key=lambda seg: seg[0])
@@ -50,6 +51,8 @@ class Image:
         self.entry = entry
         #: instruction address -> :class:`~repro.link.objects.AccessNote`.
         self.access_notes = dict(access_notes)
+        #: ``BL`` address -> :class:`~repro.link.objects.CallNote`.
+        self.call_notes = dict(call_notes or {})
         #: loop-header address -> max back edges per loop entry.
         self.loop_bounds = dict(loop_bounds)
         #: loop-header address -> max back edges per function invocation.
@@ -79,6 +82,7 @@ class Image:
                   o.element_width) for o in self.objects],
                 self.entry,
                 sorted(self.access_notes.items()),
+                sorted(self.call_notes.items()),
                 sorted(self.loop_bounds.items()),
                 sorted(self.loop_totals.items()),
             )).encode())

@@ -19,7 +19,7 @@ from __future__ import annotations
 from ..isa.assembler import EncodingError, encode_placed, layout_items
 from ..memory.regions import MAIN_BASE, SPM_BASE
 from .image import Image, PlacedObject
-from .objects import DataObject, FunctionCode, Program
+from .objects import CallNote, DataObject, FunctionCode, Program
 
 
 class LinkError(Exception):
@@ -110,6 +110,7 @@ def link(program: Program, spm_size: int = 0, spm_objects=(),
     # -- phase 4: encode and collect annotations --------------------------------
     segments = []
     access_notes = {}
+    call_notes = {}
     loop_bounds = {}
     loop_totals = {}
     for func in program.functions:
@@ -120,7 +121,9 @@ def link(program: Program, spm_size: int = 0, spm_objects=(),
         segments.append((base, code))
         for addr, item in placed:
             note = getattr(item, "note", None)
-            if note is not None:
+            if isinstance(note, CallNote):
+                call_notes[addr] = note
+            elif note is not None:
                 access_notes[addr] = note
         for table, out in ((func.loop_bounds, loop_bounds),
                            (func.loop_totals, loop_totals)):
@@ -144,6 +147,7 @@ def link(program: Program, spm_size: int = 0, spm_objects=(),
         objects=objects,
         entry=symbols[program.entry],
         access_notes=access_notes,
+        call_notes=call_notes,
         loop_bounds=loop_bounds,
         loop_totals=loop_totals,
         config_name=config_name,

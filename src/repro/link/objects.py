@@ -28,7 +28,9 @@ class AccessNote:
     be bound to).  ``stack=True`` marks an sp-relative access, which the
     WCET analyser bounds with its stack-depth analysis.  An empty note
     (no targets, not stack) means "address unknown" and forces the
-    analyser's worst-case treatment.
+    analyser's worst-case treatment.  *param* is the index of the
+    pointer parameter an access goes through, None for any other access;
+    the :class:`CallNote` of each call says which array it is bound to.
 
     These notes are the automated equivalent of the paper's "range of
     possible addresses for those array accesses" annotations.
@@ -36,6 +38,7 @@ class AccessNote:
 
     targets: tuple = ()
     stack: bool = False
+    param: Optional[int] = None
 
     @classmethod
     def exact(cls, symbol, offset, width):
@@ -46,8 +49,8 @@ class AccessNote:
         return cls(targets=((symbol, 0, size),))
 
     @classmethod
-    def multi(cls, entries):
-        return cls(targets=tuple(entries))
+    def through(cls, param, entries):
+        return cls(targets=tuple(entries), param=param)
 
     @classmethod
     def stack_access(cls):
@@ -56,6 +59,20 @@ class AccessNote:
     @classmethod
     def unknown(cls):
         return cls()
+
+
+@dataclass(frozen=True)
+class CallNote:
+    """Compiler-known bindings of one call's (``BL``'s) pointer arguments.
+
+    *bindings* holds one ``(param, source)`` entry per pointer parameter
+    of the callee: *source* is the name of the global array passed, or
+    the index of the caller's own pointer parameter that the call
+    forwards.  Every call the compiler emits carries a note, so the notes
+    also list the program's call sites.
+    """
+
+    bindings: tuple = ()
 
 
 class FunctionCode:

@@ -14,7 +14,9 @@ timing model either way):
   (:class:`~repro.isa.assembler.WordRef` entries);
 * each global load/store is tagged with an
   :class:`~repro.link.objects.AccessNote` and each loop header with its
-  back-edge bound — the raw material for the automated WCET annotations.
+  back-edge bound — the raw material for the automated WCET annotations;
+* each call is tagged with a :class:`~repro.link.objects.CallNote`
+  naming the array every pointer argument is bound to.
 
 Calling convention: the first four arguments in r0..r3, further arguments
 in the caller's outgoing-argument area at the bottom of its frame (the
@@ -31,7 +33,7 @@ from __future__ import annotations
 from ..isa import instruction as ins
 from ..isa.assembler import Align, Data, Label, WordRef
 from ..isa.opcodes import Cond, Op
-from ..link.objects import AccessNote, FunctionCode
+from ..link.objects import AccessNote, CallNote, FunctionCode
 from .ast_nodes import (
     Assign,
     Binary,
@@ -221,11 +223,7 @@ class FunctionCodegen:
                     symbol.name, symbol.type.byte_size)
             return AccessNote.exact(symbol.name, 0, symbol.type.width)
         # Pointer parameter: consult points-to.
-        index = None
-        for i, param in enumerate(self.func.params):
-            if param.symbol is symbol:
-                index = i
-                break
+        index = self._param_index(symbol)
         targets = self.analyzer.points_to.get((self.func.name, index),
                                               frozenset())
         entries = []
@@ -235,8 +233,14 @@ class FunctionCodegen:
                     if isinstance(gsym.type, ArrayType) else gsym.type.width)
             entries.append((name, 0, size))
         if entries:
-            return AccessNote.multi(entries)
+            return AccessNote.through(index, entries)
         return AccessNote.unknown()
+
+    def _param_index(self, symbol):
+        for index, param in enumerate(self.func.params):
+            if param.symbol is symbol:
+                return index
+        return None
 
     def _scale_index(self, reg, width):
         if width == 2:
@@ -565,11 +569,25 @@ class FunctionCodegen:
         if depth:
             for i in range(reg_args):
                 self.emit(ins.movr(i, depth + i))
-        self.emit(ins.bl(name))
+        call = ins.bl(name)
+        call.note = self._call_note(name, args)
+        self.emit(call)
         if depth:
             self.emit(ins.movr(depth, 0))
         for reg in range(depth):
             self.emit(ins.ldr_sp(reg, self._spill_offset(reg)))
+
+    def _call_note(self, name, args) -> CallNote:
+        """What each pointer argument of a call to *name* is bound to."""
+        ptypes = self.analyzer.functions[name].param_types
+        bindings = []
+        for index, (arg, ptype) in enumerate(zip(args, ptypes)):
+            if isinstance(ptype, PointerType):
+                symbol = arg.symbol
+                bindings.append((index, symbol.name
+                                 if isinstance(symbol, GlobalSym)
+                                 else self._param_index(symbol)))
+        return CallNote(tuple(bindings))
 
     def _gen_builtin(self, expr: Call, depth):
         self.gen_expr(expr.args[0], depth)

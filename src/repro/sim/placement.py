@@ -33,9 +33,13 @@ depends on an address.  Two checks guard that:
   instruction may go: inside a range of its access note, in its own
   function's literal pool, or, for the sp-relative opcodes, on the
   stack above every object.  An out-of-bounds index, or a stack grown
-  into the data, fails this.  A pointer access whose note names several
-  arrays could be out of bounds into one of the others, so such a note
-  is trusted only while the placement moves all its arrays alike.
+  into the data, fails this.  An access through a pointer parameter
+  must, moreover, stay inside the array its activation is bound to, or
+  land in an array that the placement moves by the same amount.  The
+  check follows the compiler's call notes over the trace to learn which
+  array each such access went through, and records every distinct
+  (bound array, landing object) pair; a placement must move the two
+  objects of each pair alike.
 
 :func:`place_trace` returns None when a check fails; the caller then
 executes the placed image, which stays the oracle.
@@ -117,12 +121,16 @@ class _Assignment:
     # -- the access check ----------------------------------------------------
 
     def verdict(self, trace: Trace, image):
-        """``(placeable, multi_target_groups)``, computed on first use.
+        """``(placeable, pairs)``, computed on first use.
 
         *placeable* is False when some data access left the ranges its
-        instruction may touch.  Each group is the set of rows one
-        executed multi-target note names; a placement must move every
-        row of a group alike.
+        instruction may touch, or went through a pointer parameter whose
+        binding the check cannot follow (:class:`_Bindings`).  *pairs*
+        holds one ``(bound, landing)`` row pair per distinct way a
+        pointer-parameter access went from the array its activation was
+        bound to into the object it landed in; an in-bounds access gives
+        ``bound == landing``.  A placement must move both rows of every
+        pair by the same amount.
         """
         if self._verdict is None:
             self._verdict = self._check(trace, image)
@@ -151,13 +159,16 @@ class _Assignment:
         return allowed
 
     def _check(self, trace: Trace, image):
+        unplaceable = (False, frozenset())
+        bindings = _Bindings(self, image)
+        if bindings.sites is None:
+            return unplaceable
         values = kernels.ops_view(trace.ops)
         widths = np.array(TAG_WIDTH, dtype=np.int64)
         starts = np.array(self.bases + [self.top, 0], dtype=np.int64)
         nrows = self.stack + 2
         ranges = {}     # pc * nrows + row -> (lo, hi), or None
         allowed_at = {}
-        groups = set()
         pc = 0          # the instruction before the block began
         for start in range(0, len(values), _BLOCK):
             block = values[start:start + _BLOCK]
@@ -179,17 +190,133 @@ class _Assignment:
                     at, row = divmod(key, nrows)
                     if at not in allowed_at:
                         allowed_at[at] = self._allowed(image, at)
-                        if len(allowed_at[at]) > 1:
-                            groups.add(frozenset(allowed_at[at]))
                     ranges[key] = allowed_at[at].get(row)
                 if ranges[key] is None:
-                    return False, ()
+                    return unplaceable
                 lo[index], hi[index] = ranges[key]
             offsets = addrs[data] - starts[rows]
             if not ((lo[inverse] <= offsets)
                     & (offsets + widths[tags[data]] <= hi[inverse])).all():
-                return False, ()
-        return True, tuple(groups)
+                return unplaceable
+            if not bindings.follow(addrs, fetch, data, pcs, rows, nrows):
+                return unplaceable
+        return True, frozenset(bindings.pairs)
+
+
+class _Bindings:
+    """The array each pointer-parameter access went through.
+
+    A variable is one pointer parameter of one function.  A ``BL``
+    fetched at a call site sets each variable its call note binds: to
+    the row of the global array passed or, when the call forwards one of
+    the caller's own pointer parameters, to that variable's row.  No
+    return needs tracking: a function never re-entered while it runs has
+    the last call into it as its live activation.  That holds only while
+    no function taking pointer arguments lies on a cycle of the call
+    graph the notes span, so such a cycle (recursion) leaves
+    :attr:`sites` None and the verdict unplaceable.
+    """
+
+    def __init__(self, assignment: _Assignment, image):
+        self.variables = {}     # (function row, param) -> variable
+        #: call-site pc -> ``(variable, row, source)`` per binding: a
+        #: global's *row*, or the caller's variable *source*.
+        self.sites = {}
+        calls = {}
+        for pc, note in image.call_notes.items():
+            target = decode(image.read_halfword(pc), pc,
+                            image.read_halfword(pc + 2)).target
+            caller = assignment.row_of(pc)
+            callee = assignment.row_of(target)
+            calls.setdefault(caller, set()).add(callee)
+            if note.bindings:
+                self.sites[pc] = tuple(
+                    self._binding(assignment, caller, callee, *binding)
+                    for binding in note.bindings)
+        if _on_a_cycle(calls, {function for function, _ in self.variables}):
+            self.sites = None
+            return
+        through = sorted(
+            (pc, self._variable(assignment.row_of(pc), note.param))
+            for pc, note in image.access_notes.items()
+            if note.param is not None)
+        # Sorted pcs, each list closed by a sentinel no pc matches.
+        self.pcs = np.array([pc for pc, _ in through] + [-1],
+                            dtype=np.int64)
+        self.pc_variables = np.array([var for _, var in through] + [-1],
+                                     dtype=np.int64)
+        self.site_pcs = np.array(sorted(self.sites) + [-1], dtype=np.int64)
+        self.held = [-1] * len(self.variables)  # each one's row; -1 unbound
+        self.pairs = set()
+
+    def _variable(self, function: int, param: int) -> int:
+        return self.variables.setdefault((function, param),
+                                         len(self.variables))
+
+    def _binding(self, assignment, caller, callee, param, source):
+        """``(variable, row, source)`` for one pointer argument."""
+        if isinstance(source, str):
+            return (self._variable(callee, param),
+                    assignment.row_named[source], None)
+        return (self._variable(callee, param), None,
+                self._variable(caller, source))
+
+    def follow(self, addrs, fetch, data, pcs, rows, nrows) -> bool:
+        """Follow one block's calls and pointer accesses.
+
+        *rows* are the block's data accesses' landing rows.  Adds the
+        block's ``(bound, landing)`` pairs; False when a pointer access
+        went through a parameter no call has bound.
+        """
+        if len(self.pcs) == 1:
+            return True
+        held = self.held
+        before = list(held)
+        sets = {}       # variable -> ([block positions], [rows held])
+        nearest = self.site_pcs[np.searchsorted(self.site_pcs[:-1], addrs)]
+        opens = np.flatnonzero(fetch & (nearest == addrs))
+        for at, site in zip(opens.tolist(), addrs[opens].tolist()):
+            for var, row, source in self.sites[site]:
+                held[var] = row if source is None else held[source]
+                positions, rows_held = sets.setdefault(
+                    var, ([], [before[var]]))
+                positions.append(at)
+                rows_held.append(held[var])
+        index = np.searchsorted(self.pcs[:-1], pcs[data])
+        hits = self.pcs[index] == pcs[data]
+        if not hits.any():
+            return True
+        at = np.flatnonzero(data)[hits]
+        which = self.pc_variables[index[hits]]
+        bound = np.empty(len(at), dtype=np.int64)
+        for var, before_block in enumerate(before):
+            chosen = which == var
+            if chosen.any():
+                positions, rows_held = sets.get(var, ((), [before_block]))
+                bound[chosen] = np.array(rows_held)[
+                    np.searchsorted(positions, at[chosen], side="right")]
+        if (bound < 0).any():
+            return False
+        # A set, not np.unique: numpy 2's unique imports numpy.ma when
+        # asked for the values alone.
+        for key in set((bound * nrows + rows[hits]).tolist()):
+            self.pairs.add(divmod(key, nrows))
+        return True
+
+
+def _on_a_cycle(calls: dict, functions) -> bool:
+    """Does one of *functions* reach itself over *calls* (caller ->
+    callees)?"""
+    for root in functions:
+        seen, work = set(), list(calls.get(root, ()))
+        while work:
+            function = work.pop()
+            if function == root:
+                return True
+            if function not in seen:
+                seen.add(function)
+                work.extend(calls.get(function, ()))
+    return False
 
 
 def _assignment(trace: Trace, image) -> _Assignment:
@@ -252,12 +379,12 @@ def place_trace(trace: Trace, image, placed, spm_size: int):
     if moved.keys() != assignment.row_named.keys() or any(
             moved[obj.name].size != obj.size for obj in assignment.objects):
         raise ValueError("placed image links a different program")
-    placeable, groups = assignment.verdict(trace, image)
+    placeable, pairs = assignment.verdict(trace, image)
     if not placeable:
         return None
     deltas = [moved[obj.name].base - obj.base
               for obj in assignment.objects] + [0, 0]
-    if any(len({deltas[row] for row in group}) > 1 for group in groups):
+    if any(deltas[bound] != deltas[landing] for bound, landing in pairs):
         return None
     in_spm = [moved[obj.name].region == "scratchpad"
               for obj in assignment.objects] + [False, False]

@@ -23,7 +23,8 @@ placement, so SPM and hybrid points re-price it too instead of running
 the placed image.  Results are bit-identical to executing every point:
 the engine remains the recorder and the ground truth, and a placement
 the pricing checks cannot vouch for (a program that can see an address,
-an access outside its instruction's ranges) is executed instead.
+an access outside its instruction's ranges, a pointer overrun into an
+array the placement moves apart) is executed instead.
 
 Beyond the paper's two branches, the deeper pipelines of
 :mod:`repro.memory.levels` get evaluation points too:
@@ -182,8 +183,9 @@ class Workflow:
         """Price a scratchpad placement from the baseline trace.
 
         None when placement could change what the program computes (it
-        can see an address, or an access leaves its instruction's
-        ranges); the caller executes the placed image then.
+        can see an address, an access leaves its instruction's ranges,
+        or a pointer overruns into an array the placement moves apart);
+        the caller executes the placed image then.
         """
         if self.compiled.analyzer.observes_placement:
             return None

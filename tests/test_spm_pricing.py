@@ -23,10 +23,6 @@ from repro.workflow import PAPER_SIZES, Workflow
 from .helpers import build_profile
 from .oracles import record
 
-#: Programs with pointer parameters bound to several arrays: a
-#: placement that splits those arrays between regions is declined.
-MULTI_TARGET = ("g721", "matmult")
-
 HYBRID_SIZES = (256, 1024)
 HYBRID_CACHES = (
     CacheConfig(size=512),
@@ -80,18 +76,13 @@ class TestSuiteDifferential:
         workflow = _workflow(bench)
         assert not workflow.compiled.analyzer.observes_placement
         trace = workflow.baseline_trace()
-        priced = 0
         for size, image in _placed_images(workflow, method, PAPER_SIZES):
             config = SystemConfig.scratchpad(size)
             placed = place_trace(trace, workflow.baseline_image(), image,
                                  size)
-            if placed is None:
-                assert bench in MULTI_TARGET
-                continue
-            priced += 1
+            assert placed is not None
             assert _outcome(replay(placed, config)) == \
                 _outcome(simulate(image, config))
-        assert priced > 0
 
     @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
     def test_hybrid_points_match_execution(self, bench):
@@ -100,9 +91,7 @@ class TestSuiteDifferential:
         for size, image in _placed_images(workflow, "energy", HYBRID_SIZES):
             placed = place_trace(trace, workflow.baseline_image(), image,
                                  size)
-            if placed is None:
-                assert bench in MULTI_TARGET
-                continue
+            assert placed is not None
             for cache in HYBRID_CACHES:
                 config = SystemConfig.hybrid(size, cache)
                 assert _outcome(replay(placed, config)) == \
@@ -187,6 +176,36 @@ int main(void) {
 }
 """
 
+#: ``total`` of POINTER_OVERRUN, every access in bounds.
+IN_BOUNDS = POINTER_OVERRUN.replace("total(a, 8)", "total(a, 4)")
+
+
+def _forwarded(count):
+    """``outer`` forwards its pointer to ``total``, which reads *count*
+    elements of ``outer``'s caller's array (``a``) and 4 of ``b``."""
+    return POINTER_OVERRUN.replace("int main(void) {", """
+int outer(int p[], int n) { return total(p, n); }
+int main(void) {""").replace(
+        "total(a, 8) + total(b, 4)", f"outer(a, {count}) + outer(b, 4)")
+
+
+#: The inner call binds ``b``; the outer activation then reads ``a[4]``,
+#: past ``a`` into ``b[0]``.  Taking the last call into ``walk`` for its
+#: live activation would see a read of ``b`` in bounds.
+RECURSIVE = """
+int a[4] = {1, 2, 3, 0};
+int b[4] = {100, 101, 102, 103};
+int walk(int p[], int depth) {
+    int s = 0;
+    if (depth > 0) { s = walk(b, depth - 1); }
+    return s + p[depth * 4];
+}
+int main(void) {
+    __print_int(walk(a, 1));
+    return 0;
+}
+"""
+
 #: Read a stale copy of ``&a`` that an earlier call left behind: in the
 #: stack slot of a local never assigned, and in r0 when a value-returning
 #: function runs off its end.
@@ -213,6 +232,16 @@ int main(void) {
 
 def _base(image, name):
     return next(obj.base for obj in image.objects if obj.name == name)
+
+
+def _pairs(workflow):
+    """The baseline's ``(bound, landing)`` pointer pairs, by object name."""
+    image = workflow.baseline_image()
+    assignment = placement._assignment(workflow.baseline_trace(), image)
+    names = [obj.name for obj in assignment.objects]
+    placeable, pairs = assignment.verdict(workflow.baseline_trace(), image)
+    assert placeable
+    return {(names[bound], names[landing]) for bound, landing in pairs}
 
 
 def _pinned_point(source, objects, spm_size=64):
@@ -279,6 +308,44 @@ class TestPlacementGuard:
         assert _outcome(point.sim) == \
             _outcome(simulate(point.image, point.config))
 
+    def test_in_bounds_split_is_priced(self):
+        workflow, point, placed = _pinned_point(IN_BOUNDS, {"a"})
+        assert _pairs(workflow) == {("a", "a"), ("b", "b")}
+        assert placed is not None
+        executed = simulate(point.image, point.config)
+        assert executed.console == ["412"]
+        assert _outcome(replay(placed, point.config)) == _outcome(executed)
+        assert _outcome(point.sim) == _outcome(executed)
+
+    def test_forwarded_pointer_split_is_priced(self):
+        workflow, point, placed = _pinned_point(_forwarded(4), {"a"})
+        assert _pairs(workflow) == {("a", "a"), ("b", "b")}
+        assert placed is not None
+        executed = simulate(point.image, point.config)
+        assert executed.console == ["412"]
+        assert _outcome(replay(placed, point.config)) == _outcome(executed)
+
+    def test_overrun_through_a_forward_declines(self):
+        workflow, point, placed = _pinned_point(_forwarded(8), {"a"})
+        assert workflow.baseline_trace().console == ("818",)
+        assert _pairs(workflow) == {("a", "a"), ("a", "b"), ("b", "b")}
+        assert placed is None
+        executed = simulate(point.image, point.config)
+        assert executed.console == ["412"]
+        assert _outcome(point.sim) == _outcome(executed)
+
+    def test_recursive_pointer_function_declines(self):
+        # WCET analysis rejects recursion, so this prices the simulation
+        # alone, as spm_point would.
+        workflow = Workflow(RECURSIVE)
+        image = link(workflow.program, spm_size=64, spm_objects={"a"})
+        config = SystemConfig.scratchpad(64)
+        assert workflow.baseline_trace().console == ("200",)
+        assert place_trace(workflow.baseline_trace(),
+                           workflow.baseline_image(), image, 64) is None
+        assert workflow._placed_sim(image, config) is None
+        assert simulate(image, config).console == ["100"]
+
     def test_hybrid_point_falls_back_to_its_own_trace(self):
         workflow = Workflow(OUT_OF_BOUNDS)
         workflow.allocate = lambda size, method="energy", \
@@ -292,7 +359,7 @@ class TestPlacementGuard:
 class TestPlacementContract:
     @pytest.mark.parametrize("source, placeable", [
         (OUT_OF_BOUNDS, False), (POINTER_OVERRUN, True),
-        (get("crc").source(), True)])
+        (_forwarded(8), True), (get("crc").source(), True)])
     def test_block_size_does_not_change_the_assignment(
             self, monkeypatch, source, placeable):
         workflow = Workflow(source)
