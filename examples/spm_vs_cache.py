@@ -13,6 +13,7 @@ Pass ``--fast`` for a three-point sweep.
 import sys
 
 from repro.benchmarks import get
+from repro.memory import CacheConfig, SystemConfig
 from repro.workflow import PAPER_SIZES, Workflow
 
 FAST_SIZES = (64, 512, 4096)
@@ -25,7 +26,8 @@ def main():
     print("ADPCM — scratchpad branch (energy-optimal knapsack placement)")
     print(f"{'SPM [B]':>8} {'sim':>10} {'WCET':>10} {'ratio':>7}  "
           f"objects in SPM")
-    for point in workflow.spm_sweep(sizes):
+    for size in sizes:
+        point = workflow.config_point(SystemConfig.scratchpad(size))
         names = ", ".join(sorted(point.allocation.objects)[:4])
         more = len(point.allocation.objects) - 4
         if more > 0:
@@ -36,7 +38,9 @@ def main():
     print("\nADPCM — cache branch (unified direct-mapped, 16 B lines)")
     print(f"{'cache[B]':>8} {'sim':>10} {'WCET':>10} {'ratio':>7}  "
           f"{'miss rate':>9}")
-    for point in workflow.cache_sweep(sizes):
+    for point in workflow.config_points(
+            (SystemConfig.cached(CacheConfig(size=size)), False, "energy")
+            for size in sizes):
         stats = point.sim.cache_stats
         miss_rate = stats.misses / max(stats.hits + stats.misses, 1)
         print(f"{point.config.cache.size:8} {point.sim.cycles:10} "

@@ -13,6 +13,7 @@ IPET solution — so rarely-profiled but worst-case-hot objects win.
 """
 
 from repro.benchmarks import get
+from repro.memory import SystemConfig
 from repro.workflow import Workflow
 
 SIZES = (128, 512, 2048)
@@ -25,7 +26,8 @@ def main():
           f"{'sim':>10}  picked objects")
     for size in SIZES:
         for method, label in (("energy", "energy"), ("wcet", "WCET")):
-            point = workflow.spm_point(size, method=method)
+            point = workflow.config_point(SystemConfig.scratchpad(size),
+                                          method=method)
             names = ", ".join(sorted(point.allocation.objects)[:5])
             extra = len(point.allocation.objects) - 5
             if extra > 0:

@@ -50,19 +50,14 @@ import argparse
 import sys
 
 from .isa.disassembler import format_instr
-from .link.linker import link
 from .memory.cache import CacheConfig
 from .memory.hierarchy import SystemConfig
 from .memory.levels import CacheLevel, MainMemoryLevel, SpmLevel
-from .minic.frontend import compile_source
-from .sim.placement import trace_profile
 from .sim.simulator import SimError, simulate
-from .sim.trace import record_trace
-from .spm.allocator import allocate_energy_optimal
-from .spm.wcet_driven import allocate_wcet_driven
 from .wcet.analyzer import analyze_wcet
 from .wcet.annotations import format_annotations, generate_annotations
 from .wcet.cfg import build_all_cfgs
+from .workflow import Workflow
 
 
 def _add_source_option(parser):
@@ -144,23 +139,10 @@ def _config_for(args) -> SystemConfig:
 def _build(args):
     """(image, config) for the requested memory system."""
     with open(args.source) as handle:
-        compiled = compile_source(handle.read(), entry=args.entry)
+        workflow = Workflow(handle.read(), entry=args.entry)
     config = _config_for(args)
-    if args.spm:
-        if args.alloc == "energy":
-            baseline = link(compiled.program)
-            profile = trace_profile(record_trace(baseline, 0), baseline)
-            allocation = allocate_energy_optimal(compiled.program,
-                                                 profile, args.spm)
-        else:
-            backing = (SystemConfig.cached(config.cache)
-                       if config.cache is not None else None)
-            allocation = allocate_wcet_driven(compiled.program, args.spm,
-                                              baseline_config=backing)
-        image = link(compiled.program, spm_size=args.spm,
-                     spm_objects=allocation.objects)
-        return image, config
-    return link(compiled.program), config
+    image, _allocation = workflow.image_for(config, args.alloc)
+    return image, config
 
 
 def _print_result(result, config):
@@ -274,8 +256,7 @@ def cmd_sweep(args):
     from .sim.replay import replay_grid
     from .sim.trace import trace_counters, trace_for
     with open(args.source) as handle:
-        compiled = compile_source(handle.read(), entry=args.entry)
-    image = link(compiled.program)
+        image = Workflow(handle.read(), entry=args.entry).baseline_image()
     try:
         sizes = [int(field) for field in args.sizes.split(",")]
         assocs = [int(field) for field in args.assoc.split(",")]

@@ -17,7 +17,8 @@ because data accesses can no longer clobber guaranteed cache contents.
 from __future__ import annotations
 
 from ..memory.cache import CacheConfig
-from .common import cache_task, evaluate_points, format_table, sizes
+from ..memory.hierarchy import SystemConfig
+from .common import evaluate_points, format_table, sizes, task
 
 LABELS = ("unified_dm", "unified_2way", "icache_dm")
 
@@ -32,7 +33,7 @@ def _configs(size):
 
 def run(fast: bool = False) -> dict:
     sweep = sizes(fast)
-    tasks = [cache_task("g721", _configs(size)[label])
+    tasks = [task("g721", SystemConfig.cached(_configs(size)[label]))
              for size in sweep for label in LABELS]
     points = iter(evaluate_points(tasks))
     rows = []

@@ -19,14 +19,8 @@ one level deeper.
 from __future__ import annotations
 
 from ..memory.cache import CacheConfig
-from .common import (
-    cache_task,
-    evaluate_points,
-    format_table,
-    multilevel_task,
-    sizes,
-    split_task,
-)
+from ..memory.hierarchy import SystemConfig
+from .common import evaluate_points, format_table, sizes, task
 
 #: The paper's L1 experimental geometry, held fixed across the sweep.
 L1_SIZE = 256
@@ -35,13 +29,13 @@ L1_SIZE = 256
 def run(fast: bool = False) -> dict:
     l1 = CacheConfig(size=L1_SIZE)
     sweep = [size for size in sizes(fast) if size > L1_SIZE]
-    tasks = [cache_task("g721", l1)]
+    tasks = [task("g721", SystemConfig.cached(l1))]
     for size in sweep:
-        tasks.append(multilevel_task("g721", l1, CacheConfig(size=size)))
-        tasks.append(split_task(
-            "g721",
+        tasks.append(task("g721", SystemConfig.two_level(
+            l1, CacheConfig(size=size))))
+        tasks.append(task("g721", SystemConfig.split_l1(
             CacheConfig(size=size // 2, unified=False),
-            CacheConfig(size=size // 2)))
+            CacheConfig(size=size // 2))))
     points = evaluate_points(tasks)
     reference = points[0]
     deeper = iter(points[1:])

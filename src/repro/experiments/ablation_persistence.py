@@ -15,23 +15,18 @@ analysis at all) stays out of reach.
 from __future__ import annotations
 
 from ..memory.cache import CacheConfig
-from .common import (
-    cache_task,
-    evaluate_points,
-    format_table,
-    sizes,
-    spm_task,
-)
+from ..memory.hierarchy import SystemConfig
+from .common import evaluate_points, format_table, sizes, task
 
 
 def run(fast: bool = False) -> dict:
     sweep = sizes(fast)
     tasks = []
     for size in sweep:
-        tasks.append(cache_task("g721", CacheConfig(size=size)))
-        tasks.append(cache_task("g721", CacheConfig(size=size),
-                                persistence=True))
-        tasks.append(spm_task("g721", size))
+        cache = SystemConfig.cached(CacheConfig(size=size))
+        tasks.append(task("g721", cache))
+        tasks.append(task("g721", cache, persistence=True))
+        tasks.append(task("g721", SystemConfig.scratchpad(size)))
     points = iter(evaluate_points(tasks))
     rows = []
     for size in sweep:

@@ -13,7 +13,8 @@ knapsack of :mod:`repro.spm.wcet_driven`.
 
 from __future__ import annotations
 
-from .common import evaluate_points, format_table, sizes, spm_task
+from ..memory.hierarchy import SystemConfig
+from .common import evaluate_points, format_table, sizes, task
 
 BENCHES = ("g721", "multisort", "adpcm")
 
@@ -25,8 +26,9 @@ def run(fast: bool = False) -> dict:
     tasks = []
     for key in benches:
         for size in sweep:
-            tasks.append(spm_task(key, size, method="energy"))
-            tasks.append(spm_task(key, size, method="wcet"))
+            spm = SystemConfig.scratchpad(size)
+            tasks.append(task(key, spm, method="energy"))
+            tasks.append(task(key, spm, method="wcet"))
     points = iter(evaluate_points(tasks))
     for key in benches:
         for size in sweep:

@@ -6,32 +6,39 @@ Each experiment module exposes ``run(fast=False) -> dict`` with at least
 full runs regenerate the paper's artefacts.
 
 Sweeps go through the **evaluation task layer**: an experiment describes
-its (benchmark × configuration) points as picklable task tuples and hands
-them to :func:`evaluate_points`, which either evaluates them serially in
-order (the default) or fans them across ``set_jobs(N)`` worker processes
+its (benchmark × configuration) points as picklable task tuples of one
+shape, ``(bench, config, persistence, method)`` (:func:`task`; *config*
+a :class:`~repro.memory.hierarchy.SystemConfig`), and hands them to
+:func:`evaluate_points`, which either evaluates them serially in order
+(the default) or fans them across ``set_jobs(N)`` worker processes
 (``repro-experiments --jobs N``).  Results always come back in task
 order and every point's computation is deterministic, so the merged
 artefacts are identical whichever way they were produced.
 
 Before anything runs, a **sweep-aware planner** (:func:`plan_units`)
-rewrites the task list: all cache tasks of one benchmark collapse into
-a single batched unit served by :meth:`~repro.workflow.Workflow.
-cache_points`, which replays the benchmark's recorded trace instead of
-re-executing it per configuration and evaluates same-geometry size
-sweeps in one stack-distance pass.  Workers additionally share an
-on-disk trace cache next to the PR-4 analysis reuse cache, so a trace
-recorded by one process is loaded, not re-executed, by every other.
+rewrites the task list: the cache-only tasks of one benchmark and one
+replay geometry collapse into a single unit served by one
+:meth:`~repro.workflow.Workflow.config_points` call, which replays the
+benchmark's recorded trace instead of re-executing it per configuration
+and evaluates same-geometry size sweeps in one stack-distance pass.
+Workers additionally share an on-disk trace cache next to the analysis
+reuse cache, so a trace recorded by one process is loaded, not
+re-executed, by every other.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import shlex
 import shutil
 import tempfile
 
 from ..benchmarks import get as get_benchmark
+from ..memory.cache import CacheConfig
+from ..memory.hierarchy import SystemConfig
 from ..serve.supervisor import SupervisedPool, TaskFailure
+from ..sim.replay import grid_geometry
 from ..sim.trace import set_trace_cache_dir
 from ..wcet.cacheanalysis import set_analysis_cache_dir
 from ..workflow import PAPER_SIZES, Workflow
@@ -89,7 +96,8 @@ class SweepFailure(RuntimeError):
             "completed (partial results merged in task order)"]
         for failure in self.failures:
             lines.append(
-                f"  unit bench={failure['bench']} kind={failure['kind']} "
+                f"  unit bench={failure['bench']} "
+                f"configs={','.join(failure['configs'])} "
                 f"task-indices={failure['indices']}: "
                 f"{failure['attempts']} attempts, last error: "
                 f"{failure['error']}")
@@ -133,28 +141,11 @@ def set_jobs(jobs: int):
     _JOBS = max(1, int(jobs))
 
 
-def spm_task(bench: str, size: int, method: str = "energy"):
-    return (bench, "spm", (size, method))
-
-
-def cache_task(bench: str, cache, persistence: bool = False):
-    return (bench, "cache", (cache, persistence))
-
-
-def uncached_task(bench: str):
-    return (bench, "uncached", ())
-
-
-def multilevel_task(bench: str, l1, l2):
-    return (bench, "multilevel", (l1, l2))
-
-
-def split_task(bench: str, icache, dcache):
-    return (bench, "split", (icache, dcache))
-
-
-def hybrid_task(bench: str, spm_size: int, cache, method: str = "energy"):
-    return (bench, "hybrid", (spm_size, cache, method))
+def task(bench: str, config, persistence: bool = False,
+         method: str = "energy"):
+    """One evaluation task: what :meth:`~repro.workflow.Workflow.
+    config_point` takes, plus the benchmark key."""
+    return (bench, config, persistence, method)
 
 
 def _init_worker(bench_keys, profile_keys, cache_dir):
@@ -177,69 +168,47 @@ def _init_worker(bench_keys, profile_keys, cache_dir):
         workflow_for(key).warm(profile=key in profile_keys)
 
 
-def _evaluate_task(task):
-    """Evaluate one task tuple in this process (worker entry point)."""
-    bench, kind, params = task
-    workflow = workflow_for(bench)
-    if kind == "spm":
-        size, method = params
-        return workflow.spm_point(size, method)
-    if kind == "cache":
-        cache, persistence = params
-        return workflow.cache_point(cache, persistence=persistence)
-    if kind == "uncached":
-        return workflow.uncached_point()
-    if kind == "multilevel":
-        return workflow.multilevel_point(*params)
-    if kind == "split":
-        return workflow.split_point(*params)
-    if kind == "hybrid":
-        spm_size, cache, method = params
-        return workflow.hybrid_point(spm_size, cache, method=method)
-    raise ValueError(f"unknown evaluation task kind {kind!r}")
-
-
 def plan_units(tasks):
     """Rewrite a task list into execution units for :func:`_run_unit`.
 
-    Cache tasks of one benchmark — however they interleave with other
-    kinds — become a single batched unit, so the benchmark's recorded
-    trace is replayed (and same-geometry size sweeps collapse into one
-    single-pass replay) instead of the executable re-executing per
-    configuration.  Everything else stays a unit of its own.  Each unit
-    carries the task indices it produces, so results land back in task
+    Cache-only tasks of one benchmark that share a
+    :func:`~repro.sim.replay.grid_geometry` — however they interleave
+    with other tasks — become a single batched unit, so the
+    benchmark's recorded trace is replayed once per geometry (same-
+    geometry size sweeps collapse into one single-pass replay) instead
+    of once per configuration.  Scratchpad tasks and configs without a
+    grid geometry (uncached, L1+L2, split I/D) stay units of their own.
+    A unit is ``(task indices, tasks)``: results land back in task
     order no matter how units are scheduled.
     """
     units = []
-    batches = {}  # bench -> unit position in `units`
-    for index, task in enumerate(tasks):
-        bench, kind, params = task
-        if kind != "cache":
-            units.append(((index,), task))
+    batches = {}  # (bench, geometry) -> unit position in `units`
+    for index, entry in enumerate(tasks):
+        bench, config = entry[:2]
+        geometry = None if config.spm_size else grid_geometry(config)
+        if geometry is None:
+            units.append(((index,), (entry,)))
             continue
-        position = batches.get(bench)
+        position = batches.get((bench, geometry))
         if position is None:
-            batches[bench] = len(units)
-            units.append(((index,), (bench, "cache_batch", (params,))))
+            batches[(bench, geometry)] = len(units)
+            units.append(((index,), (entry,)))
         else:
-            indices, (_, _, specs) = units[position]
-            units[position] = (indices + (index,),
-                               (bench, "cache_batch", specs + (params,)))
+            indices, batch = units[position]
+            units[position] = (indices + (index,), batch + (entry,))
     return units
 
 
 def _run_unit(unit):
     """Evaluate one planned unit; returns points in intra-unit order."""
-    indices, task = unit
-    bench, kind, params = task
+    _indices, tasks = unit
     if os.environ.get("REPRO_FAULT_UNIT"):
         # Deterministic crash/hang/raise injection for the resilience
         # suite; a no-op unless the env var is set.
         from ..testing.faults import unit_fault
         unit_fault()
-    if kind == "cache_batch":
-        return workflow_for(bench).cache_points(params)
-    return [_evaluate_task(task)]
+    return workflow_for(tasks[0][0]).config_points(
+        entry[1:] for entry in tasks)
 
 
 def rerun_unit(unit):
@@ -249,8 +218,19 @@ def rerun_unit(unit):
     :class:`SweepFailure` report; prints each produced point's row.
     """
     if isinstance(unit, str):
-        from ..memory.cache import CacheConfig
-        unit = eval(unit, {"CacheConfig": CacheConfig})
+        from ..memory.levels import CacheLevel, MainMemoryLevel, SpmLevel
+        from ..memory.timing import AccessTiming
+
+        def cache_level(**fields):
+            # A unified level's repr spells its one config out twice.
+            if fields.get("shared"):
+                fields["dcache"] = fields["icache"]
+            return CacheLevel(**fields)
+
+        unit = eval(unit, {
+            "AccessTiming": AccessTiming, "CacheConfig": CacheConfig,
+            "CacheLevel": cache_level, "MainMemoryLevel": MainMemoryLevel,
+            "SpmLevel": SpmLevel, "SystemConfig": SystemConfig})
     points = _run_unit(unit)
     for point in points:
         print(point.row())
@@ -259,17 +239,16 @@ def rerun_unit(unit):
 
 def _unit_failure(unit, attempts, error) -> dict:
     """Structured failure record for one exhausted unit."""
-    indices, task = unit
-    bench, kind, _params = task
+    indices, tasks = unit
     return {
-        "bench": bench,
-        "kind": kind,
+        "bench": tasks[0][0],
+        "configs": [entry[1].name for entry in tasks],
         "indices": indices,
         "attempts": attempts,
         "error": repr(error) if isinstance(error, BaseException) else error,
-        "repro": ("PYTHONPATH=src python -c \"from "
-                  "repro.experiments.common import rerun_unit; "
-                  f"rerun_unit({str(unit)!r})\""),
+        "repro": "PYTHONPATH=src python -c " + shlex.quote(
+            "from repro.experiments.common import rerun_unit; "
+            f"rerun_unit({str(unit)!r})"),
     }
 
 
@@ -305,8 +284,7 @@ def evaluate_points(tasks):
             merge(unit, _run_unit(unit))
         return results
     bench_keys = tuple(dict.fromkeys(t[0] for t in tasks))
-    needs_profile = frozenset(
-        t[0] for t in tasks if t[1] in ("spm", "hybrid"))
+    needs_profile = frozenset(t[0] for t in tasks if t[1].spm_size)
     for key in bench_keys:
         workflow_for(key).warm(profile=key in needs_profile)
     try:
@@ -381,6 +359,17 @@ def format_table(headers, rows) -> str:
     for line in cells:
         lines.append("  ".join(v.rjust(w) for v, w in zip(line, widths)))
     return "\n".join(lines)
+
+
+def branch_points(bench: str, fast: bool):
+    """The paper's two branches on *bench*: ``(scratchpad points,
+    unified direct-mapped cache points)``, one per sweep size."""
+    sweep = sizes(fast)
+    points = evaluate_points(
+        [task(bench, SystemConfig.scratchpad(size)) for size in sweep]
+        + [task(bench, SystemConfig.cached(CacheConfig(size=size)))
+           for size in sweep])
+    return points[:len(sweep)], points[len(sweep):]
 
 
 def spm_rows(points):

@@ -18,10 +18,10 @@ SPM_SIZE = 512
 
 def run(fast: bool = False) -> dict:
     workflow = workflow_for("g721")
-    allocation = workflow.allocate(SPM_SIZE)
-    image = link(workflow.program, spm_size=SPM_SIZE,
-                 spm_objects=allocation.objects, config_name="fig2")
     config = SystemConfig.scratchpad(SPM_SIZE)
+    allocation = workflow.allocate(config)
+    image = link(workflow.program, spm_size=SPM_SIZE,
+                 spm_objects=allocation.objects)
     annotations = generate_annotations(image, config)
     text = ("Figure 2: memory-area annotation for G.721 with a "
             f"{SPM_SIZE}-byte scratchpad\n\n")

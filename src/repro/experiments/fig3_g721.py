@@ -9,29 +9,15 @@
 
 from __future__ import annotations
 
-from ..memory.cache import CacheConfig
 from .charts import cycles_chart
-from .common import (
-    cache_rows,
-    cache_task,
-    evaluate_points,
-    format_table,
-    sizes,
-    spm_rows,
-    spm_task,
-)
+from .common import branch_points, cache_rows, format_table, spm_rows
 
 
 def run(fast: bool = False) -> dict:
-    sweep = sizes(fast)
-    points = evaluate_points(
-        [spm_task("g721", size) for size in sweep]
-        + [cache_task("g721", CacheConfig(size=size)) for size in sweep])
-    spm_points = points[:len(sweep)]
-    cache_points = points[len(sweep):]
+    spm_side, cache_side = branch_points("g721", fast)
 
-    rows_a = spm_rows(spm_points)
-    rows_b = cache_rows(cache_points)
+    rows_a = spm_rows(spm_side)
+    rows_b = cache_rows(cache_side)
 
     text = "Figure 3a: G.721 using a scratchpad\n"
     text += format_table(

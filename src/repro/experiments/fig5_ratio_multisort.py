@@ -7,28 +7,15 @@ roughly constant (the gap reflects typical vs. worst-case *input*, about
 
 from __future__ import annotations
 
-from ..memory.cache import CacheConfig
 from .charts import ratio_chart
-from .common import (
-    cache_task,
-    evaluate_points,
-    format_table,
-    sizes,
-    spm_task,
-)
+from .common import branch_points, format_table
 
 
 def run(fast: bool = False) -> dict:
-    sweep = sizes(fast)
-    points = evaluate_points(
-        [spm_task("multisort", size) for size in sweep]
-        + [cache_task("multisort", CacheConfig(size=size))
-           for size in sweep])
-    spm_points = points[:len(sweep)]
-    cache_points = points[len(sweep):]
+    spm_side, cache_side = branch_points("multisort", fast)
 
     rows = []
-    for spm_p, cache_p in zip(spm_points, cache_points):
+    for spm_p, cache_p in zip(spm_side, cache_side):
         rows.append({
             "size": spm_p.config.spm_size,
             "spm_ratio": round(spm_p.ratio, 3),

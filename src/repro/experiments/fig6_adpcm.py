@@ -12,29 +12,15 @@ Paper observations reproduced here:
 
 from __future__ import annotations
 
-from ..memory.cache import CacheConfig
 from .charts import cycles_chart
-from .common import (
-    cache_rows,
-    cache_task,
-    evaluate_points,
-    format_table,
-    sizes,
-    spm_rows,
-    spm_task,
-)
+from .common import branch_points, cache_rows, format_table, spm_rows
 
 
 def run(fast: bool = False) -> dict:
-    sweep = sizes(fast)
-    points = evaluate_points(
-        [spm_task("adpcm", size) for size in sweep]
-        + [cache_task("adpcm", CacheConfig(size=size)) for size in sweep])
-    spm_points = points[:len(sweep)]
-    cache_points = points[len(sweep):]
+    spm_side, cache_side = branch_points("adpcm", fast)
 
-    rows_spm = spm_rows(spm_points)
-    rows_cache = cache_rows(cache_points)
+    rows_spm = spm_rows(spm_side)
+    rows_cache = cache_rows(cache_side)
     text = "Figure 6: ADPCM using a scratchpad\n"
     text += format_table(
         ["SPM [B]", "Sim cycles", "WCET cycles", "WCET/Sim"],

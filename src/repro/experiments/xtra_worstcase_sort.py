@@ -13,12 +13,13 @@ any remaining WCET gap is pure analysis overestimation.
 
 from __future__ import annotations
 
+from ..memory.hierarchy import SystemConfig
 from .common import format_table, workflow_for
 
 
 def run(fast: bool = False) -> dict:
     workflow = workflow_for("sort_wc")
-    point = workflow.uncached_point()
+    point = workflow.config_point(SystemConfig.uncached())
     gap_percent = 100.0 * (point.wcet.wcet - point.sim.cycles) / \
         point.sim.cycles
     rows = [{

@@ -39,7 +39,7 @@ class Image:
 
     def __init__(self, segments, symbols, objects, entry,
                  access_notes, loop_bounds, loop_totals=None,
-                 config_name="", call_notes=None):
+                 call_notes=None):
         #: list of (base_addr, bytes) to load before execution
         #: (kept base-sorted for binary-searched reads).
         self.segments = sorted(segments, key=lambda seg: seg[0])
@@ -57,7 +57,6 @@ class Image:
         self.loop_bounds = dict(loop_bounds)
         #: loop-header address -> max back edges per function invocation.
         self.loop_totals = dict(loop_totals or {})
-        self.config_name = config_name
         self._seg_bases = [base for base, _ in self.segments]
         self._objs_by_name = {obj.name: obj for obj in self.objects}
         self._content_key = None
@@ -67,8 +66,7 @@ class Image:
 
         Two images with the same key yield identical CFGs, data-access
         resolutions and loop bounds, so it is the root of every
-        content-addressed analysis cache (``config_name`` is a display
-        label and deliberately excluded).
+        content-addressed analysis cache.
         """
         key = self._content_key
         if key is None:

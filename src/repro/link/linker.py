@@ -26,8 +26,7 @@ class LinkError(Exception):
     """Objects do not fit or symbols cannot be resolved."""
 
 
-def link(program: Program, spm_size: int = 0, spm_objects=(),
-         config_name: str = "") -> Image:
+def link(program: Program, spm_size: int = 0, spm_objects=()) -> Image:
     """Link *program* into an :class:`Image`.
 
     *spm_objects* is the set of object names placed in the scratchpad;
@@ -150,5 +149,4 @@ def link(program: Program, spm_size: int = 0, spm_objects=(),
         call_notes=call_notes,
         loop_bounds=loop_bounds,
         loop_totals=loop_totals,
-        config_name=config_name,
     )

@@ -133,6 +133,10 @@ def compile_source(source: str, entry: str = "main") -> CompiledProgram:
     analyzer = analyze(unit)
     if entry not in analyzer.functions:
         raise SemaError(f"entry function {entry!r} not defined")
+    if analyzer.functions[entry].param_types:
+        # _start calls the entry with no arguments.
+        raise SemaError(f"entry function {entry!r} must take no "
+                        "parameters")
     if analyzer.functions[entry].ret_type is VOID:
         # _start exits with r0, which a void entry never sets.
         analyzer.reads_unset = True

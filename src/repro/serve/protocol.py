@@ -266,10 +266,6 @@ def canonical_request(request: dict) -> dict:
     if op in ("simulate", "wcet"):
         spec = request.get("config")
         namespace = config_namespace(spec)
-        if namespace.spm and (namespace.dcache or namespace.l2):
-            raise ProtocolError(
-                "scratchpad pipelines with split/L2 levels are not "
-                "servable (no Workflow evaluation point exists)")
         system_config(spec)  # full validation, daemon-side
         canonical["config"] = {
             field: getattr(namespace, field)

@@ -83,27 +83,6 @@ def _sim_fields(sim) -> dict:
     return fields
 
 
-def _point(workflow, request):
-    """The EvaluationPoint a simulate/wcet config spec names."""
-    from ..memory.cache import CacheConfig
-    from ..serve.protocol import system_config
-    spec = request.get("config", {})
-    persistence = bool(request.get("persistence", False))
-    spm = spec.get("spm")
-    if spm:
-        method = spec.get("alloc", "energy")
-        if spec.get("cache"):
-            cache = CacheConfig(size=spec["cache"],
-                                line_size=spec.get("line", 16),
-                                assoc=spec.get("assoc", 1),
-                                unified=not spec.get("icache", False))
-            return workflow.hybrid_point(spm, cache, method=method,
-                                         persistence=persistence)
-        return workflow.spm_point(spm, method)
-    return workflow.config_point(system_config(spec),
-                                 persistence=persistence)
-
-
 def evaluate_request(request: dict) -> dict:
     """Evaluate one canonical request directly (no daemon, no faults).
 
@@ -118,30 +97,34 @@ def evaluate_request(request: dict) -> dict:
     workflow = _workflow(request)
     if op == "compile":
         return {"content_key": workflow.baseline_image().content_key()}
-    if op == "simulate":
-        spec = request.get("config", {})
-        if spec.get("spm"):
-            point = _point(workflow, request)
-            fields = _sim_fields(point.sim)
-            fields["config"] = point.config.name
-            return fields
+    if op in ("simulate", "wcet"):
         from ..serve.protocol import system_config
+        spec = request.get("config", {})
         config = system_config(spec)
-        fields = _sim_fields(workflow.sim_for(config))
+        if op == "simulate" and not config.spm_size:
+            sim = workflow.sim_for(config)
+        else:
+            # A scratchpad is allocated and placed by the point itself.
+            point = workflow.config_point(
+                config, bool(request.get("persistence", False)),
+                method=spec.get("alloc", "energy"))
+            if op == "wcet":
+                return point.row()
+            sim = point.sim
+        fields = _sim_fields(sim)
         fields["config"] = config.name
         return fields
-    if op == "wcet":
-        return _point(workflow, request).row()
     if op == "sweep":
         from ..memory.cache import CacheConfig
+        from ..memory.hierarchy import SystemConfig
         specs = [
-            (CacheConfig(size=size, line_size=request["line"],
-                         assoc=request["assoc"],
-                         unified=request["unified"]),
-             request["persistence"])
+            (SystemConfig.cached(CacheConfig(
+                size=size, line_size=request["line"],
+                assoc=request["assoc"], unified=request["unified"])),
+             request["persistence"], "energy")
             for size in request["sizes"]]
         return {"rows": [point.row()
-                         for point in workflow.cache_points(specs)]}
+                         for point in workflow.config_points(specs)]}
     if op == "grid":
         from ..memory.cache import CacheConfig
         line = request["line"]

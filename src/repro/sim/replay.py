@@ -28,7 +28,8 @@ engine prices with; the tests hold the kernels to that walk.
 
 :func:`replay_sweep` goes further for the paper's bread-and-butter
 sweep: same-geometry direct-mapped LRU caches of different sizes
-(``cache_sweep``, figs. 3-6, the cache-config ablation).  For LRU the
+(figs. 3-6 and the cache-config ablation, batched by
+``Workflow.config_points``).  For LRU the
 set contents of a cache are exactly the most recently used blocks
 mapping to each set — Mattson et al.'s stack property, which for the
 direct-mapped case degenerates to "resident iff most recent allocation

@@ -1,14 +1,20 @@
-"""The paper's Figure-1 workflow, as two one-call pipelines.
+"""The paper's Figure-1 workflow, one entry point for every configuration.
 
-Left branch (scratchpad):
-  compile -> profile (typical input, ARMulator role) -> energy knapsack
-  -> link with SPM placement -> simulate -> WCET analysis (region
-  annotations only).
+A :class:`~repro.memory.hierarchy.SystemConfig` describes a point as
+one level pipeline (:mod:`repro.memory.levels`), and
+:meth:`Workflow.config_point` evaluates any of them:
 
-Right branch (cache):
-  compile -> link (cache is software-transparent: one executable serves
-  all cache sizes) -> simulate with the cache model -> WCET analysis with
-  the MUST cache analysis.
+* without a scratchpad (the paper's right branch, the uncached
+  baseline, L1+L2, split I/D) the pipeline runs the baseline
+  executable: a cache is software-transparent, so one executable
+  serves every cache configuration;
+* with a scratchpad (the left branch, or a scratchpad with caches
+  behind it) the workflow allocates (the energy knapsack over the
+  typical-input profile, or the WCET-driven knapsack over the levels
+  behind the scratchpad), links that placement and prices it.
+
+Either way the point's WCET comes from the analyser under the same
+pipeline.  :meth:`Workflow.config_points` is the batch form.
 
 A :class:`Workflow` caches the compile and profile steps so a size sweep
 only repeats the placement/simulation/analysis work, like the paper's
@@ -16,31 +22,24 @@ experimental setup.  Simulation itself is trace-driven: the baseline
 image's dynamic access stream is recorded once (:mod:`repro.sim.trace`)
 and re-priced per configuration by the replay kernels
 (:mod:`repro.sim.replay`), with same-geometry cache size sweeps served
-by a single Mattson-style pass (:meth:`Workflow.cache_points`).  The
-same trace yields the typical-input profile and, through
+by a single Mattson-style pass.  The same trace yields the
+typical-input profile and, through
 :func:`~repro.sim.placement.place_trace`, the trace of every scratchpad
-placement, so SPM and hybrid points re-price it too instead of running
-the placed image.  Results are bit-identical to executing every point:
-the engine remains the recorder and the ground truth, and a placement
-the pricing checks cannot vouch for (a program that can see an address,
-an access outside its instruction's ranges, a pointer overrun into an
+placement.  Results are bit-identical to executing every point: the
+engine remains the recorder and the ground truth, and a placement the
+pricing checks cannot vouch for (a program that can see an address, an
+access outside its instruction's ranges, a pointer overrun into an
 array the placement moves apart) is executed instead.
-
-Beyond the paper's two branches, the deeper pipelines of
-:mod:`repro.memory.levels` get evaluation points too:
-:meth:`Workflow.hybrid_point` (SPM with a cache behind it),
-:meth:`Workflow.multilevel_point` (L1+L2) and
-:meth:`Workflow.split_point` (split I/D caches).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .energy.model import EnergyModel
 from .link.linker import link
-from .memory.cache import CacheConfig
 from .memory.hierarchy import SystemConfig
+from .memory.levels import SpmLevel
 from .minic.frontend import compile_source
 from .sim.placement import place_trace, trace_profile
 from .sim.profile import ProgramProfile
@@ -86,6 +85,12 @@ class EvaluationPoint:
         }
 
 
+def _run_key(config: SystemConfig, method: str) -> tuple:
+    """What one simulation depends on: the levels (frozen, hashable,
+    the full geometry), plus the allocation method behind a scratchpad."""
+    return (config.levels, method) if config.spm_size else (config.levels,)
+
+
 class Workflow:
     """Compile once; evaluate any number of memory configurations."""
 
@@ -97,7 +102,8 @@ class Workflow:
         self.energy_model = energy_model or EnergyModel()
         self._profile = None
         self._baseline_image = None
-        self._points = {}  # (kind, parameters) -> EvaluationPoint
+        self._runs = {}    # run key -> (image, allocation, sim)
+        self._points = {}  # (run key, persistence) -> EvaluationPoint
 
     @property
     def program(self):
@@ -108,8 +114,7 @@ class Workflow:
     def baseline_image(self):
         """All-objects-in-main-memory executable (also the cache binary)."""
         if self._baseline_image is None:
-            self._baseline_image = link(self.program, spm_size=0,
-                                        config_name="baseline")
+            self._baseline_image = link(self.program, spm_size=0)
         return self._baseline_image
 
     def baseline_trace(self):
@@ -127,55 +132,53 @@ class Workflow:
     def warm(self, profile: bool = False) -> "Workflow":
         """Precompute the shared steps every evaluation point needs.
 
-        Links the baseline executable (and, for scratchpad/hybrid
-        sweeps, records its trace and folds the profile) so sweep
-        workers — or a process about to fork them — pay the one-off
-        costs exactly once instead of once per task.
+        Links the baseline executable (and, for scratchpad sweeps,
+        records its trace and folds the profile) so sweep workers — or
+        a process about to fork them — pay the one-off costs exactly
+        once instead of once per task.
         """
         self.baseline_image()
         if profile:
             self.profile()
         return self
 
-    # -- left branch: scratchpad ---------------------------------------------------
+    # -- allocate and link --------------------------------------------------------
 
-    def allocate(self, spm_size: int, method: str = "energy",
-                 backing_cache: CacheConfig = None) -> Allocation:
-        """*backing_cache* tells the WCET-driven allocator what sits
-        behind the scratchpad in a hybrid pipeline."""
+    def allocate(self, config: SystemConfig,
+                 method: str = "energy") -> Allocation:
+        """Choose the contents of *config*'s scratchpad.
+
+        ``"energy"`` is the paper's knapsack over the typical-input
+        profile; ``"wcet"`` prices objects on the critical path of the
+        all-in-main-memory layout, analysed under the levels behind the
+        scratchpad.
+        """
         if method == "energy":
             return allocate_energy_optimal(
-                self.program, self.profile(), spm_size,
+                self.program, self.profile(), config.spm_size,
                 model=self.energy_model)
         if method == "wcet":
-            baseline = (SystemConfig.cached(backing_cache)
-                        if backing_cache is not None else None)
-            return allocate_wcet_driven(self.program, spm_size,
-                                        baseline_config=baseline)
+            behind = SystemConfig.with_levels(
+                config.name,
+                [level for level in config.levels
+                 if not isinstance(level, SpmLevel)],
+                config.timing)
+            return allocate_wcet_driven(self.program, config.spm_size,
+                                        baseline_config=behind)
         raise ValueError(f"unknown allocation method {method!r}")
 
-    def spm_point(self, spm_size: int,
-                  method: str = "energy") -> EvaluationPoint:
-        """Evaluate one scratchpad capacity (allocate, link, sim, WCET)."""
-        key = ("spm", spm_size, method)
-        if key in self._points:
-            return self._points[key]
-        allocation = self.allocate(spm_size, method)
-        image = link(self.program, spm_size=spm_size,
-                     spm_objects=allocation.objects,
-                     config_name=f"spm{spm_size}")
-        config = SystemConfig.scratchpad(spm_size)
-        sim = self._placed_sim(image, config)
-        if sim is None:
-            sim = simulate(image, config, max_steps=self.max_steps)
-        wcet = analyze_wcet(image, config)
-        point = EvaluationPoint(config=config, image=image, sim=sim,
-                                wcet=wcet, allocation=allocation)
-        self._points[key] = point
-        return point
+    def image_for(self, config: SystemConfig, method: str = "energy"):
+        """``(image, allocation)``: the executable *config* runs.
 
-    def spm_sweep(self, sizes=PAPER_SIZES, method: str = "energy"):
-        return [self.spm_point(size, method) for size in sizes]
+        The baseline executable (and no allocation) without a
+        scratchpad; otherwise the placement *method* allocates, linked.
+        """
+        if not config.spm_size:
+            return self.baseline_image(), None
+        allocation = self.allocate(config, method)
+        image = link(self.program, spm_size=config.spm_size,
+                     spm_objects=allocation.objects)
+        return image, allocation
 
     # -- trace-driven simulation -------------------------------------------------
 
@@ -195,14 +198,8 @@ class Workflow:
             return None
         return replay(placed, config, max_steps=self.max_steps)
 
-    def _traced_sim(self, image, config: SystemConfig,
-                    spm_size: int = 0) -> SimResult:
-        """Simulate via the recorded trace (recording it on first use)."""
-        trace = trace_for(image, spm_size, max_steps=self.max_steps)
-        return replay(trace, config, max_steps=self.max_steps)
-
-    def _cache_sims(self, caches) -> dict:
-        """One :class:`SimResult` per cache config, trace-replayed.
+    def _baseline_sims(self, configs) -> list:
+        """One :class:`SimResult` per cache-only config, in order.
 
         Same-geometry LRU groups are served from a single pass over the
         baseline trace — a stack-distance size sweep when the whole
@@ -211,34 +208,59 @@ class Workflow:
         else replays per config.  All of it reuses the one recorded
         trace of the shared executable.
         """
+        if not configs:
+            return []
         trace = self.baseline_trace()
         groups = {}
         singles = []
-        for cache in dict.fromkeys(caches):
-            config = SystemConfig.cached(cache)
+        for index, config in enumerate(configs):
             key = grid_geometry(config)
             if key is None:
-                singles.append((cache, config))
+                singles.append(index)
             else:
-                groups.setdefault(key, []).append((cache, config))
-        sims = {}
-        for items in groups.values():
-            if len(items) == 1:
-                singles.extend(items)
+                groups.setdefault(key, []).append(index)
+        sims = [None] * len(configs)
+        for indices in groups.values():
+            if len(indices) == 1:
+                singles.extend(indices)
                 continue
-            configs = [config for _, config in items]
-            if all(sweep_geometry(config) is not None
-                   for config in configs):
-                results = replay_sweep(trace, configs,
+            group = [configs[index] for index in indices]
+            if all(sweep_geometry(config) is not None for config in group):
+                results = replay_sweep(trace, group,
                                        max_steps=self.max_steps)
             else:
-                results = replay_grid(trace, configs,
+                results = replay_grid(trace, group,
                                       max_steps=self.max_steps)
-            for (cache, _), sim in zip(items, results):
-                sims[cache] = sim
-        for cache, config in singles:
-            sims[cache] = replay(trace, config, max_steps=self.max_steps)
+            for index, sim in zip(indices, results):
+                sims[index] = sim
+        for index in singles:
+            sims[index] = replay(trace, configs[index],
+                                 max_steps=self.max_steps)
         return sims
+
+    def _measure(self, runs: dict):
+        """Simulate the ``{run key: (config, method)}`` not yet memoised.
+
+        Cache-only pipelines replay the baseline trace together
+        (:meth:`_baseline_sims`).  A scratchpad pipeline is allocated,
+        linked and priced from the baseline trace, or executed when
+        pricing declines.
+        """
+        pending = {key: run for key, run in runs.items()
+                   if key not in self._runs}
+        cached = {key: config for key, (config, _) in pending.items()
+                  if not config.spm_size}
+        sims = self._baseline_sims(list(cached.values()))
+        for key, sim in zip(cached, sims):
+            self._runs[key] = (self.baseline_image(), None, sim)
+        for key, (config, method) in pending.items():
+            if key in cached:
+                continue
+            image, allocation = self.image_for(config, method)
+            sim = self._placed_sim(image, config)
+            if sim is None:
+                sim = simulate(image, config, max_steps=self.max_steps)
+            self._runs[key] = (image, allocation, sim)
 
     def cache_sims(self, caches) -> dict:
         """Trace-replayed :class:`SimResult` per cache config, no WCET.
@@ -248,138 +270,57 @@ class Workflow:
         collapse into single sweep/grid passes over the one recorded
         trace.  Returns ``{cache_config: SimResult}``.
         """
-        return self._cache_sims(list(dict.fromkeys(caches)))
+        caches = list(dict.fromkeys(caches))
+        return dict(zip(caches, self._baseline_sims(
+            [SystemConfig.cached(cache) for cache in caches])))
 
     def sim_for(self, config: SystemConfig) -> SimResult:
         """Trace-replayed simulation of the shared executable, no WCET.
 
-        Accepts any non-scratchpad level pipeline (placement would make
-        the executable config-dependent — use :meth:`spm_point` /
-        :meth:`hybrid_point` for those).  The serving daemon's
-        ``simulate`` op is answered from here.
+        Accepts any pipeline without a scratchpad (placement needs an
+        allocation — :meth:`config_point` evaluates those).  The serving
+        daemon's ``simulate`` op is answered from here.
         """
         if config.spm_size:
-            raise ValueError("use hybrid_point/spm_point for SPM pipelines")
-        return self._traced_sim(self.baseline_image(), config)
+            raise ValueError("use config_point for scratchpad pipelines")
+        key = _run_key(config, None)
+        self._measure({key: (config, None)})
+        return self._runs[key][2]
 
-    # -- right branch: cache ----------------------------------------------------------
+    # -- evaluation points ----------------------------------------------------------
 
-    def cache_point(self, cache: CacheConfig,
-                    persistence: bool = False) -> EvaluationPoint:
-        """Evaluate one cache configuration on the shared executable."""
-        return self.cache_points([(cache, persistence)])[0]
+    def config_point(self, config: SystemConfig, persistence: bool = False,
+                     method: str = "energy") -> EvaluationPoint:
+        """Evaluate one level pipeline: simulation plus WCET bound.
 
-    def cache_points(self, specs):
-        """Evaluate ``(cache, persistence)`` specs, batching the sims.
-
-        The sweep-aware planner: every spec's simulation comes from the
-        shared executable's recorded trace, with compatible-geometry
-        size sweeps collapsed into one single-pass replay, and WCET
-        analysis runs once per distinct spec.  Returns points in spec
-        order (memoized like :meth:`cache_point` always was).
+        *method* allocates a scratchpad (``"energy"`` or ``"wcet"``);
+        *persistence* adds first-miss classification to the cache
+        analysis.
         """
-        specs = [(cache, bool(persistence)) for cache, persistence in specs]
-        pending = [
-            spec for spec in dict.fromkeys(specs)
-            if ("cache",) + spec not in self._points]
-        if pending:
-            image = self.baseline_image()
-            # Persistence only changes the WCET side; a point already
-            # evaluated under the other persistence setting donates its
-            # simulation instead of replaying again.
-            sims = {}
-            for cache, persistence in pending:
-                other = self._points.get(("cache", cache, not persistence))
-                if other is not None:
-                    sims[cache] = other.sim
-            fresh = [cache for cache, _ in pending if cache not in sims]
-            if fresh:
-                sims.update(self._cache_sims(fresh))
-            for cache, persistence in pending:
-                config = SystemConfig.cached(cache)
-                wcet = analyze_wcet(image, config,
-                                    persistence=persistence)
-                self._points[("cache", cache, persistence)] = \
-                    EvaluationPoint(config=config, image=image,
-                                    sim=sims[cache], wcet=wcet)
-        return [self._points[("cache",) + spec] for spec in specs]
+        return self.config_points([(config, persistence, method)])[0]
 
-    def cache_sweep(self, sizes=PAPER_SIZES, line_size: int = 16,
-                    assoc: int = 1, unified: bool = True,
-                    persistence: bool = False):
-        return self.cache_points([
-            (CacheConfig(size=size, line_size=line_size, assoc=assoc,
-                         unified=unified), persistence)
-            for size in sizes])
+    def config_points(self, specs) -> list:
+        """Evaluate ``(config, persistence, method)`` specs, in order.
 
-    # -- deeper pipelines (the future-work shapes) ------------------------------
-
-    def multilevel_point(self, l1: CacheConfig, l2: CacheConfig,
-                         persistence: bool = False) -> EvaluationPoint:
-        """Evaluate an L1+L2 pipeline on the shared executable."""
-        config = SystemConfig.two_level(l1, l2)
-        return self.config_point(config, persistence=persistence)
-
-    def split_point(self, icache: CacheConfig, dcache: CacheConfig,
-                    persistence: bool = False) -> EvaluationPoint:
-        """Evaluate split L1 instruction/data caches."""
-        config = SystemConfig.split_l1(icache, dcache)
-        return self.config_point(config, persistence=persistence)
-
-    def hybrid_point(self, spm_size: int, cache: CacheConfig,
-                     method: str = "energy",
-                     persistence: bool = False) -> EvaluationPoint:
-        """Scratchpad allocation with a cache behind it for the rest."""
-        key = ("hybrid", spm_size, cache, method, persistence)
-        if key in self._points:
-            return self._points[key]
-        allocation = self.allocate(spm_size, method, backing_cache=cache)
-        image = link(self.program, spm_size=spm_size,
-                     spm_objects=allocation.objects,
-                     config_name=f"spm{spm_size}+cache{cache.size}")
-        config = SystemConfig.hybrid(spm_size, cache)
-        sim = self._placed_sim(image, config)
-        if sim is None:
-            sim = self._traced_sim(image, config, spm_size=spm_size)
-        wcet = analyze_wcet(image, config, persistence=persistence)
-        point = EvaluationPoint(config=config, image=image, sim=sim,
-                                wcet=wcet, allocation=allocation)
-        self._points[key] = point
-        return point
-
-    def config_point(self, config: SystemConfig,
-                     persistence: bool = False) -> EvaluationPoint:
-        """Evaluate an arbitrary level pipeline on the shared executable.
-
-        The pipeline must not contain an SPM level (placement would be
-        needed) — use :meth:`hybrid_point` / :meth:`spm_point` for those.
+        Points are memoised.  So are simulations, keyed by the levels
+        (plus the method when there is a scratchpad): persistence only
+        changes the WCET side, so its variants share one simulation.
+        Cache-only pipelines not yet simulated replay together, with
+        same-geometry groups in single sweep/grid passes, and WCET
+        analysis runs once per distinct spec.
         """
-        if config.spm_size:
-            raise ValueError("use hybrid_point/spm_point for SPM pipelines")
-        # Levels are frozen/hashable and capture the full geometry (names
-        # alone would collide across e.g. associativity sweeps).
-        key = ("config", config.levels, persistence)
-        if key in self._points:
-            return self._points[key]
-        image = self.baseline_image()
-        sim = self._traced_sim(image, config)
-        wcet = analyze_wcet(image, config, persistence=persistence)
-        point = EvaluationPoint(config=config, image=image, sim=sim,
-                                wcet=wcet)
-        self._points[key] = point
-        return point
-
-    # -- baseline -----------------------------------------------------------------------
-
-    def uncached_point(self) -> EvaluationPoint:
-        key = ("uncached",)
-        if key in self._points:
-            return self._points[key]
-        image = self.baseline_image()
-        config = SystemConfig.uncached()
-        sim = self._traced_sim(image, config)
-        wcet = analyze_wcet(image, config)
-        point = EvaluationPoint(config=config, image=image, sim=sim,
-                                wcet=wcet)
-        self._points[key] = point
-        return point
+        specs = [(config, bool(persistence), method)
+                 for config, persistence, method in specs]
+        keys = [(_run_key(config, method), persistence)
+                for config, persistence, method in specs]
+        pending = {key: spec for key, spec in zip(keys, specs)
+                   if key not in self._points}
+        self._measure({key: (config, method)
+                       for (key, _), (config, _, method) in pending.items()})
+        for (key, persistence), (config, _, _) in pending.items():
+            image, allocation, sim = self._runs[key]
+            wcet = analyze_wcet(image, config, persistence=persistence)
+            self._points[(key, persistence)] = EvaluationPoint(
+                config=config, image=image, sim=sim, wcet=wcet,
+                allocation=allocation)
+        return [self._points[key] for key in keys]

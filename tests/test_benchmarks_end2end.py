@@ -56,9 +56,9 @@ class TestConfigurationIndependence:
     @pytest.mark.parametrize("key", ["adpcm", "multisort"])
     def test_spm_placement_does_not_change_results(self, compiled, key):
         workflow = Workflow(get(key).source())
-        reference = workflow.uncached_point().sim
+        reference = workflow.config_point(SystemConfig.uncached()).sim
         for size in (128, 2048):
-            point = workflow.spm_point(size)
+            point = workflow.config_point(SystemConfig.scratchpad(size))
             assert point.sim.console == reference.console
             assert point.sim.exit_code == reference.exit_code
 

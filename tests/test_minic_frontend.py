@@ -277,6 +277,17 @@ class TestSema:
         with pytest.raises(SemaError):
             self.analyze_source("int f(void) { return; }")
 
+    @pytest.mark.parametrize("source", [
+        "int main(int p[]) { return p[0]; }",
+        "int main(int a, int b) { return a + b; }",
+    ])
+    def test_entry_with_parameters_rejected(self, source):
+        # _start calls the entry with no arguments.
+        with pytest.raises(SemaError, match="'main'"):
+            compile_source(source)
+        with pytest.raises(SemaError, match="'run'"):
+            compile_source(source.replace("main", "run"), entry="run")
+
 
 class TestReadsUnset:
     """Sema flags a local or return value that may be read unset."""

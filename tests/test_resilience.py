@@ -18,6 +18,7 @@ never *wrong*.  Three layers are exercised:
 
 import os
 import pickle
+import shlex
 import subprocess
 import sys
 import time
@@ -377,13 +378,13 @@ class TestBoundedCacheLayers:
 # --------------------------------------------------------------------------
 
 def _crc_tasks():
-    from repro.experiments import common
-    from repro.memory.cache import CacheConfig
+    from repro.experiments.common import task
+    from repro.memory import CacheConfig, SystemConfig
     return [
-        common.uncached_task("crc"),
-        common.cache_task("crc", CacheConfig(size=256)),
-        common.cache_task("crc", CacheConfig(size=512)),
-        common.spm_task("crc", 128),
+        task("crc", SystemConfig.uncached()),
+        task("crc", SystemConfig.cached(CacheConfig(size=256))),
+        task("crc", SystemConfig.cached(CacheConfig(size=512))),
+        task("crc", SystemConfig.scratchpad(128)),
     ]
 
 
@@ -474,12 +475,28 @@ class TestSchedulerFaults:
         assert all(row in baseline for row in done)
 
     def test_rerun_unit_accepts_report_repr(self, scheduler, capsys):
-        from repro.experiments.common import plan_units, rerun_unit
-        units = plan_units(_crc_tasks())
-        unit = units[0]  # the uncached unit
-        points = rerun_unit(str(unit))
-        assert len(points) == 1
-        assert str(points[0].row()) in capsys.readouterr().out
+        from repro.experiments.common import plan_units, rerun_unit, task
+        from repro.memory import CacheConfig, SystemConfig
+        tasks = _crc_tasks() + [task("crc", SystemConfig.two_level(
+            CacheConfig(size=256), CacheConfig(size=1024)))]
+        direct = _rows(scheduler.evaluate_points(tasks))
+        units = plan_units(tasks)
+        # The uncached unit, the 256/512 cache batch, the scratchpad
+        # unit and the L1+L2 unit.
+        assert [unit[0] for unit in units] == [(0,), (1, 2), (3,), (4,)]
+        capsys.readouterr()
+        for unit in units:
+            points = rerun_unit(str(unit))
+            want = [direct[index] for index in unit[0]]
+            assert _rows(points) == want
+            # The report's repro line is one shell command that runs
+            # the same rerun.
+            record = scheduler._unit_failure(unit, 1, "injected")
+            env, python, flag, code = shlex.split(record["repro"])
+            assert (env, python, flag) == ("PYTHONPATH=src", "python", "-c")
+            exec(code, {})
+            out = capsys.readouterr().out.splitlines()
+            assert out == [str(row) for row in want] * 2
 
     def test_serial_fault_free_unaffected(self, scheduler):
         # The serial path must not grow scheduling overhead: no pool,
@@ -491,17 +508,19 @@ class TestSchedulerFaults:
 class TestRunnerFailureReporting:
     def test_runner_reports_and_continues(self, monkeypatch, capsys):
         from repro.experiments import common, runner
+        from repro.memory import SystemConfig
 
         def boom(fast=False):
+            spm = common.task("crc", SystemConfig.scratchpad(128))
+            unit = ((0,), (spm,))
             raise common.SweepFailure(
-                [common._unit_failure(((0,), ("crc", "spm", (128,))),
-                                      3, "injected")],
-                [None])
+                [common._unit_failure(unit, 3, "injected")], [None])
 
         monkeypatch.setitem(runner.EXPERIMENTS, "table1", boom)
         assert runner.main(["table1", "table2", "--fast"]) == 1
         captured = capsys.readouterr()
         assert "===== table1" in captured.err and "FAILED" in captured.err
+        assert "unit bench=crc configs=spm128 " in captured.err
         assert "repro:" in captured.err
         assert "FAILED experiments: table1" in captured.err
         assert "===== table2" in captured.out  # later experiments ran

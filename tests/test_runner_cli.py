@@ -48,17 +48,19 @@ class TestParallelSweepLayer:
 
     def test_parallel_matches_serial(self):
         from repro.experiments import common
-        from repro.memory.cache import CacheConfig
+        from repro.experiments.common import task
+        from repro.memory import CacheConfig, SystemConfig
         tasks = [
-            common.uncached_task("crc"),
-            common.cache_task("crc", CacheConfig(size=256)),
-            common.cache_task("crc", CacheConfig(size=512)),
-            common.spm_task("crc", 128),
-            common.hybrid_task("crc", 128, CacheConfig(size=256)),
-            common.multilevel_task("crc", CacheConfig(size=256),
-                                   CacheConfig(size=1024)),
-            common.split_task("crc", CacheConfig(size=256, unified=False),
-                              CacheConfig(size=256)),
+            task("crc", SystemConfig.uncached()),
+            task("crc", SystemConfig.cached(CacheConfig(size=256))),
+            task("crc", SystemConfig.cached(CacheConfig(size=512))),
+            task("crc", SystemConfig.scratchpad(128)),
+            task("crc", SystemConfig.hybrid(128, CacheConfig(size=256))),
+            task("crc", SystemConfig.two_level(CacheConfig(size=256),
+                                               CacheConfig(size=1024))),
+            task("crc", SystemConfig.split_l1(
+                CacheConfig(size=256, unified=False),
+                CacheConfig(size=256))),
         ]
         serial = self._rows(common.evaluate_points(tasks))
         common.set_jobs(2)
@@ -67,11 +69,6 @@ class TestParallelSweepLayer:
         finally:
             common.set_jobs(1)
         assert parallel == serial
-
-    def test_unknown_task_kind_rejected(self):
-        from repro.experiments.common import _evaluate_task
-        with pytest.raises(ValueError):
-            _evaluate_task(("crc", "warp-drive", ()))
 
 
 class TestConsistency:

@@ -129,7 +129,7 @@ class TestProtocol:
         {"op": "wcet", "bench": "crc", "config": {"alloc": "magic"}},
         {"op": "wcet", "bench": "crc", "config": {"cache": -4}},
         {"op": "wcet", "bench": "crc",
-         "config": {"spm": 256, "l2": 1024}},              # unservable
+         "config": {"spm": 256, "l2": 1024}},     # an L2 needs an L1
         {"op": "sweep", "bench": "crc", "sizes": []},
         {"op": "sweep", "bench": "crc", "sizes": [100]},   # not 2^n
         {"op": "grid", "bench": "crc", "sizes": [256]},    # no assocs
@@ -479,6 +479,26 @@ class TestServedEqualsDirect:
         point = workflow.config_point(
             system_config({"cache": 256}), False)
         assert served[2] == point.row()
+
+    @pytest.mark.parametrize("config", [
+        {"spm": 256, "cache": 512, "hybrid": True, "l2": 2048},
+        {"spm": 256, "cache": 512, "hybrid": True, "dcache": 256},
+    ], ids=["spm+l1+l2", "spm+split"])
+    def test_scratchpad_behind_deeper_caches_is_served(self, daemon_factory,
+                                                      config):
+        daemon = daemon_factory(workers=1, warm=("crc",))
+        requests = [{"op": op, "bench": "crc", "config": config}
+                    for op in ("wcet", "simulate")]
+        with ServeClient(daemon.socket_path) as client:
+            wcet, sim = [client.call(r["op"], **{k: v
+                                                 for k, v in r.items()
+                                                 if k != "op"})
+                         for r in requests]
+        for request, got in zip(requests, (wcet, sim)):
+            want = evaluate_request(canonical_request(request))
+            assert (json.dumps(got, sort_keys=True)
+                    == json.dumps(want, sort_keys=True)), request
+        assert wcet["wcet_cycles"] >= wcet["sim_cycles"] == sim["cycles"]
 
     def test_sweep_and_grid_match_direct(self, daemon_factory):
         daemon = daemon_factory(workers=2, warm=("crc",))

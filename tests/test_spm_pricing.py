@@ -14,6 +14,7 @@ import pytest
 from repro.benchmarks import BENCHMARKS, get
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
+from repro.memory.levels import CacheLevel, MainMemoryLevel, SpmLevel
 from repro.sim import place_trace, placement, simulate
 from repro.sim.replay import replay
 from repro.sim.trace import clear_trace_caches, record_trace, trace_counters
@@ -24,11 +25,24 @@ from .helpers import build_profile
 from .oracles import record
 
 HYBRID_SIZES = (256, 1024)
-HYBRID_CACHES = (
-    CacheConfig(size=512),
-    CacheConfig(size=512, assoc=2),
-    CacheConfig(size=512, unified=False),
+#: The levels behind the scratchpad in the hybrid shapes: an L1
+#: (unified, 2-way or instruction-only), an L1+L2 and split I/D caches.
+HYBRID_BACKS = (
+    (CacheLevel.unified(CacheConfig(size=512)),),
+    (CacheLevel.unified(CacheConfig(size=512, assoc=2)),),
+    (CacheLevel.instruction(CacheConfig(size=512, unified=False)),),
+    (CacheLevel.unified(CacheConfig(size=512)),
+     CacheLevel.unified(CacheConfig(size=2048), name="L2")),
+    (CacheLevel.split(CacheConfig(size=512, unified=False),
+                      CacheConfig(size=256)),),
+    (CacheLevel.unified(CacheConfig(size=256, assoc=2)),
+     CacheLevel.unified(CacheConfig(size=4096, assoc=4), name="L2")),
 )
+
+
+def _hybrid(size, back):
+    return SystemConfig.with_levels(
+        f"spm{size}+hybrid", (SpmLevel(size),) + back + (MainMemoryLevel(),))
 
 
 def _outcome(result):
@@ -50,7 +64,8 @@ def _placed_images(workflow, method, sizes):
     """``(size, image)`` per distinct placement of *sizes*."""
     seen = set()
     for size in sizes:
-        allocation = workflow.allocate(size, method)
+        allocation = workflow.allocate(SystemConfig.scratchpad(size),
+                                       method)
         image = link(workflow.program, spm_size=size,
                      spm_objects=allocation.objects)
         key = (size, image.content_key())
@@ -92,8 +107,8 @@ class TestSuiteDifferential:
             placed = place_trace(trace, workflow.baseline_image(), image,
                                  size)
             assert placed is not None
-            for cache in HYBRID_CACHES:
-                config = SystemConfig.hybrid(size, cache)
+            for back in HYBRID_BACKS:
+                config = _hybrid(size, back)
                 assert _outcome(replay(placed, config)) == \
                     _outcome(simulate(image, config))
 
@@ -103,7 +118,9 @@ class TestWorkflowPricing:
         clear_trace_caches()
         workflow = Workflow(get("crc").source())
         before = trace_counters()
-        points = workflow.spm_sweep()
+        points = workflow.config_points(
+            (SystemConfig.scratchpad(size), False, "energy")
+            for size in PAPER_SIZES)
         after = trace_counters()
         assert after["trace_records"] - before["trace_records"] == 1
         assert after["replay_runs"] - before["replay_runs"] == \
@@ -115,7 +132,8 @@ class TestWorkflowPricing:
     def test_pure_spm_point_builds_no_stream(self):
         workflow = _workflow("adpcm")
         image = link(workflow.program, spm_size=512,
-                     spm_objects=workflow.allocate(512).objects)
+                     spm_objects=workflow.allocate(
+                         SystemConfig.scratchpad(512)).objects)
         placed = place_trace(workflow.baseline_trace(),
                              workflow.baseline_image(), image, 512)
         replay(placed, SystemConfig.scratchpad(512))
@@ -125,7 +143,8 @@ class TestWorkflowPricing:
 
     def test_hybrid_point_matches_execution(self):
         workflow = _workflow("adpcm")
-        point = workflow.hybrid_point(512, CacheConfig(size=256))
+        point = workflow.config_point(
+            SystemConfig.hybrid(512, CacheConfig(size=256)))
         assert _outcome(point.sim) == \
             _outcome(simulate(point.image, point.config))
 
@@ -247,9 +266,9 @@ def _pairs(workflow):
 def _pinned_point(source, objects, spm_size=64):
     """The workflow's SPM point with *objects* forced into the SPM."""
     workflow = Workflow(source)
-    workflow.allocate = lambda size, method="energy", backing_cache=None: \
-        Allocation(spm_size=size, objects=set(objects))
-    point = workflow.spm_point(spm_size)
+    workflow.allocate = lambda config, method="energy": \
+        Allocation(spm_size=config.spm_size, objects=set(objects))
+    point = workflow.config_point(SystemConfig.scratchpad(spm_size))
     placed = place_trace(workflow.baseline_trace(),
                          workflow.baseline_image(), point.image, spm_size)
     return workflow, point, placed
@@ -336,7 +355,7 @@ class TestPlacementGuard:
 
     def test_recursive_pointer_function_declines(self):
         # WCET analysis rejects recursion, so this prices the simulation
-        # alone, as spm_point would.
+        # alone, as config_point would.
         workflow = Workflow(RECURSIVE)
         image = link(workflow.program, spm_size=64, spm_objects={"a"})
         config = SystemConfig.scratchpad(64)
@@ -348,9 +367,10 @@ class TestPlacementGuard:
 
     def test_hybrid_point_falls_back_to_its_own_trace(self):
         workflow = Workflow(OUT_OF_BOUNDS)
-        workflow.allocate = lambda size, method="energy", \
-            backing_cache=None: Allocation(spm_size=size, objects={"a"})
-        point = workflow.hybrid_point(64, CacheConfig(size=64))
+        workflow.allocate = lambda config, method="energy": \
+            Allocation(spm_size=config.spm_size, objects={"a"})
+        point = workflow.config_point(
+            SystemConfig.hybrid(64, CacheConfig(size=64)))
         executed = simulate(point.image, point.config)
         assert executed.console == ["6"]
         assert _outcome(point.sim) == _outcome(executed)
@@ -377,7 +397,8 @@ class TestPlacementContract:
     def test_needs_the_baseline_trace(self):
         workflow = _workflow("crc")
         image = link(workflow.program, spm_size=256,
-                     spm_objects=workflow.allocate(256).objects)
+                     spm_objects=workflow.allocate(
+                         SystemConfig.scratchpad(256)).objects)
         with pytest.raises(ValueError):
             place_trace(record_trace(image, 256), image, image, 256)
 

@@ -337,13 +337,18 @@ int main(void) {
 """
 
 
+def _cache_specs(sizes, persistence=False):
+    return [(SystemConfig.cached(CacheConfig(size=size)), persistence,
+             "energy") for size in sizes]
+
+
 def test_workflow_cache_sweep_reuses_one_trace(fresh_trace_cache):
     counters = fresh_trace_cache
     counters.update(trace_hits=0, trace_misses=0, trace_records=0,
                     sweep_passes=0, sweep_points=0, replay_runs=0)
     workflow = Workflow(_SWEEP_SOURCE)
     sizes = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
-    points = workflow.cache_sweep(sizes=sizes)
+    points = workflow.config_points(_cache_specs(sizes))
     assert [p.config.cache.size for p in points] == list(sizes)
     # One recorded trace, one single-pass replay, eight points served.
     assert counters["trace_records"] == 1
@@ -351,7 +356,7 @@ def test_workflow_cache_sweep_reuses_one_trace(fresh_trace_cache):
     assert counters["sweep_points"] == len(sizes)
     assert counters["replay_runs"] == 0
     # The persistence variant re-analyses WCET but reuses every sim.
-    persisted = workflow.cache_sweep(sizes=sizes, persistence=True)
+    persisted = workflow.config_points(_cache_specs(sizes, True))
     assert counters["trace_records"] == 1
     assert counters["sweep_passes"] == 1
     for plain, persist in zip(points, persisted):
@@ -375,7 +380,9 @@ def test_workflow_mixed_geometry_sweep(fresh_trace_cache):
         (CacheConfig(size=256), False),
         (CacheConfig(size=128, unified=False), False),
     ]
-    points = workflow.cache_points(specs)
+    points = workflow.config_points(
+        (SystemConfig.cached(cache), persistence, "energy")
+        for cache, persistence in specs)
     assert [p.config.cache for p in points] == [cache for cache, _ in specs]
     assert counters["trace_records"] == 1
     assert counters["grid_passes"] == 1    # unified trio + the 2-way point
@@ -389,7 +396,9 @@ def test_workflow_mixed_geometry_sweep(fresh_trace_cache):
 
 def test_uncached_point_is_memoized():
     workflow = Workflow(_SWEEP_SOURCE)
-    assert workflow.uncached_point() is workflow.uncached_point()
+    uncached = SystemConfig.uncached()
+    assert workflow.config_point(uncached) is \
+        workflow.config_point(uncached)
 
 
 # -- replay-served per-pc miss counters ---------------------------------------

@@ -141,7 +141,7 @@ class TestSoundness:
         from repro.workflow import Workflow
         workflow = Workflow(get("adpcm").source())
         for size in (128, 1024):
-            point = workflow.spm_point(size)
+            point = workflow.config_point(SystemConfig.scratchpad(size))
             assert point.wcet.wcet >= point.sim.cycles
 
 

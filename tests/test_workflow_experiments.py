@@ -22,7 +22,8 @@ from repro.experiments import (
     table2,
     xtra_worstcase_sort,
 )
-from repro.memory import CacheConfig
+from repro.memory import CacheConfig, SystemConfig
+from repro.memory.levels import CacheLevel, MainMemoryLevel, SpmLevel
 from repro.workflow import PAPER_SIZES, Workflow
 
 
@@ -39,7 +40,7 @@ class TestWorkflow:
         assert adpcm_workflow.profile() is adpcm_workflow.profile()
 
     def test_spm_point_fields(self, adpcm_workflow):
-        point = adpcm_workflow.spm_point(256)
+        point = adpcm_workflow.config_point(SystemConfig.scratchpad(256))
         assert point.allocation.spm_size == 256
         assert point.wcet.wcet >= point.sim.cycles
         assert point.ratio > 1.0
@@ -47,23 +48,42 @@ class TestWorkflow:
         assert row["config"] == "spm256"
 
     def test_cache_point_fields(self, adpcm_workflow):
-        point = adpcm_workflow.cache_point(CacheConfig(size=256))
+        point = adpcm_workflow.config_point(
+            SystemConfig.cached(CacheConfig(size=256)))
         assert point.sim.cache_stats is not None
         assert point.wcet.wcet >= point.sim.cycles
 
     def test_bigger_spm_never_slower(self, adpcm_workflow):
-        small = adpcm_workflow.spm_point(64)
-        big = adpcm_workflow.spm_point(4096)
+        small = adpcm_workflow.config_point(SystemConfig.scratchpad(64))
+        big = adpcm_workflow.config_point(SystemConfig.scratchpad(4096))
         assert big.sim.cycles <= small.sim.cycles
         assert big.wcet.wcet <= small.wcet.wcet
 
     def test_allocation_methods(self, adpcm_workflow):
-        energy = adpcm_workflow.allocate(512, method="energy")
-        wcet = adpcm_workflow.allocate(512, method="wcet")
+        spm = SystemConfig.scratchpad(512)
+        energy = adpcm_workflow.allocate(spm, method="energy")
+        wcet = adpcm_workflow.allocate(spm, method="wcet")
         assert energy.method == "energy"
         assert wcet.method == "wcet"
         with pytest.raises(ValueError):
-            adpcm_workflow.allocate(512, method="nope")
+            adpcm_workflow.allocate(spm, method="nope")
+
+    def test_wcet_allocation_analyses_the_levels_behind_the_spm(
+            self, adpcm_workflow, monkeypatch):
+        import repro.workflow
+        analysed = []
+        monkeypatch.setattr(
+            repro.workflow, "allocate_wcet_driven",
+            lambda program, size, baseline_config:
+                analysed.append(baseline_config.levels))
+        l1 = CacheLevel.unified(CacheConfig(size=512))
+        l2 = CacheLevel.unified(CacheConfig(size=2048), name="L2")
+        adpcm_workflow.allocate(SystemConfig.with_levels(
+            "spm256+cache512+l2-2048",
+            (SpmLevel(256), l1, l2, MainMemoryLevel())), method="wcet")
+        adpcm_workflow.allocate(SystemConfig.scratchpad(256), method="wcet")
+        assert analysed == [(l1, l2, MainMemoryLevel()),
+                            SystemConfig.uncached().levels]
 
 
 class TestTables:
