@@ -221,15 +221,9 @@ def rerun_unit(unit):
         from ..memory.levels import CacheLevel, MainMemoryLevel, SpmLevel
         from ..memory.timing import AccessTiming
 
-        def cache_level(**fields):
-            # A unified level's repr spells its one config out twice.
-            if fields.get("shared"):
-                fields["dcache"] = fields["icache"]
-            return CacheLevel(**fields)
-
         unit = eval(unit, {
             "AccessTiming": AccessTiming, "CacheConfig": CacheConfig,
-            "CacheLevel": cache_level, "MainMemoryLevel": MainMemoryLevel,
+            "CacheLevel": CacheLevel, "MainMemoryLevel": MainMemoryLevel,
             "SpmLevel": SpmLevel, "SystemConfig": SystemConfig})
     points = _run_unit(unit)
     for point in points:

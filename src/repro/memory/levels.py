@@ -102,6 +102,16 @@ class CacheLevel:
         return cls(name=name, icache=icache, dcache=dcache,
                    hit_cycles=hit_cycles)
 
+    def __repr__(self):
+        # A unified level names its factory: its one config must stay one
+        # object, so ``eval(repr(level)) == level``.
+        if self.shared:
+            return (f"CacheLevel.unified({self.icache!r}, name={self.name!r}, "
+                    f"hit_cycles={self.hit_cycles!r})")
+        return (f"CacheLevel(name={self.name!r}, icache={self.icache!r}, "
+                f"dcache={self.dcache!r}, shared=False, "
+                f"hit_cycles={self.hit_cycles!r})")
+
     def describe(self) -> str:
         # The default L1 keeps the paper's phrasing (no level prefix);
         # deeper and split levels name themselves.

@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shlex
 
 #: Protocol version, reported by ``ping``.
 PROTOCOL_VERSION = 1
@@ -334,5 +335,6 @@ def repro_command(canonical: dict) -> str:
     workers should have produced.
     """
     blob = json.dumps(canonical, sort_keys=True)
-    return ("PYTHONPATH=src python -c \"from repro.serve.worker "
-            f"import rerun_request; rerun_request({blob!r})\"")
+    return "PYTHONPATH=src python -c " + shlex.quote(
+        "from repro.serve.worker import rerun_request; "
+        f"rerun_request({blob!r})")

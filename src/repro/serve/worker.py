@@ -101,16 +101,12 @@ def evaluate_request(request: dict) -> dict:
         from ..serve.protocol import system_config
         spec = request.get("config", {})
         config = system_config(spec)
-        if op == "simulate" and not config.spm_size:
-            sim = workflow.sim_for(config)
-        else:
-            # A scratchpad is allocated and placed by the point itself.
-            point = workflow.config_point(
+        method = spec.get("alloc", "energy")
+        if op == "wcet":
+            return workflow.config_point(
                 config, bool(request.get("persistence", False)),
-                method=spec.get("alloc", "energy"))
-            if op == "wcet":
-                return point.row()
-            sim = point.sim
+                method=method).row()
+        sim = workflow.sim_for(config, method)
         fields = _sim_fields(sim)
         fields["config"] = config.name
         return fields

@@ -645,3 +645,121 @@ def expand_runs(base, heads, packed):
     ops = _np.repeat(firsts, counts) \
         + _np.repeat(strides, counts) * offsets
     return array("Q", ops.tobytes())
+
+
+# -- run-length encoding of the packed stream ------------------------------
+
+#: Ops encoded per block.  The temporaries of one block stay near 2 MB,
+#: so encoding holds little beyond its output however long the trace.
+_RUN_BLOCK = 1 << 14
+
+_INT32_MAX = (1 << 31) - 1
+
+
+def _block_runs(x):
+    """``(starts, counts, strided)`` of the greedy runs of *x*.
+
+    A run starts at an op, takes the next op if it repeats the value or
+    adds 16 (the next halfword), and then every op continuing that
+    step.  Consecutive diffs form *segments*: maximal stretches of one
+    run-extending step, or one diff extending nothing.  A run entered
+    anywhere in a step segment ends one op past it, so the next run
+    enters the following segment one diff late; a lone diff's run ends
+    at once.  So the offset (0 or 1) at which the greedy walk enters a
+    segment is 1 after a step segment of two or more diffs, 0 after a
+    non-step diff, and flips across each one-diff step segment: it
+    follows from the last such reset and a parity, with no walk.
+    """
+    n = len(x)
+    if n == 1:
+        one = _np.zeros(1, dtype=_np.int64)
+        return one, one + 1, one.astype(bool)
+    a, b = x[:-1], x[1:]
+    # 0: no run step, 1: repeat, 2: +16 (exact in uint64: b > a).
+    code = (a == b).astype(_np.int8)
+    code[(b - a == 16) & (b > a)] = 2
+    fresh = _np.empty(n - 1, dtype=bool)
+    fresh[0] = True
+    _np.not_equal(code[1:], code[:-1], out=fresh[1:])
+    fresh[1:] |= code[1:] == 0
+    first = _np.flatnonzero(fresh)
+    length = _np.diff(_np.append(first, n - 1))
+    step = code[first]
+    flips = (step != 0) & (length == 1)
+    index = _np.arange(len(first))
+    last_reset = _np.maximum.accumulate(_np.where(flips, -1, index))
+    # Offset into each segment: the previous reset's out-offset (1 after
+    # a step segment, 0 after a lone non-step diff, 0 before the first
+    # segment), flipped once per one-diff step segment since.
+    reset_out = (step != 0).astype(_np.int64)
+    flipped = _np.concatenate(([0], _np.cumsum(flips)))
+    prior = _np.concatenate(([-1], last_reset[:-1]))
+    base = _np.where(prior >= 0, reset_out[prior], 0)
+    since = flipped[index] - flipped[prior + 1]
+    enter = (base ^ (since & 1)).astype(_np.int64)
+    out_last = (int(reset_out[-1]) if not flips[-1]
+                else 1 - int(enter[-1]))
+    emit = _np.where(step != 0, length > enter, enter == 0)
+    starts = (first + enter)[emit]
+    counts = _np.where(step != 0, length - enter + 1, 1)[emit]
+    strided = (step == 2)[emit]
+    if not out_last:  # the last op starts a run of its own
+        starts = _np.append(starts, n - 1)
+        counts = _np.append(counts, 1)
+        strided = _np.append(strided, False)
+    return starts, counts, strided
+
+
+def encode_runs(ops):
+    """Greedy lossless RLE into ``(base, heads, packed)`` delta arrays.
+
+    The inverse of :func:`expand_runs`: 8 bytes per run, the ``int32``
+    delta of the run's first value from the previous run's first value
+    and ``count << 1 | stride`` as ``uint32``.  Returns None when a
+    delta or count overflows 32 bits (only possible for ingested
+    foreign streams); callers keep the flat form then.
+
+    Greedy encoding from a run start depends only on what follows, so
+    the stream is encoded in blocks that each begin at a run start:
+    every run of a block but its last is final, and the last is
+    encoded again at the head of the next block.
+    """
+    heads = array("i")
+    packed = array("I")
+    if heads.itemsize != 4 or packed.itemsize != 4:  # pragma: no cover
+        return None
+    values = ops_view(ops)
+    n = len(values)
+    if not n:
+        return 0, heads, packed
+    base = int(values[0])
+    prev = values[:1]
+    start = 0
+    size = _RUN_BLOCK
+    while start < n:
+        stop = min(n, start + size)
+        starts, counts, strided = _block_runs(values[start:stop])
+        if stop < n:
+            if len(starts) == 1:  # one run fills the block: widen it
+                size *= 2
+                continue
+            starts, counts, strided = starts[:-1], counts[:-1], strided[:-1]
+        firsts = values[start + starts]
+        before = _np.concatenate((prev, firsts[:-1]))
+        up = firsts >= before
+        # Exact signed deltas of uint64 values, checked against int32.
+        rise = firsts - before
+        fall = before - firsts
+        if not (_np.all(_np.where(up, rise <= _INT32_MAX,
+                                  fall <= _INT32_MAX + 1))
+                and int(counts.max()) <= _INT32_MAX):
+            return None
+        delta = _np.where(up, rise.astype(_np.int64),
+                          -fall.astype(_np.int64))
+        heads.frombytes(delta.astype(_np.int32).tobytes())
+        packed.frombytes(((counts << 1) | strided).astype(
+            _np.uint32).tobytes())
+        prev = firsts[-1:]
+        start += int(starts[-1] + counts[-1])
+        size = _RUN_BLOCK
+    return base, heads, packed

@@ -46,11 +46,13 @@ from __future__ import annotations
 
 from array import array
 
+import numpy as _np
+
 from ..memory.hierarchy import SystemConfig
 from ..memory.regions import STACK_TOP
 from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
 from .engine import compile_program
-from .kernels import expand_runs
+from .kernels import encode_runs, expand_runs, ops_view
 from .simulator import MemoryFault, SimError, Simulator
 
 #: Access-kind tags in the packed ``ops`` stream (low 3 bits).
@@ -188,7 +190,7 @@ class Trace:
         32 bits) — the flat form is kept then.
         """
         if self._runs is None:
-            self._runs = _compress_ops(self.ops) or _NO_RUNS
+            self._runs = encode_runs(self.ops) or _NO_RUNS
         return None if self._runs is _NO_RUNS else self._runs
 
     def iter_runs(self):
@@ -247,58 +249,8 @@ class Trace:
         return (totals[0] + totals[7], sum(totals[1:4]), sum(totals[4:7]))
 
 
-#: Address stride of a packed run record, in ``addr << 3`` units: a
-#: +2-byte stride (consecutive halfword fetches, halfword array walks)
-#: is +16 on the packed value, tag bits untouched.
-_RUN_STRIDE = 16
-
 #: Sentinel stored in ``Trace._runs`` when the stream does not encode.
 _NO_RUNS = object()
-
-_HEAD_MIN = -(1 << 31)
-_HEAD_MAX = (1 << 31) - 1
-
-
-def _compress_ops(ops):
-    """Greedy lossless RLE into ``(base, heads, packed)`` delta arrays.
-
-    8 bytes per run: the ``int32`` delta of the run's first value from
-    the previous run's first value, and ``count << 1 | stride`` as
-    ``uint32``.  Returns None when a delta or count overflows 32 bits
-    (only possible for ingested foreign streams) — callers keep the
-    flat form then.
-    """
-    heads = array("i")
-    packed = array("I")
-    if heads.itemsize != 4 or packed.itemsize != 4:  # pragma: no cover
-        return None
-    n = len(ops)
-    if not n:
-        return 0, heads, packed
-    base = ops[0]
-    prev = base
-    i = 0
-    while i < n:
-        first = ops[i]
-        k = i + 1
-        step = 0
-        if k < n:
-            delta = ops[k] - first
-            if delta == 0 or delta == _RUN_STRIDE:
-                step = delta
-                expect = first + 2 * step
-                k += 1
-                while k < n and ops[k] == expect:
-                    expect += step
-                    k += 1
-        head = first - prev
-        if not (_HEAD_MIN <= head <= _HEAD_MAX and k - i <= _HEAD_MAX):
-            return None
-        heads.append(head)
-        packed.append(((k - i) << 1) | (1 if step else 0))
-        prev = first
-        i = k
-    return base, heads, packed
 
 
 class _TraceTap:
@@ -384,11 +336,13 @@ def record_trace(image, spm_size: int = None,
     regs[13] = STACK_TOP
     regs[14] = 0
     base_cycles, steps, exit_code = program.run(image.entry, max_steps)
-    op_counts = [0] * 8
-    for value in tap.ops:
-        op_counts[value & 7] += 1
+    view = ops_view(tap.ops)
+    tags = _np.bitwise_and(view, 7, out=_np.empty(len(view), _np.uint8),
+                           casting="unsafe")
+    op_counts = tuple(int(count)
+                      for count in _np.bincount(tags, minlength=8))
     COUNTERS["trace_records"] += 1
-    return Trace(ops=tap.ops, op_counts=tuple(op_counts),
+    return Trace(ops=tap.ops, op_counts=op_counts,
                  spm_counts=tuple(tap.spm_counts),
                  base_cycles=base_cycles, instructions=steps,
                  exit_code=exit_code, console=tuple(program.console),

@@ -13,12 +13,16 @@ Pipeline, mirroring the separated cache/path architecture the paper cites
 5. the program WCET is the entry function's bound.
 
 All repeated work is content-addressed (see ``docs/performance.md``):
-the *frontend* (CFG reconstruction, stack analysis, access resolution)
-is memoized per image content hash, each cache level's fixpoints go
-through :mod:`~repro.wcet.cacheanalysis`'s reuse cache, and per-function
-IPET solutions are memoized on their exact inputs (costs, edge extras,
-scope penalties).  A sweep that re-analyses one image under many memory
-configurations therefore only pays for what actually changed.
+the *frontend* (CFG reconstruction, stack analysis, access resolution,
+each instruction's static cost row and, on first use, each function's
+bounded loops) is memoized per image content hash, the
+cache analysis shares one access layout per image and line size and
+each cache level's fixpoints go through
+:mod:`~repro.wcet.cacheanalysis`'s reuse cache, and per-function IPET
+solutions are memoized on their exact inputs (costs, edge extras, scope
+penalties).  A configuration then pays for its fixpoints, one
+:meth:`~repro.wcet.costmodel.CostModel.block_cost` call per block and
+its IPET solves, not for re-deriving the image.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from . import cacheanalysis
 from .accesses import resolve_all
 from .cacheanalysis import FM, analyze_hierarchy
 from .cfg import build_all_cfgs
-from .costmodel import CostModel
+from .costmodel import CostModel, cost_table
 from .ipet import solve_function_ipet
 from .loops import resolve_bounds
 from .stackdepth import stack_region
@@ -42,7 +46,7 @@ class WCETError(Exception):
     pass
 
 
-#: (image content key, entry) -> (cfgs, entry_by_addr, stack, accesses).
+#: (image content key, entry) -> :class:`_Frontend`.
 _FRONTEND_CACHE = {}
 
 #: exact IPET inputs -> IPETResult (the solver is deterministic).
@@ -76,7 +80,38 @@ def analysis_counters() -> dict:
     return merged
 
 
-def _frontend(image: Image, entry: str):
+class _Frontend:
+    """Everything one image yields before any memory configuration.
+
+    CFGs, the stack range, every instruction's resolved data access and
+    static cost rows (:func:`~repro.wcet.costmodel.cost_table`) are
+    built once; each function's bounded loops are resolved on first
+    use, so an unbounded loop in a function the entry never calls
+    raises nothing.
+    """
+
+    def __init__(self, image: Image, entry: str):
+        self.flow_facts = (image.loop_bounds, image.loop_totals)
+        self.cfgs = build_all_cfgs(image)
+        self.entry_by_addr = {cfg.entry: name
+                              for name, cfg in self.cfgs.items()}
+        if entry not in self.cfgs:
+            raise WCETError(f"no function named {entry!r} in the image")
+        self.stack_range = stack_region(self.cfgs, entry,
+                                        self.entry_by_addr)
+        self.accesses = resolve_all(image, self.cfgs, self.stack_range)
+        self.costs = cost_table(self.cfgs)
+        self._loops = {}
+
+    def loops(self, name):
+        loops = self._loops.get(name)
+        if loops is None:
+            loops = self._loops[name] = resolve_bounds(
+                self.cfgs[name], *self.flow_facts)
+        return loops
+
+
+def _frontend(image: Image, entry: str) -> _Frontend:
     """Memoized CFG + stack + access resolution for one image."""
     key = (image.content_key(), entry)
     front = _FRONTEND_CACHE.get(key)
@@ -84,14 +119,7 @@ def _frontend(image: Image, entry: str):
         COUNTERS["frontend_hits"] += 1
         return front
     COUNTERS["frontend_misses"] += 1
-    cfgs = build_all_cfgs(image)
-    entry_by_addr = {cfg.entry: name for name, cfg in cfgs.items()}
-    if entry not in cfgs:
-        raise WCETError(f"no function named {entry!r} in the image")
-    stack_rng = stack_region(cfgs, entry, entry_by_addr)
-    data_accesses = resolve_all(image, cfgs, stack_rng)
-    front = (cfgs, entry_by_addr, stack_rng, data_accesses)
-    _FRONTEND_CACHE[key] = front
+    front = _FRONTEND_CACHE[key] = _Frontend(image, entry)
     return front
 
 
@@ -179,46 +207,48 @@ def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
     uncached systems.
     """
     # Memoized frontend: CFGs, stack range and every instruction's
-    # resolved data access, shared by all levels and the cost model.
-    cfgs, entry_by_addr, stack_rng, data_accesses = _frontend(image, entry)
+    # resolved data access and static cost, shared by all levels and
+    # the cost model.
+    front = _frontend(image, entry)
+    cfgs = front.cfgs
     image_key = image.content_key()
 
     hierarchy_result = None
     cache_result = None
     if config.has_cache:
         hierarchy_result = analyze_hierarchy(
-            image, cfgs, config, stack_rng, entry, persistence=persistence,
-            resolved_accesses=data_accesses)
+            image, cfgs, config, front.stack_range, entry,
+            persistence=persistence, resolved_accesses=front.accesses)
         cache_result = hierarchy_result.primary
 
-    costs = CostModel(config, data_accesses, hierarchy_result)
+    costs = CostModel(config, front.accesses, hierarchy_result)
+    # First-miss fetches exist only under persistence.
+    fm_classes = (cache_result.classes
+                  if persistence and cache_result is not None else None)
 
     per_function = {}
     block_counts = {}
-    for name in _call_order(cfgs, entry_by_addr, entry):
+    for name in _call_order(cfgs, front.entry_by_addr, entry):
         cfg = cfgs[name]
-        loops = resolve_bounds(cfg, image.loop_bounds, image.loop_totals)
         block_costs = {}
         edge_extras = {}
         fm_lines = {}  # scope header -> set of first-miss lines
         for baddr, block in cfg.blocks.items():
-            total = 0
-            for addr, instr in block.instrs:
-                base, taken_extra = costs.instr_cost(addr, instr)
-                total += base
-                if taken_extra:
-                    if len(block.succs) >= 2:
-                        edge_extras[(baddr, block.succs[0])] = taken_extra
-                    else:
-                        total += taken_extra  # degenerate bcc
-                if cache_result is not None:
-                    entry_class = cache_result.classes.get(addr)
+            total, taken_extra = costs.block_cost(front.costs[baddr])
+            if taken_extra:
+                if len(block.succs) >= 2:
+                    edge_extras[(baddr, block.succs[0])] = taken_extra
+                else:
+                    total += taken_extra  # degenerate bcc
+            if fm_classes is not None:
+                for addr, _instr in block.instrs:
+                    entry_class = fm_classes.get(addr)
                     if entry_class is not None and entry_class.fetch == FM:
                         fm_lines.setdefault(
                             entry_class.fetch_scope, set()).add(
                             config.cache.block_of(addr))
             if block.call_target is not None:
-                callee = entry_by_addr[block.call_target]
+                callee = front.entry_by_addr[block.call_target]
                 total += per_function[callee]
             block_costs[baddr] = total
 
@@ -227,7 +257,8 @@ def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
             for header, lines in fm_lines.items()
         }
         result = _solve_ipet_cached(image_key, name, cfg, block_costs,
-                                    edge_extras, loops, scope_penalties)
+                                    edge_extras, front.loops(name),
+                                    scope_penalties)
         per_function[name] = result.wcet
         block_counts[name] = result.block_counts
 
@@ -235,7 +266,7 @@ def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
         wcet=per_function[entry],
         config=config,
         per_function=per_function,
-        stack_range=stack_rng,
+        stack_range=front.stack_range,
         cache_result=cache_result,
         hierarchy_result=hierarchy_result,
         entry=entry,

@@ -23,7 +23,17 @@ Transfer per access:
 The analysis runs over the interprocedural CFG (call and return edges,
 context-insensitive), then a classification pass labels every fetch and
 every data read as always-hit (AH) / not-classified (NC), plus first-miss
-(FM) with a loop scope when persistence is enabled.
+(FM) with a loop scope when persistence is enabled.  Both run the same
+compiled per-block step programs, the one executable definition of every
+transfer: classification runs each reachable block's program once from
+its fixpoint in-state, with probe steps where accesses are classified,
+and the fixpoints run it without them.  What an access touches — its
+fetched blocks, its data access's block span behind the scratchpad, the
+blocks a read needs resident — depends only on the image, the line size
+and the scratchpad split, so it is derived once per
+:class:`AccessLayout` and every configuration of a sweep shares it; a
+configuration's compile only maps blocks to its sets and applies its
+CAC maps.
 
 Multi-level hierarchies (Hardy & Puaut, "WCET analysis of multi-level
 set-associative instruction caches"): each cache level is analysed in
@@ -71,11 +81,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa.opcodes import Op
 from ..memory.cache import CacheConfig
 from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
-from .accesses import resolve_all, resolve_data_access
-from .cfg import FunctionCFG
+from .accesses import resolve_all
+from .loops import find_natural_loops
 
 
 # --------------------------------------------------------------------------
@@ -193,6 +202,8 @@ COUNTERS = {
     "reuse_disk_hits": 0,
     "reuse_misses": 0,
     "reuse_evictions": 0,
+    "layout_builds": 0,
+    "layout_reuses": 0,
 }
 
 #: Bump when analysis semantics change: invalidates on-disk reuse entries.
@@ -252,8 +263,10 @@ def set_analysis_cache_capacity(capacity):
 
 
 def clear_analysis_caches():
-    """Drop every in-memory reuse entry (the disk layer is untouched)."""
+    """Drop every in-memory reuse entry and access layout (the disk
+    layer is untouched)."""
     _REUSE_CACHE.clear()
+    _LAYOUTS.clear()
 
 
 def reuse_counters() -> dict:
@@ -337,8 +350,265 @@ class CacheAnalysisResult:
 
 
 # --------------------------------------------------------------------------
+# Access layouts: one image's accesses in cache blocks
+# --------------------------------------------------------------------------
+
+#: The most recently used layouts, one per (image, stack range, line
+#: size, scratchpad split).  A sweep's configurations share one, so a
+#: few suffice: the paper sweep builds 3 and the cache-dse workload 39
+#: (its programs in turn) with 4 kept as with 16.
+_LAYOUTS = LRUCache(4)
+
+
+def _clip(ranges, spm_size):
+    """*ranges* without the part a scratchpad of *spm_size* settles."""
+    if not spm_size:
+        return ranges
+    return tuple((max(lo, spm_size), hi) for lo, hi in ranges
+                 if hi > spm_size)
+
+
+def _spans(ranges, line_size):
+    """Inclusive ``(first, last)`` block spans of byte *ranges*."""
+    return tuple((lo // line_size, (hi - 1) // line_size)
+                 for lo, hi in ranges if hi > lo)
+
+
+class AccessLayout:
+    """One image's accesses in cache blocks, at one line size, behind
+    one scratchpad split.
+
+    None of it depends on a cache's set count, associativity or CAC
+    maps, so every configuration, persistence variant and level with
+    this line size shares one layout (:func:`access_layout`).
+    ``nodes`` maps each basic block to one ``(addr, fetch, data, need)``
+    record per instruction:
+
+    * *fetch*: the fetched block, plus the second block of a BL that
+      straddles a line; None when the scratchpad serves the fetch;
+    * *data*: the data access after scratchpad clipping, None when
+      nothing reaches a cache: ``("rblock", block, count)`` for a read
+      of one block, ``("wblock", block, 1)`` for an exact write,
+      ``("span", spans, evict, count)`` for an access anywhere in block
+      *spans*, ``("allsets", evict, count)`` for an unknown address
+      (*evict* is False for writes, which never allocate);
+    * *need*: for a read that can be always-hit, ``(spans, count,
+      mask)``: the blocks that must all be resident, how many there are
+      and their bits (with :attr:`never` when one lies outside the
+      universe, so the read is never always-hit).
+
+    ``blocks`` numbers the universe, every block an access can insert:
+    bit *i* of a packed state stands for ``blocks[i]``.
+    """
+
+    def __init__(self, cfgs, accesses, line_size, spm_size):
+        self.line_size = line_size
+        self.spm_size = spm_size
+        universe = {}
+        # Equal fetch, data and need records are one object: a line
+        # holds several instructions, a stack span serves many.
+        shared = {None: None}
+        rows = {}
+        for name, cfg in cfgs.items():
+            for baddr, block in cfg.blocks.items():
+                node_rows = rows[(name, baddr)] = []
+                for addr, instr in block.instrs:
+                    fetch = None
+                    if addr >= spm_size:
+                        first = addr // line_size
+                        second = (addr + 2) // line_size
+                        fetch = ((first, second) if instr.size == 4
+                                 and second != first else (first,))
+                        for line in fetch:
+                            universe.setdefault(line)
+                    access = accesses[addr]
+                    data = self._data(access)
+                    if data is not None and data[0] != "span" and \
+                            data[0] != "allsets":
+                        universe.setdefault(data[1])
+                    node_rows.append((addr, shared.setdefault(fetch, fetch),
+                                      shared.setdefault(data, data), access))
+        self.blocks = tuple(universe)
+        self.never = 1 << len(self.blocks)
+        bit = {line: 1 << i for i, line in enumerate(self.blocks)}
+        self.nodes = {}
+        for node, node_rows in rows.items():
+            records = []
+            for addr, fetch, data, access in node_rows:
+                need = self._need(access, bit)
+                records.append((addr, fetch, data,
+                                shared.setdefault(need, need)))
+            self.nodes[node] = tuple(records)
+        self._loops = {}
+        self._graphs = {}
+
+    def _data(self, access):
+        if access is None:
+            return None
+        evict = not access.is_write
+        if access.unknown:
+            return ("allsets", evict, access.count)
+        if access.exact:
+            if access.address < self.spm_size:
+                return None  # settled by the scratchpad in front
+            line = access.address // self.line_size
+            return ("rblock", line, 1) if evict else ("wblock", line, 1)
+        ranges = _clip(access.ranges, self.spm_size)
+        if not ranges:
+            return None
+        spans = _spans(ranges, self.line_size)
+        if evict and len(set(spans)) == 1 and spans[0][0] == spans[0][1]:
+            return ("rblock", spans[0][0], access.count)
+        return ("span", spans, evict, access.count)
+
+    def _need(self, access, bit):
+        if access is None or access.is_write or access.unknown or \
+                access.count != 1:
+            return None
+        ranges = access.ranges
+        if not ranges or _clip(ranges, self.spm_size) != ranges:
+            return None  # fully or partly in front of the cache
+        spans = _spans(ranges, self.line_size)
+        lines = {line for first, last in spans
+                 for line in range(first, last + 1)}
+        mask = 0
+        for line in lines:
+            mask |= bit.get(line, self.never)
+        return (spans, len(lines), mask)
+
+    def natural_loops(self, cfg):
+        """:func:`~repro.wcet.loops.find_natural_loops`, once per function."""
+        loops = self._loops.get(cfg.name)
+        if loops is None:
+            loops = self._loops[cfg.name] = find_natural_loops(cfg)
+        return loops
+
+    def graph(self, cfgs, entry_name):
+        """``(successors, RPO index)`` of the interprocedural graph from
+        *entry_name*, built once (the MUST and MAY fixpoints of every
+        configuration walk the same graph)."""
+        graph = self._graphs.get(entry_name)
+        if graph is None:
+            succs = _interproc_succs(cfgs)
+            graph = self._graphs[entry_name] = (
+                succs, _rpo(cfgs, succs, entry_name))
+        return graph
+
+
+def access_layout(image, cfgs, stack_range, line_size, spm_size,
+                  accesses=None) -> AccessLayout:
+    """The memoised :class:`AccessLayout` of *image* at *line_size*.
+
+    *accesses* (addr -> DataAccess) is resolved here when not supplied.
+    """
+    key = (image.content_key(), stack_range, line_size, spm_size)
+    layout = _LAYOUTS.get(key)
+    if layout is not None:
+        COUNTERS["layout_reuses"] += 1
+        return layout
+    COUNTERS["layout_builds"] += 1
+    if accesses is None:
+        accesses = resolve_all(image, cfgs, stack_range)
+    layout = _LAYOUTS[key] = AccessLayout(cfgs, accesses, line_size,
+                                          spm_size)
+    return layout
+
+
+def _interproc_succs(cfgs):
+    """Successor map over (func_name, block_addr) nodes, including
+    call and return edges (context-insensitive)."""
+    entry_by_addr = {cfg.entry: name for name, cfg in cfgs.items()}
+    succs = {}
+    for name, cfg in cfgs.items():
+        for baddr, block in cfg.blocks.items():
+            node = (name, baddr)
+            out = []
+            if block.call_target is not None:
+                callee = entry_by_addr[block.call_target]
+                out.append((callee, cfgs[callee].entry))
+                # Return edge: callee exits -> call fall-through.
+                for exit_block in cfgs[callee].exit_blocks:
+                    ret_node = (callee, exit_block.start)
+                    succs.setdefault(ret_node, []).extend(
+                        (name, s) for s in block.succs)
+            else:
+                out.extend((name, s) for s in block.succs)
+            succs.setdefault(node, []).extend(out)
+    return succs
+
+
+def _rpo(cfgs, succs, entry_name):
+    """node -> reverse-post-order index over the interprocedural graph."""
+    entry = (entry_name, cfgs[entry_name].entry)
+    seen = {entry}
+    order = []
+    stack = [(entry, iter(succs.get(entry, ())))]
+    while stack:
+        node, remaining = stack[-1]
+        advanced = False
+        for succ in remaining:
+            if succ not in seen:
+                seen.add(succ)
+                stack.append((succ, iter(succs.get(succ, ()))))
+                advanced = True
+                break
+        if not advanced:
+            stack.pop()
+            order.append(node)
+    order.reverse()
+    return {node: i for i, node in enumerate(order)}
+
+
+# --------------------------------------------------------------------------
 # Interprocedural fixpoint + classification
 # --------------------------------------------------------------------------
+
+#: Opcode of a probe step: classify an access against the state so far.
+_PROBE = 4
+
+
+def _dm_fixpoint_program(steps):
+    """A direct-mapped MUST fixpoint program: *steps* without probes,
+    runs of definite accesses fused into one ``(0, set_bits, keep)``."""
+    fused = []
+    setb, keep = 0, -1
+    for step in steps:
+        opcode = step[0]
+        if opcode == _PROBE:
+            continue
+        if opcode == 0:
+            setb = (setb & step[2]) | step[1]
+            keep &= step[2]
+            continue
+        if keep != -1:
+            fused.append((0, setb, keep))
+            setb, keep = 0, -1
+        fused.append(step)
+    if keep != -1:
+        fused.append((0, setb, keep))
+    return tuple(fused)
+
+
+def _may_fixpoint_program(steps):
+    """A MAY fixpoint program: *steps* without probes, runs of inserts
+    fused into one OR mask."""
+    fused = []
+    pending = 0
+    for step in steps:
+        opcode = step[0]
+        if opcode == 0:
+            pending |= step[1]
+            continue
+        if opcode == _PROBE:
+            continue
+        if pending:
+            fused.append((0, pending))
+            pending = 0
+        fused.append(step)
+    if pending:
+        fused.append((0, pending))
+    return tuple(fused)
+
 
 class CacheAnalysis:
     """MUST (+ optional persistence) analysis of one cache level.
@@ -374,293 +644,171 @@ class CacheAnalysis:
         # hierarchy so identical out-states are one object everywhere.
         self._intern_must, self._intern_may = (intern_tables
                                                or ({}, {}))
-        self._entry_by_addr = {cfg.entry: name
-                               for name, cfg in cfgs.items()}
-        # Worklist machinery shared by the MUST and MAY fixpoints.
-        self._succs = None
-        self._rpo_index = None
-        # Pre-resolve every instruction's data access and compile it to a
-        # cheap "plan" so the fixpoint loop never re-derives address sets.
-        # *resolved_accesses* (addr -> DataAccess) lets a multi-level
-        # analysis resolve each instruction once and share the result
-        # across every level's CacheAnalysis.
-        self._data = {}
-        self._plan = {}
-        self._read_blocks = {}   # addr -> blocks that must all hit for AH
-        for cfg in cfgs.values():
-            for block in cfg.blocks.values():
-                for addr, instr in block.instrs:
-                    if resolved_accesses is not None:
-                        access = resolved_accesses[addr]
-                    else:
-                        access = resolve_data_access(
-                            instr, addr, image, stack_range)
-                    self._data[addr] = access
-                    self._plan[addr] = self._compile_plan(access)
-                    self._read_blocks[addr] = self._compile_read(access)
-        # Per-basic-block transfer programs: the CAC decisions, block
-        # numbers and plan lookups above are all static per analysis, so
-        # the fixpoint replays a flat step list instead of re-deriving
-        # them on every iteration.
-        self._must_progs = {}
-        self._may_progs = {}
-        for name, cfg in cfgs.items():
-            for baddr, block in cfg.blocks.items():
-                must, may = self._compile_block(block)
-                self._must_progs[(name, baddr)] = must
-                self._may_progs[(name, baddr)] = may
-        self._compile_packed()
+        # What the accesses touch is the image's, shared by every
+        # configuration with this line size; *resolved_accesses* (addr
+        # -> DataAccess) saves resolving them again when it is built.
+        self.layout = access_layout(image, cfgs, stack_range,
+                                    config.line_size, spm_size,
+                                    resolved_accesses)
+        self._compile()
 
-    def _cached_ranges(self, ranges):
-        """Clip *ranges* to the part behind the cache (above the SPM)."""
-        spm = self.spm_size
-        if not spm:
-            return ranges
-        return tuple((max(lo, spm), hi) for lo, hi in ranges if hi > spm)
-
-    def _compile_plan(self, access):
-        """Compile a DataAccess into (kind, payload) steps for transfer."""
-        if access is None:
-            return None
-        if not self.serves_data:
-            return None  # instruction cache: data never touches it
-        if access.unknown:
-            return ("allsets", not access.is_write, access.count)
-        if access.exact:
-            if access.address < self.spm_size:
-                return None  # settled by the scratchpad in front
-            block = self.config.block_of(access.address)
-            return ("wblock" if access.is_write else "rblock", block, 1)
-        ranges = self._cached_ranges(access.ranges)
-        if not ranges:
-            return None
-        blocks = set()
-        for lo, hi in ranges:
-            blocks.update(self._blocks_of_range(lo, hi))
-        if len(blocks) == 1 and not access.is_write:
-            return ("rblock", next(iter(blocks)), access.count)
-        sets = tuple(sorted(self._sets_of_ranges(ranges)))
-        if len(sets) == self.config.num_sets:
-            return ("allsets", not access.is_write, access.count)
-        return ("sets", sets, not access.is_write, access.count)
-
-    def _compile_read(self, access):
-        """Blocks that must all be resident for the read to be AH."""
-        if access is None or access.is_write or access.unknown or \
-                access.count != 1 or not self.serves_data:
-            return None
-        ranges = self._cached_ranges(access.ranges)
-        if not ranges or ranges != access.ranges:
-            return None  # fully or partly in front of the cache
-        blocks = set()
-        for lo, hi in ranges:
-            blocks.update(self._blocks_of_range(lo, hi))
-        if len(blocks) > 4 * self.config.assoc:
-            return None  # cannot all be resident in interesting cases
-        return tuple(blocks)
-
-    # -- helpers -------------------------------------------------------------
-
-    def _blocks_of_range(self, lo, hi):
-        return self.config.blocks_in_range(lo, hi)
-
-    def _sets_of_ranges(self, ranges):
+    def _span_sets(self, spans):
+        """Sorted set indices the block *spans* map to."""
+        num_sets = self.config.num_sets
         sets = set()
-        num_sets = self.config.num_sets
-        for lo, hi in ranges:
-            blocks = self._blocks_of_range(lo, hi)
-            if len(blocks) >= num_sets:
-                return set(range(num_sets))
-            for block in blocks:
-                sets.add(block % num_sets)
-        return sets
+        for first, last in spans:
+            if last - first + 1 >= num_sets:
+                return tuple(range(num_sets))
+            sets.update(line % num_sets for line in range(first, last + 1))
+        return tuple(sorted(sets))
 
-    def _data_cac_for(self, addr):
-        if self.data_cac is None:
-            return "A"
-        return self.data_cac.get(addr, "U")
+    # -- packed (bitset) step programs ---------------------------------------
 
-    # -- compiled transfer programs ---------------------------------------------
+    def _compile(self):
+        """Compile every basic block into packed step programs.
 
-    def _compile_block(self, block):
-        """Compile one basic block into flat MUST and MAY step lists.
+        The layout fixes which blocks each access touches; this maps
+        them to the set masks of this cache's set count and applies the
+        CAC maps.  Each block gets a *classification* program per
+        domain: the transfers, with a probe step wherever an access is
+        classified — a fetch before its transfer, the second half of a
+        BL, a data read before its transfer, and for MAY every CAC-``A``
+        fetch and single read.  The fixpoints run the same program
+        without its probes.
 
-        Everything the per-instruction transfers re-derive on every
-        fixpoint iteration — spm clipping, CAC decisions, block numbers,
-        plan lookups — is static for one analysis, so it is folded here
-        once.  :meth:`_compile_packed` translates both lists into the
-        packed programs the fixpoints run; the classification walks
-        (:meth:`_transfer_block_packed`/:meth:`_transfer_block_may_packed`)
-        apply the same state updates instruction by instruction.
+        MUST step forms: ``(0, bit, smask)`` definite access (the
+        repeat count collapses: it is idempotent), ``(1, bit, smask,
+        count)`` uncertain access, ``(2, bit, smask)`` write-through
+        store, ``(3, mask, evict, count)`` aging; counts are clamped to
+        ``assoc``, beyond which they are no-ops.  A direct-mapped cache
+        gets a dedicated encoding over a *single* integer state:
+        ``(0, set_bits, keep)``, ``(1, bit, keep)`` and ``(3, keep)``;
+        writes and no-evict aging vanish (both are identities at assoc
+        1), and the fixpoint program fuses runs of definite accesses.
+        MAY step forms: ``(0, bits)`` insert, ``(1, top, blocks)`` mark
+        sets TOP.  Probe steps are ``(4, what, addr, ...)``.
         """
-        block_of = self.config.block_of
-        fetch_cac = self.fetch_cac
-        must = []
-        may = []
-        for addr, instr in block.instrs:
-            if self.serves_fetch and addr >= self.spm_size:
-                cac = "A" if fetch_cac is None else fetch_cac.get(addr, "U")
-                if cac != "N":
-                    opcode = 0 if cac == "A" else 1
-                    fetch_block = block_of(addr)
-                    must.append((opcode, fetch_block))
-                    may.append((0, fetch_block))
-                    if instr.size == 4:
-                        second = block_of(addr + 2)
-                        if second != fetch_block:
-                            must.append((opcode, second))
-                            may.append((0, second))
-            if self.serves_data:
-                plan = self._plan[addr]
-                if plan is None:
-                    continue
-                kind = plan[0]
-                if kind == "rblock":
-                    cac = self._data_cac_for(addr)
-                    if cac == "N":
-                        continue
-                    _kind, target, count = plan
-                    must.append((2 if cac == "A" else 3, target, count))
-                    may.append((0, target))
-                elif kind == "wblock":
-                    must.append((4, plan[1]))
-                elif kind == "sets":
-                    _kind, sets, evict, count = plan
-                    if evict and self._data_cac_for(addr) == "N":
-                        continue
-                    must.append((5, sets, evict, count))
-                    if evict:
-                        may.append((1, sets))
-                else:  # allsets
-                    _kind, evict, count = plan
-                    if evict and self._data_cac_for(addr) == "N":
-                        continue
-                    must.append((6, evict, count))
-                    if evict:
-                        may.append((2,))
-        return tuple(must), tuple(may)
-
-    # -- packed (bitset) transfer programs -----------------------------------
-
-    def _compile_packed(self):
-        """Translate the logical step lists into packed-bitset programs.
-
-        The block universe is every block the logical programs can
-        insert or probe; aging counts are clamped to ``assoc`` (further
-        repetitions are no-ops on a finite-age domain).  Direct-mapped
-        caches get a dedicated encoding over a *single* integer state:
-        runs of consecutive definite accesses fuse into one
-        clear-mask/set-bits pair, writes vanish (refresh and
-        no-allocate aging are both identities at assoc 1), and
-        no-evict aging saturates to the identity.
-        """
-        universe = []
-        for prog in self._must_progs.values():
-            for step in prog:
-                if step[0] <= 4:
-                    universe.append(step[1])
-        for prog in self._may_progs.values():
-            for step in prog:
-                if step[0] == 0:
-                    universe.append(step[1])
-        domain = self._packed = PackedCacheDomain(self.config, universe)
-        assoc = self.config.assoc
-        num_sets = self.config.num_sets
+        layout = self.layout
+        domain = PackedCacheDomain(self.config, layout.blocks)
         bits = domain.bit
         set_mask = domain.set_mask
         full = domain.universe_mask
+        all_top = domain.all_top_mask
+        assoc = self.config.assoc
+        num_sets = self.config.num_sets
         dm = assoc == 1
-        self._packed_must = {}
-        self._packed_may = {}
-        for node, prog in self._must_progs.items():
-            steps = []
-            for step in prog:
-                opcode = step[0]
-                if opcode in (0, 2):   # definite access (idempotent, so
-                    block = step[1]    # the repeat count collapses)
-                    steps.append((0, bits[block],
-                                  set_mask[block % num_sets]))
-                elif opcode in (1, 3):  # uncertain access
-                    block = step[1]
-                    count = min(step[2] if opcode == 3 else 1, assoc)
-                    steps.append((1, bits[block],
-                                  set_mask[block % num_sets], count))
-                elif opcode == 4:       # write-through store
-                    block = step[1]
-                    steps.append((2, bits[block],
-                                  set_mask[block % num_sets]))
-                elif opcode == 5:
-                    _opcode, sets, evict, count = step
-                    mask = 0
-                    for index in sets:
-                        mask |= set_mask[index]
-                    if mask:
-                        steps.append((3, mask, evict, min(count, assoc)))
-                else:
-                    _opcode, evict, count = step
-                    if full:
-                        steps.append((3, full, evict, min(count, assoc)))
-            self._packed_must[node] = (self._fuse_dm(steps) if dm
-                                       else tuple(steps))
-        for node, prog in self._may_progs.items():
-            steps = []
-            pending = 0  # consecutive inserts fuse into one OR mask
-            for step in prog:
-                opcode = step[0]
-                if opcode == 0:
-                    pending |= bits[step[1]]
-                    continue
-                if pending:
-                    steps.append((0, pending))
-                    pending = 0
-                if opcode == 1:
-                    top = blocks = 0
-                    for index in step[1]:
-                        top |= 1 << index
-                        blocks |= set_mask[index]
-                    steps.append((1, top, blocks))
-                else:
-                    steps.append((1, domain.all_top_mask, full))
-            if pending:
-                steps.append((0, pending))
-            self._packed_may[node] = tuple(steps)
+        serves_fetch = self.serves_fetch
+        serves_data = self.serves_data
+        fetch_cac = self.fetch_cac
+        may = self.always_miss
+        reach = 4 * assoc  # more blocks cannot all be resident
+        data_cac = self.data_cac
+        probe = _PROBE
+        span_masks = {}
+        self._must_progs, self._must_probes = {}, {}
+        self._may_progs, self._may_probes = {}, {}
+        for name, cfg in self.cfgs.items():
+            for baddr in cfg.blocks:
+                node = (name, baddr)
+                must = []
+                may_steps = []
+                append = must.append
+                for addr, fetch, data, need in layout.nodes[node]:
+                    if serves_fetch and fetch is not None:
+                        cac = ("A" if fetch_cac is None
+                               else fetch_cac.get(addr, "U"))
+                        if cac != "N":
+                            definite = cac == "A"
+                            what = "fetch"
+                            inserts = top = 0
+                            for line in fetch:
+                                bit = bits[line]
+                                index = line % num_sets
+                                append((probe, what, addr, bit))
+                                what = "fetch_second"
+                                if dm:
+                                    append((0 if definite else 1, bit,
+                                            ~set_mask[index]))
+                                elif definite:
+                                    append((0, bit, set_mask[index]))
+                                else:
+                                    append((1, bit, set_mask[index], 1))
+                                inserts |= bit
+                                top |= 1 << index
+                            if may:
+                                if definite:
+                                    # Both halves must miss for the next
+                                    # level to be accessed every time.
+                                    may_steps.append((probe, "fetch", addr,
+                                                      top, inserts))
+                                may_steps.append((0, inserts))
+                    if not serves_data:
+                        continue
+                    if need is not None and need[1] <= reach:
+                        append((probe, "data", addr, need[2]))
+                    if data is None:
+                        continue
+                    kind = data[0]
+                    if kind == "rblock":
+                        cac = ("A" if data_cac is None
+                               else data_cac.get(addr, "U"))
+                        if cac == "N":
+                            continue
+                        _kind, line, count = data
+                        bit = bits[line]
+                        index = line % num_sets
+                        if dm:
+                            append((0 if cac == "A" else 1, bit,
+                                    ~set_mask[index]))
+                        elif cac == "A":
+                            append((0, bit, set_mask[index]))
+                        else:
+                            append((1, bit, set_mask[index],
+                                    min(count, assoc)))
+                        if may:
+                            if cac == "A" and count == 1:
+                                may_steps.append((probe, "data", addr,
+                                                  1 << index, bit))
+                            may_steps.append((0, bit))
+                    elif kind == "wblock":
+                        if not dm:
+                            line = data[1]
+                            append((2, bits[line],
+                                    set_mask[line % num_sets]))
+                    else:
+                        if kind == "span":
+                            _kind, spans, evict, count = data
+                            masks = span_masks.get(spans)
+                            if masks is None:
+                                mask = top = 0
+                                for index in self._span_sets(spans):
+                                    mask |= set_mask[index]
+                                    top |= 1 << index
+                                masks = span_masks[spans] = (mask, top)
+                            mask, top = masks
+                        else:
+                            _kind, evict, count = data
+                            mask, top = full, all_top
+                        if evict and data_cac is not None and \
+                                data_cac.get(addr, "U") == "N":
+                            continue
+                        if mask and not dm:
+                            append((3, mask, evict, min(count, assoc)))
+                        elif mask and evict:
+                            append((3, ~mask))
+                        if may and evict:
+                            may_steps.append((1, top, mask))
+                self._must_probes[node] = must = tuple(must)
+                self._must_progs[node] = (
+                    _dm_fixpoint_program(must) if dm else
+                    tuple(step for step in must if step[0] != probe))
+                if may:
+                    self._may_probes[node] = tuple(may_steps)
+                    self._may_progs[node] = _may_fixpoint_program(
+                        may_steps)
 
     @staticmethod
-    def _fuse_dm(steps):
-        """Re-encode packed MUST steps for a direct-mapped cache.
-
-        State is one integer (the single age-0 word).  Step forms:
-        ``(0, set_bits, keep_mask)`` fused definite-access runs
-        (``w = (w & keep) | set_bits``), ``(1, bit, keep_mask)``
-        uncertain access, ``(3, keep_mask)`` evicting aging.
-        """
-        fused = []
-        clear = setb = 0
-        for step in steps:
-            opcode = step[0]
-            if opcode == 0:
-                _opcode, bit, smask = step
-                setb = (setb & ~smask) | bit
-                clear |= smask
-                continue
-            if clear or setb:
-                fused.append((0, setb, ~clear))
-                clear = setb = 0
-            if opcode == 1:
-                _opcode, bit, smask, _count = step
-                fused.append((1, bit, ~smask))
-            elif opcode == 3:
-                _opcode, mask, evict, _count = step
-                if evict:
-                    fused.append((3, ~mask))
-            # opcode 2 (write): refresh and no-allocate aging are both
-            # identities on a direct-mapped must state -> dropped.
-        if clear or setb:
-            fused.append((0, setb, ~clear))
-        return tuple(fused)
-
-    @staticmethod
-    def _run_must_dm(word, prog):
+    def _run_must_dm(word, prog, probe=None):
         for step in prog:
             opcode = step[0]
             if opcode == 0:
@@ -668,12 +816,14 @@ class CacheAnalysis:
             elif opcode == 1:
                 if not word & step[1]:
                     word &= step[2]
-            else:
+            elif opcode == 3:
                 word &= step[1]
+            else:
+                probe(step[1], step[2], word & step[3] == step[3])
         return word
 
     @staticmethod
-    def _run_must_packed(state, prog, assoc):
+    def _run_must_packed(state, prog, assoc, probe=None):
         words = list(state)
         for step in prog:
             opcode = step[0]
@@ -684,241 +834,28 @@ class CacheAnalysis:
                     _must_uncertain(words, assoc, step[1], step[2])
             elif opcode == 2:
                 _must_write(words, assoc, step[1], step[2])
-            else:
+            elif opcode == 3:
                 for _ in range(step[3]):
                     _must_age(words, assoc, step[1], step[2])
+            else:
+                probe(step[1], step[2], words[-1] & step[3] == step[3])
         return tuple(words)
 
     @staticmethod
-    def _run_may_packed(state, prog):
+    def _run_may_packed(state, prog, probe=None):
         blocks, top = state
         for step in prog:
-            if step[0] == 0:
+            opcode = step[0]
+            if opcode == 0:
                 blocks |= step[1]
-            else:
+            elif opcode == 1:
                 top |= step[1]
                 blocks |= step[2]
+            else:
+                probe(step[1], step[2], top & step[3] or blocks & step[4])
         return (blocks, top)
 
-    # -- packed classification walks -----------------------------------------
-    #
-    # The per-instruction transfers of one basic block, with a
-    # ``classify`` callback at every classified access.  The differential
-    # tests hold them to the dict-domain oracle instruction by
-    # instruction.
-
-    def _apply_plan_packed(self, words, plan, addr):
-        if plan is None:
-            return
-        assoc = self.config.assoc
-        domain = self._packed
-        kind = plan[0]
-        if kind == "rblock":
-            cac = self._data_cac_for(addr)
-            if cac == "N":
-                return
-            _kind, block, count = plan
-            bit = domain.bit[block]
-            smask = domain.set_mask[block % self.config.num_sets]
-            if cac == "A":  # idempotent: the repeat count collapses
-                _must_access(words, assoc, bit, smask)
-            else:
-                for _ in range(min(count, assoc)):
-                    _must_uncertain(words, assoc, bit, smask)
-        elif kind == "wblock":
-            block = plan[1]
-            _must_write(words, assoc, domain.bit[block],
-                        domain.set_mask[block % self.config.num_sets])
-        elif kind == "sets":
-            _kind, sets, evict, count = plan
-            if evict and self._data_cac_for(addr) == "N":
-                return
-            mask = 0
-            for index in sets:
-                mask |= domain.set_mask[index]
-            for _ in range(min(count, assoc)):
-                _must_age(words, assoc, mask, evict)
-        else:  # allsets
-            _kind, evict, count = plan
-            if evict and self._data_cac_for(addr) == "N":
-                return
-            for _ in range(min(count, assoc)):
-                _must_age(words, assoc, domain.universe_mask, evict)
-
-    def _transfer_block_packed(self, words, block, classify=None):
-        """Apply one basic block's accesses to MUST *words* (in place).
-
-        With *classify*, reports whether each fetch and each classified
-        read is guaranteed resident (always-hit) before it happens.
-        """
-        assoc = self.config.assoc
-        domain = self._packed
-        bits = domain.bit
-        set_mask = domain.set_mask
-        num_sets = self.config.num_sets
-        block_of = self.config.block_of
-        fetch_cac = self.fetch_cac
-        top = assoc - 1
-        for addr, instr in block.instrs:
-            if self.serves_fetch and addr >= self.spm_size:
-                cac = "A" if fetch_cac is None else fetch_cac.get(addr, "U")
-                if cac != "N":
-                    definite = cac == "A"
-                    fetch_block = block_of(addr)
-                    bit = bits[fetch_block]
-                    smask = set_mask[fetch_block % num_sets]
-                    if classify is not None:
-                        classify(addr, "fetch", bool(words[top] & bit))
-                    if definite:
-                        _must_access(words, assoc, bit, smask)
-                    else:
-                        _must_uncertain(words, assoc, bit, smask)
-                    if instr.size == 4:
-                        second = block_of(addr + 2)
-                        if second != fetch_block:
-                            bit = bits[second]
-                            smask = set_mask[second % num_sets]
-                            if classify is not None and \
-                                    not words[top] & bit:
-                                # Both halves must hit for an AH fetch.
-                                classify(addr, "fetch_second", False)
-                            if definite:
-                                _must_access(words, assoc, bit, smask)
-                            else:
-                                _must_uncertain(words, assoc, bit, smask)
-            if self.serves_data:
-                if classify is not None:
-                    needed = self._read_blocks[addr]
-                    if needed is not None:
-                        resident = words[top]
-                        hit = True
-                        for need in needed:
-                            need_bit = bits.get(need)
-                            if need_bit is None or not resident & need_bit:
-                                hit = False
-                                break
-                        classify(addr, "data", hit)
-                self._apply_plan_packed(words, self._plan[addr], addr)
-
-    def _transfer_block_may_packed(self, state, block, classify=None):
-        """Apply one basic block's accesses to a MAY *state* (a mutable
-        ``[blocks, top]`` pair of mask words, in place).
-
-        With *classify*, records whether each CAC-``A`` access targets a
-        block provably absent — an **always-miss**, i.e. an access that
-        is Always performed at the next level down.
-        """
-        domain = self._packed
-        bits = domain.bit
-        set_mask = domain.set_mask
-        num_sets = self.config.num_sets
-        block_of = self.config.block_of
-        fetch_cac = self.fetch_cac
-        blocks, top = state
-        for addr, instr in block.instrs:
-            if self.serves_fetch and addr >= self.spm_size:
-                cac = "A" if fetch_cac is None else fetch_cac.get(addr, "U")
-                if cac != "N":
-                    fetch_block = block_of(addr)
-                    second = (block_of(addr + 2) if instr.size == 4
-                              else fetch_block)
-                    if classify is not None and cac == "A":
-                        # Both halves must miss for the next level to be
-                        # definitely accessed on every execution.
-                        miss = not (
-                            top >> (fetch_block % num_sets) & 1
-                            or blocks & bits[fetch_block]
-                            or top >> (second % num_sets) & 1
-                            or blocks & bits[second])
-                        classify(addr, "fetch", miss)
-                    blocks |= bits[fetch_block]
-                    if second != fetch_block:
-                        blocks |= bits[second]
-            if self.serves_data:
-                plan = self._plan[addr]
-                if plan is None:
-                    continue
-                kind = plan[0]
-                if kind == "rblock":
-                    cac = self._data_cac_for(addr)
-                    if cac == "N":
-                        continue
-                    _kind, block_num, count = plan
-                    if classify is not None and cac == "A" and count == 1:
-                        miss = not (top >> (block_num % num_sets) & 1
-                                    or blocks & bits[block_num])
-                        classify(addr, "data", miss)
-                    blocks |= bits[block_num]
-                elif kind == "wblock":
-                    pass  # write-through, no allocate: never inserts
-                elif kind == "sets":
-                    _kind, sets, evict, _count = plan
-                    if evict and self._data_cac_for(addr) != "N":
-                        for index in sets:
-                            top |= 1 << index
-                            blocks |= set_mask[index]
-                else:  # allsets
-                    _kind, evict, _count = plan
-                    if evict and self._data_cac_for(addr) != "N":
-                        top |= domain.all_top_mask
-                        blocks |= domain.universe_mask
-        state[0] = blocks
-        state[1] = top
-
     # -- fixpoint ---------------------------------------------------------------
-
-    def _interproc_succs(self):
-        """Successor map over (func_name, block_addr) nodes, including
-        call and return edges (context-insensitive)."""
-        cfgs = self.cfgs
-        succs = {}
-        for name, cfg in cfgs.items():
-            for baddr, block in cfg.blocks.items():
-                node = (name, baddr)
-                out = []
-                if block.call_target is not None:
-                    callee = self._entry_by_addr[block.call_target]
-                    out.append((callee, cfgs[callee].entry))
-                    # Return edge: callee exits -> call fall-through.
-                    for exit_block in cfgs[callee].exit_blocks:
-                        ret_node = (callee, exit_block.start)
-                        succs.setdefault(ret_node, []).extend(
-                            (name, s) for s in block.succs)
-                else:
-                    out.extend((name, s) for s in block.succs)
-                succs.setdefault(node, []).extend(out)
-        return succs
-
-    def _succs_cached(self):
-        if self._succs is None:
-            self._succs = self._interproc_succs()
-        return self._succs
-
-    def _rpo(self):
-        """node -> reverse-post-order index over the interprocedural
-        graph (computed once, shared by the MUST and MAY fixpoints)."""
-        if self._rpo_index is not None:
-            return self._rpo_index
-        succs = self._succs_cached()
-        entry = (self.entry_name, self.cfgs[self.entry_name].entry)
-        seen = {entry}
-        order = []
-        stack = [(entry, iter(succs.get(entry, ())))]
-        while stack:
-            node, remaining = stack[-1]
-            advanced = False
-            for succ in remaining:
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append((succ, iter(succs.get(succ, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                order.append(node)
-        order.reverse()
-        self._rpo_index = {node: i for i, node in enumerate(order)}
-        return self._rpo_index
 
     def _fixpoint_packed(self, entry_state, run_prog, progs, join):
         """Reverse-post-order worklist fixpoint; returns in-states.
@@ -935,8 +872,7 @@ class CacheAnalysis:
         cfgs = self.cfgs
         entry = (self.entry_name, cfgs[self.entry_name].entry)
         in_states = {entry: entry_state}
-        succs = self._succs_cached()
-        rpo = self._rpo()
+        succs, rpo = self.layout.graph(cfgs, self.entry_name)
         fallback = len(rpo)
 
         heap = [(rpo.get(entry, fallback), entry)]
@@ -996,7 +932,7 @@ class CacheAnalysis:
 
             entry_state = _intern(table, (0,) * assoc)
         return self._fixpoint_packed(entry_state, run_prog,
-                                     self._packed_must, join)
+                                     self._must_progs, join)
 
     def _may_fixpoint_packed(self):
         table = self._intern_may
@@ -1012,51 +948,57 @@ class CacheAnalysis:
 
         entry_state = _intern(table, (0, 0))
         return self._fixpoint_packed(entry_state, run_prog,
-                                     self._packed_may, join)
+                                     self._may_progs, join)
 
-    def _classify_pass(self, in_states, transfer, classify, prepare):
+    def _reached(self, in_states):
+        """``(node, in-state)`` of every reachable block, in CFG order:
+        the order classification records accesses in."""
         for name, cfg in self.cfgs.items():
-            for baddr, block in cfg.blocks.items():
-                node = (name, baddr)
-                if node not in in_states:
-                    continue  # unreachable
-                transfer(prepare(in_states[node]), block, classify=classify)
+            for baddr in cfg.blocks:
+                state = in_states.get((name, baddr))
+                if state is not None:
+                    yield (name, baddr), state
 
     def run(self) -> CacheAnalysisResult:
-        in_states = self._must_fixpoint_packed()
-        if self.config.assoc == 1:
-            def must_prepare(word):
-                return [word]
-        else:
-            must_prepare = list
-
-        # Classification pass.
         result = CacheAnalysisResult(config=self.config)
         classes = result.classes
 
-        def classify(addr, what, hit):
-            entry = classes.setdefault(addr, AccessClass())
+        def must_probe(what, addr, hit):
+            entry = classes.get(addr)
+            if entry is None:
+                entry = classes[addr] = AccessClass()
             if what == "fetch":
                 entry.fetch = AH if hit else NC
-            elif what == "fetch_second":
-                entry.fetch = NC
-            else:
+            elif what == "data":
                 entry.data = AH if hit else NC
+            elif not hit:  # a BL's second half: both must hit for AH
+                entry.fetch = NC
 
-        self._classify_pass(in_states, self._transfer_block_packed,
-                            classify, must_prepare)
+        # Classification: each reachable block's probe program, from
+        # the block's fixpoint in-state.
+        in_states = self._must_fixpoint_packed()
+        assoc = self.config.assoc
+        for node, state in self._reached(in_states):
+            if assoc == 1:
+                self._run_must_dm(state, self._must_probes[node],
+                                  must_probe)
+            else:
+                self._run_must_packed(state, self._must_probes[node],
+                                      assoc, must_probe)
 
         if self.always_miss:
-            def classify_am(addr, what, miss):
-                entry = classes.setdefault(addr, AccessClass())
+            def may_probe(what, addr, possible):
+                entry = classes.get(addr)
+                if entry is None:
+                    entry = classes[addr] = AccessClass()
                 if what == "fetch":
-                    entry.fetch_always_miss = miss
+                    entry.fetch_always_miss = not possible
                 else:
-                    entry.data_always_miss = miss
+                    entry.data_always_miss = not possible
 
-            self._classify_pass(self._may_fixpoint_packed(),
-                                self._transfer_block_may_packed,
-                                classify_am, list)
+            for node, state in self._reached(self._may_fixpoint_packed()):
+                self._run_may_packed(state, self._may_probes[node],
+                                     may_probe)
 
         if self.persistence:
             self._apply_persistence(result)
@@ -1072,11 +1014,9 @@ class CacheAnalysis:
         (and no unbounded access can reach that set).  Scopes do not cross
         function boundaries; outermost qualifying scope wins.
         """
-        from .loops import find_natural_loops
-
         num_sets = self.config.num_sets
         for name, cfg in self.cfgs.items():
-            loops = find_natural_loops(cfg)
+            loops = self.layout.natural_loops(cfg)
             if not loops:
                 continue
             ordered = sorted(loops.values(), key=lambda l: -len(l.body))
@@ -1100,10 +1040,6 @@ class CacheAnalysis:
                             entry.fetch = FM
                             entry.fetch_scope = loop.header
 
-    def all_addrs(self):
-        """Every instruction address the analysis saw."""
-        return self._data.keys()
-
     def _loop_footprint(self, cfg, loop):
         """(fetch/data lines, sets touched by range accesses, analysable)."""
         lines = set()
@@ -1115,19 +1051,20 @@ class CacheAnalysis:
                 # may touch would need collecting; be conservative and
                 # give up on this scope.
                 return set(), set(), False
-            for addr, instr in block.instrs:
+            records = self.layout.nodes[(cfg.name, baddr)]
+            for (addr, instr), (_addr, _fetch, data, _need) in zip(
+                    block.instrs, records):
                 lines.add(self.config.block_of(addr))
                 if instr.size == 4:
                     lines.add(self.config.block_of(addr + 2))
-                plan = self._plan[addr]
-                if plan is None:
+                if data is None or not self.serves_data:
                     continue
-                kind = plan[0]
+                kind = data[0]
                 if kind in ("rblock", "wblock"):
-                    lines.add(plan[1])
-                elif kind == "sets":
-                    dirty_sets |= set(plan[1])
-                else:  # allsets
+                    lines.add(data[1])
+                elif kind == "span":
+                    dirty_sets.update(self._span_sets(data[1]))
+                else:  # an unknown address
                     return set(), set(), False
         return lines, dirty_sets, True
 
@@ -1289,6 +1226,8 @@ def analyze_hierarchy(image, cfgs, config, stack_range, entry_name,
                     data_cac=data_cac)
         out.levels.append(LevelClassification(
             level=level, iresult=iresult, dresult=dresult))
+        if not chained:
+            break
         if iresult is not None:
             fetch_cac = _chain_cac(fetch_cac, iresult, addrs, "fetch")
         if dresult is not None:

@@ -14,14 +14,18 @@ classifications:
   analysis guarantees a hit (Hardy & Puaut), or all the way to main
   memory; writes are write-through and cost main-memory time in both
   worlds.
+
+What does not depend on the configuration — fetched halfwords, execute
+extras, refills, the taken-edge refill — is one :func:`cost_table` per
+image; :meth:`CostModel.block_cost` adds the part a configuration
+decides, with each instruction's resolved access, block by block.
 """
 
 from __future__ import annotations
 
-from ..isa.opcodes import Cond, Op
+from ..isa.opcodes import Op
 from ..memory.hierarchy import SystemConfig
 from ..memory.levels import path_geometry, serve_costs
-from ..memory.regions import RegionKind
 from ..memory.timing import (
     BRANCH_REFILL_CYCLES,
     instruction_extra_cycles,
@@ -45,6 +49,37 @@ def _wrap_single_level(config: SystemConfig, result: CacheAnalysisResult):
         iresult=result if level.icache is not None else None,
         dresult=result if level.dcache is not None else None))
     return wrapped
+
+
+def static_costs(instrs) -> tuple:
+    """The configuration-independent part of a block's *instrs*.
+
+    ``(fixed, taken, narrow, wide)``: the cycles charged whatever the
+    memory (execute extras plus the refills of unconditional branches
+    and returns), the refill a conditional branch adds on its taken
+    edge, and the addresses of the 16-bit and of the 32-bit
+    instructions (one fetched halfword or two).
+    """
+    fixed = taken = 0
+    narrow, wide = [], []
+    for addr, instr in instrs:
+        op = instr.op
+        fixed += instruction_extra_cycles(op)
+        if op in (Op.B, Op.BL, Op.BX) or (op is Op.POP and instr.with_link):
+            fixed += BRANCH_REFILL_CYCLES
+        elif op is Op.BCC:
+            taken += BRANCH_REFILL_CYCLES
+        (wide if instr.size == 4 else narrow).append(addr)
+    return fixed, taken, tuple(narrow), tuple(wide)
+
+
+def cost_table(cfgs: dict) -> dict:
+    """``block start -> static_costs`` of every block of one image,
+    computed once per image; :meth:`CostModel.block_cost` adds the part
+    a configuration decides."""
+    return {baddr: static_costs(block.instrs)
+            for cfg in cfgs.values()
+            for baddr, block in cfg.blocks.items()}
 
 
 class CostModel:
@@ -82,22 +117,9 @@ class CostModel:
             path_geometry(fetch_levels, "i"), self.timing)
         self._data_serve = serve_costs(
             path_geometry(data_levels, "d"), self.timing)
-
-    # -- region helpers ------------------------------------------------------
-
-    def _region_kind(self, addr: int) -> str:
-        if addr < self.spm_size:
-            return RegionKind.SPM
-        return RegionKind.MAIN
-
-    def _uncached_cost(self, lo: int, hi: int, width: int) -> int:
-        """Worst-case cost of one access somewhere in [lo, hi)."""
-        kinds = {self._region_kind(lo), self._region_kind(max(lo, hi - 1))}
-        return max(self.timing.cycles(kind, width) for kind in kinds)
-
-    def _all_in_spm(self, access: DataAccess) -> bool:
-        return (not access.unknown and bool(access.ranges)
-                and all(hi <= self.spm_size for _lo, hi in access.ranges))
+        # Region timing per access width.
+        self._spm_cycles = self.timing.spm
+        self._main_cycles = self.timing.main
 
     # -- chain walking -------------------------------------------------------
 
@@ -120,11 +142,13 @@ class CostModel:
     # -- fetch ---------------------------------------------------------------
 
     def fetch_cost(self, addr: int, instr) -> int:
-        halves = instr.size // 2
+        return self._fetch_cycles(addr, instr.size // 2)
+
+    def _fetch_cycles(self, addr: int, halves: int) -> int:
         if addr < self.spm_size:
-            return halves * self.timing.cycles(RegionKind.SPM, 2)
+            return halves * self._spm_cycles[2]
         if not self._fetch:
-            return halves * self.timing.cycles(RegionKind.MAIN, 2)
+            return halves * self._main_cycles[2]
         level, _result = self._fetch[0]
         entry = self._fetch_classes[0].get(addr)
         fetch_class = entry.fetch if entry is not None else None
@@ -152,43 +176,44 @@ class CostModel:
 
     # -- data ----------------------------------------------------------------
 
-    def _read_cost(self, addr: int, access: DataAccess) -> int:
-        if not self._data_levels or self._all_in_spm(access):
-            # No cache on this access's path: region timing is exact.
-            worst = 0
-            for lo, hi in access.ranges or ((0, 0),):
-                worst = max(worst,
-                            self._uncached_cost(lo, hi, access.width))
-            if access.unknown:
-                worst = self.timing.cycles(RegionKind.MAIN, access.width)
-            return worst * access.count
-        if access.count == 1:
-            entry = self._data_classes[0].get(addr)
-            if entry is not None and entry.data == AH:
-                return self._data_levels[0][0].hit_cycles
-        return self._data_miss_cost(addr) * access.count
-
-    def _write_cost(self, access: DataAccess) -> int:
-        if self._data_levels and not self._all_in_spm(access):
-            # Write-through, no allocate: main-memory cost per store.
-            return self.timing.cycles(RegionKind.MAIN,
-                                      access.width) * access.count
-        worst = 0
-        for lo, hi in access.ranges or ((0, 0),):
-            worst = max(worst, self._uncached_cost(lo, hi, access.width))
-        if access.unknown:
-            worst = self.timing.cycles(RegionKind.MAIN, access.width)
-        return worst * access.count
-
     def data_cost(self, addr: int) -> int:
         access = self._data.get(addr)
-        if access is None:
-            return 0
-        if access.is_write:
-            return self._write_cost(access)
-        return self._read_cost(addr, access)
+        return 0 if access is None else self._data_cycles(addr, access)
 
-    # -- whole instructions --------------------------------------------------
+    def _data_cycles(self, addr: int, access: DataAccess) -> int:
+        spm = self.spm_size
+        width = access.width
+        count = access.count
+        ranges = access.ranges
+        in_spm = not access.unknown and bool(ranges)
+        for _lo, hi in ranges:
+            if hi > spm:
+                in_spm = False
+                break
+        if self._data_levels and not in_spm:
+            # Behind a cache: write-through, no allocate, so a store
+            # pays main memory; a read pays what its classification
+            # guarantees.
+            if access.is_write:
+                return self._main_cycles[width] * count
+            if count == 1:
+                entry = self._data_classes[0].get(addr)
+                if entry is not None and entry.data == AH:
+                    return self._data_levels[0][0].hit_cycles
+            return self._data_miss_cost(addr) * count
+        # No cache on this access's path: region timing is exact, the
+        # worst region any of its ranges can touch.
+        if access.unknown:
+            return self._main_cycles[width] * count
+        worst = 0
+        for lo, hi in ranges or ((0, 0),):
+            if lo < spm:
+                worst = max(worst, self._spm_cycles[width])
+            if max(lo, hi - 1) >= spm:
+                worst = max(worst, self._main_cycles[width])
+        return worst * count
+
+    # -- whole instructions and blocks ---------------------------------------
 
     def instr_cost(self, addr: int, instr):
         """Return ``(base_cycles, taken_edge_extra)`` for one instruction.
@@ -197,15 +222,22 @@ class CostModel:
         *taken_edge_extra* (non-zero only for conditional branches) is
         charged on the taken edge by the IPET builder.
         """
-        cost = self.fetch_cost(addr, instr)
-        cost += self.data_cost(addr)
-        cost += instruction_extra_cycles(instr.op)
-        taken_extra = 0
-        op = instr.op
-        if op in (Op.B, Op.BL, Op.BX):
-            cost += BRANCH_REFILL_CYCLES
-        elif op is Op.POP and instr.with_link:
-            cost += BRANCH_REFILL_CYCLES
-        elif op is Op.BCC:
-            taken_extra = BRANCH_REFILL_CYCLES
-        return cost, taken_extra
+        return self.block_cost(static_costs(((addr, instr),)))
+
+    def block_cost(self, static):
+        """``(cycles, taken_edge_extra)`` of a block from its
+        :func:`static_costs`: the fixed cycles plus what this
+        configuration's fetch and data pricing charge each instruction
+        (its data access is the resolved one)."""
+        fixed, taken, narrow, wide = static
+        fetch = self._fetch_cycles
+        price = self._data_cycles
+        accesses = self._data
+        cycles = fixed
+        for halves, addrs in ((1, narrow), (2, wide)):
+            for addr in addrs:
+                cycles += fetch(addr, halves)
+                access = accesses.get(addr)
+                if access is not None:
+                    cycles += price(addr, access)
+        return cycles, taken

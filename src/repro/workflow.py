@@ -274,17 +274,17 @@ class Workflow:
         return dict(zip(caches, self._baseline_sims(
             [SystemConfig.cached(cache) for cache in caches])))
 
-    def sim_for(self, config: SystemConfig) -> SimResult:
-        """Trace-replayed simulation of the shared executable, no WCET.
+    def sim_for(self, config: SystemConfig,
+                method: str = "energy") -> SimResult:
+        """Simulation of *config*'s executable, no WCET.
 
-        Accepts any pipeline without a scratchpad (placement needs an
-        allocation — :meth:`config_point` evaluates those).  The serving
-        daemon's ``simulate`` op is answered from here.
+        Any pipeline: the shared executable replays its trace, and a
+        scratchpad is allocated by *method* (as in :meth:`config_point`),
+        linked and priced.  The serving daemon's ``simulate`` op is
+        answered from here.
         """
-        if config.spm_size:
-            raise ValueError("use config_point for scratchpad pipelines")
-        key = _run_key(config, None)
-        self._measure({key: (config, None)})
+        key = _run_key(config, method)
+        self._measure({key: (config, method)})
         return self._runs[key][2]
 
     # -- evaluation points ----------------------------------------------------------

@@ -9,6 +9,7 @@ the ILP oracle in ``tests/ilp``:
   data accesses and misses per address;
 * :mod:`.domain` — the dict MUST/MAY domain and a ``CacheAnalysis``
   running its fixpoint and classification;
+* :mod:`.runs` — the trace run-length encoder as a loop over ops;
 * :mod:`.differentials` — both oracles on generated programs, for the
   fuzz tier.
 """
@@ -23,12 +24,13 @@ from .domain import (
     may_decode,
     must_decode,
 )
+from .runs import compress_ops
 from .differentials import check_domains, check_misses
 
 __all__ = [
     "Access", "ReferenceCache", "ReferenceHierarchy",
     "RecordedRun", "RecordingSimulator", "record",
     "MAY_TOP", "DictCacheAnalysis", "MayCache", "MustCache",
-    "may_decode", "must_decode",
+    "may_decode", "must_decode", "compress_ops",
     "check_domains", "check_misses",
 ]

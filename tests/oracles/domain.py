@@ -17,6 +17,7 @@ import heapq
 
 from repro.memory import CacheConfig
 from repro.wcet import cacheanalysis
+from repro.wcet.accesses import resolve_data_access
 from repro.wcet.cacheanalysis import AH, NC, AccessClass, CacheAnalysisResult
 
 
@@ -238,12 +239,87 @@ def may_decode(domain, blocks, top) -> MayCache:
 class DictCacheAnalysis(cacheanalysis.CacheAnalysis):
     """``CacheAnalysis`` with the dict-domain fixpoint and classification.
 
-    The constructor (access plans, CAC maps) and the persistence pass are
-    the shipped analysis's own.  Every state transfer, join and
-    classification below is this module's: the fixpoint applies the
-    per-instruction transfers directly, not the shipped analysis's
-    compiled step programs.
+    The CAC maps, the interprocedural graph, the order of reachable
+    blocks and the persistence pass are the shipped analysis's own.  Every access
+    plan, state transfer, join and classification below is this
+    module's: plans come from the resolved accesses, not the shipped
+    access layout, and the fixpoint applies the per-instruction
+    transfers directly, not the shipped analysis's compiled step
+    programs.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # The per-access plans, derived from the resolved accesses here
+        # rather than read from the shipped access layout.
+        self._plan = {}
+        self._read_blocks = {}
+        for cfg in self.cfgs.values():
+            for block in cfg.blocks.values():
+                for addr, instr in block.instrs:
+                    access = resolve_data_access(instr, addr, self.image,
+                                                 self.stack_range)
+                    self._plan[addr] = self._compile_plan(access)
+                    self._read_blocks[addr] = self._compile_read(access)
+
+    def _cached_ranges(self, ranges):
+        """Clip *ranges* to the part behind the cache (above the SPM)."""
+        spm = self.spm_size
+        if not spm:
+            return ranges
+        return tuple((max(lo, spm), hi) for lo, hi in ranges if hi > spm)
+
+    def _blocks(self, ranges):
+        blocks = set()
+        for lo, hi in ranges:
+            blocks.update(self.config.blocks_in_range(lo, hi))
+        return blocks
+
+    def _compile_plan(self, access):
+        """A DataAccess as (kind, payload) for the transfers below."""
+        if access is None or not self.serves_data:
+            return None
+        if access.unknown:
+            return ("allsets", not access.is_write, access.count)
+        if access.exact:
+            if access.address < self.spm_size:
+                return None  # settled by the scratchpad in front
+            block = self.config.block_of(access.address)
+            return ("wblock" if access.is_write else "rblock", block, 1)
+        ranges = self._cached_ranges(access.ranges)
+        if not ranges:
+            return None
+        blocks = self._blocks(ranges)
+        if len(blocks) == 1 and not access.is_write:
+            return ("rblock", next(iter(blocks)), access.count)
+        num_sets = self.config.num_sets
+        sets = tuple(sorted({block % num_sets for block in blocks}))
+        if len(sets) == num_sets:
+            return ("allsets", not access.is_write, access.count)
+        return ("sets", sets, not access.is_write, access.count)
+
+    def _compile_read(self, access):
+        """Blocks that must all be resident for the read to be AH."""
+        if access is None or access.is_write or access.unknown or \
+                access.count != 1 or not self.serves_data:
+            return None
+        ranges = self._cached_ranges(access.ranges)
+        if not ranges or ranges != access.ranges:
+            return None  # fully or partly in front of the cache
+        blocks = self._blocks(ranges)
+        if len(blocks) > 4 * self.config.assoc:
+            return None  # cannot all be resident in interesting cases
+        return tuple(blocks)
+
+    def _data_cac_for(self, addr):
+        if self.data_cac is None:
+            return "A"
+        return self.data_cac.get(addr, "U")
+
+    def _classify_pass(self, in_states, transfer, classify, prepare):
+        for (name, baddr), state in self._reached(in_states):
+            transfer(prepare(state), self.cfgs[name].blocks[baddr],
+                     classify=classify)
 
     def _apply_plan(self, state: MustCache, plan, addr):
         if plan is None:
@@ -381,8 +457,7 @@ class DictCacheAnalysis(cacheanalysis.CacheAnalysis):
         # both directions: nothing guaranteed, nothing possibly resident.
         entry = (self.entry_name, cfgs[self.entry_name].entry)
         in_states = {entry: entry_state}
-        succs = self._succs_cached()
-        rpo = self._rpo()
+        succs, rpo = self.layout.graph(cfgs, self.entry_name)
         fallback = len(rpo)
 
         heap = [(rpo.get(entry, fallback), entry)]

@@ -11,7 +11,9 @@ semantics in ``tests/oracles``.  Three layers of evidence:
   domain yields the same decoded state after *every* step;
 * whole-analysis differential tests: ``CacheAnalysis`` and the oracle's
   ``DictCacheAnalysis`` produce instruction-identical classifications
-  on real benchmarks, single-level and CAC-chained multi-level;
+  on real benchmarks, single-level and CAC-chained multi-level, at
+  several line sizes, behind a scratchpad and with split I/D, and a
+  sweep sharing one access layout classifies as each size alone;
 * interning and reuse-cache invariants: hash-consed states are shared
   objects, and the content-addressed reuse cache (memory and disk
   layers) returns results equal to a fresh analysis.
@@ -272,6 +274,71 @@ class TestAnalysisDifferential:
                 assert (a is None) == (b is None)
                 if a is not None:
                     _classes_equal(a, b)
+
+
+    @pytest.mark.parametrize("key", ["adpcm", "g721"])
+    @pytest.mark.parametrize("config", [
+        SystemConfig.cached(CacheConfig(size=256, line_size=8)),
+        SystemConfig.cached(CacheConfig(size=1024, line_size=32, assoc=2)),
+        SystemConfig.hybrid(512, CacheConfig(size=256, line_size=8,
+                                             assoc=2)),
+        SystemConfig.split_l1(
+            CacheConfig(size=256, line_size=32, unified=False),
+            CacheConfig(size=128, line_size=8, assoc=2)),
+        SystemConfig.two_level(CacheConfig(size=128, line_size=8),
+                               CacheConfig(size=2048, line_size=32,
+                                           assoc=4)),
+    ], ids=["line8", "line32-2way", "hybrid-clipped", "split",
+            "l1+l2"])
+    def test_suite_hierarchies(self, key, config, monkeypatch):
+        """Every level's whole classification equals the oracle's, with
+        and without persistence: line sizes 8 and 32, a scratchpad that
+        clips accesses, split I/D and always-miss chaining to an L2."""
+        from repro.benchmarks import get
+        from repro.workflow import Workflow
+        image, _ = Workflow(get(key).source()).image_for(config)
+        cfgs = build_all_cfgs(image)
+        entry_by_addr = {cfg.entry: name for name, cfg in cfgs.items()}
+        rng = stack_region(cfgs, "_start", entry_by_addr)
+        for persistence in (False, True):
+            packed = analyze_hierarchy(image, cfgs, config, rng, "_start",
+                                       persistence=persistence,
+                                       reuse=False)
+            with monkeypatch.context() as patch:
+                patch.setattr(cacheanalysis, "CacheAnalysis",
+                              DictCacheAnalysis)
+                plain = analyze_hierarchy(image, cfgs, config, rng,
+                                          "_start", persistence=persistence,
+                                          reuse=False)
+            for level_dict, level_packed in zip(plain.levels,
+                                                packed.levels):
+                for a, b in ((level_dict.iresult, level_packed.iresult),
+                             (level_dict.dresult, level_packed.dresult)):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        _classes_equal(a, b)
+
+
+class TestAccessLayout:
+    def test_sweep_shares_one_layout(self):
+        """An 8-size sweep builds one access layout and reuses it; every
+        size classifies exactly as when analysed alone from scratch."""
+        from repro.workflow import PAPER_SIZES
+        image, cfgs, rng = _bench_frontend("adpcm")
+        configs = [SystemConfig.cached(CacheConfig(size=size))
+                   for size in PAPER_SIZES]
+        cacheanalysis.clear_analysis_caches()
+        before = dict(cacheanalysis.COUNTERS)
+        shared = [analyze_hierarchy(image, cfgs, config, rng, "_start")
+                  for config in configs]
+        after = cacheanalysis.COUNTERS
+        assert after["layout_builds"] - before["layout_builds"] == 1
+        assert after["layout_reuses"] - before["layout_reuses"] == 7
+        for config, result in zip(configs, shared):
+            cacheanalysis.clear_analysis_caches()
+            alone = analyze_hierarchy(image, cfgs, config, rng, "_start",
+                                      reuse=False)
+            _classes_equal(result.primary, alone.primary)
 
 
 # -- interning and the reuse cache ------------------------------------------

@@ -39,6 +39,8 @@ from repro.sim import kernels
 from repro.sim.replay import _walk_replay, replay, replay_grid
 from repro.sim.trace import (READ_TAGS, WRITE_TAGS, Trace, record_trace)
 
+from .oracles import compress_ops
+
 SPM_SIZE = 512
 
 SHAPES = {
@@ -300,6 +302,60 @@ def test_compact_drops_flat_ops_and_reexpands():
     assert list(trace.ops) == ops  # re-expanded on demand
     clone = pickle.loads(pickle.dumps(trace))
     assert list(clone.ops) == ops
+
+
+#: Stream pieces: ``(kind, length)`` after a start value.  ``stride``
+#: runs add 16 per op (the next halfword), ``alternate`` flips between
+#: repeating and striding every op, ``jump`` moves far enough that the
+#: next run's int32 head overflows.
+_PIECES = st.lists(st.tuples(
+    st.sampled_from(["repeat", "stride", "alternate", "random", "jump"]),
+    st.integers(1, 12)), max_size=12)
+
+
+def _stream(start, pieces, rng):
+    ops = []
+    value = start
+    for kind, length in pieces:
+        for i in range(length):
+            if kind == "stride" or (kind == "alternate" and i % 2):
+                value += 16
+            elif kind == "random":
+                value = rng.randrange(1 << 20) << 3 | rng.randrange(8)
+            elif kind == "jump" and i == 0:
+                value = (value + (1 << 34)) % (1 << 64)
+            ops.append(value)
+    return ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.integers(0, (1 << 20) << 3), pieces=_PIECES,
+       seed=st.integers(0, 1 << 16), block=st.sampled_from([2, 3, 7, None]))
+def test_encoder_emits_the_loop_runs(start, pieces, seed, block):
+    """The block-wise numpy encoder emits the loop oracle's runs: the
+    same ``(base, heads, packed)``, or None when a head overflows, on
+    any stream, in blocks as small as two ops."""
+    ops = array("Q", _stream(start, pieces, random.Random(seed)))
+    saved = kernels._RUN_BLOCK
+    kernels._RUN_BLOCK = block or saved
+    try:
+        got = kernels.encode_runs(ops)
+    finally:
+        kernels._RUN_BLOCK = saved
+    want = compress_ops(ops)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got[0], list(got[1]), list(got[2])) == \
+            (want[0], list(want[1]), list(want[2]))
+
+
+def test_encoder_edge_streams():
+    for ops in ([], [5 << 3], [7, 7], [0, 16, 32, 32, 48],
+                [(1 << 64) - 1, (1 << 64) - 1, 5]):
+        stream = array("Q", ops)
+        assert kernels.encode_runs(stream) == compress_ops(stream)
 
 
 def test_recorded_trace_rle_round_trips():

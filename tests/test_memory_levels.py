@@ -28,6 +28,23 @@ class TestLevelSpecs:
             CacheLevel(name="L1", icache=CacheConfig(size=64),
                        dcache=CacheConfig(size=64), shared=True)
 
+    @pytest.mark.parametrize("config", [
+        SystemConfig.cached(CacheConfig(size=256)),
+        SystemConfig.two_level(CacheConfig(size=256),
+                               CacheConfig(size=1024, assoc=4)),
+        SystemConfig.split_l1(CacheConfig(size=128, unified=False),
+                              CacheConfig(size=256)),
+        SystemConfig.hybrid(256, CacheConfig(size=512)),
+    ], ids=["unified", "l1+l2", "split", "hybrid"])
+    def test_repr_round_trips(self, config):
+        # A unified level's repr names its factory, so the one config
+        # stays one object when the repr is evaluated.
+        namespace = {
+            "AccessTiming": AccessTiming, "CacheConfig": CacheConfig,
+            "CacheLevel": CacheLevel, "MainMemoryLevel": MainMemoryLevel,
+            "SpmLevel": SpmLevel, "SystemConfig": SystemConfig}
+        assert eval(repr(config), namespace) == config
+
     def test_spm_positive(self):
         with pytest.raises(ValueError):
             SpmLevel(0)

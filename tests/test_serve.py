@@ -181,6 +181,39 @@ class TestProtocol:
         rerun_request(json.dumps(canonical))
         printed = json.loads(capsys.readouterr().out)
         assert printed == evaluate_request(canonical)
+        # The printed line pastes into a shell as it stands.
+        pasted = subprocess.run(
+            ["sh", "-c", command.replace("python", sys.executable, 1)],
+            cwd=REPO, capture_output=True, text=True, timeout=60)
+        assert pasted.returncode == 0, pasted.stderr
+        assert json.loads(pasted.stdout) == printed
+
+    @pytest.mark.parametrize("config", [
+        {"spm": 256}, {"spm": 256, "alloc": "wcet"}],
+        ids=["energy", "wcet"])
+    def test_scratchpad_simulate_runs_no_wcet(self, config, monkeypatch):
+        # A simulate is priced without the analysis a wcet op needs.
+        from repro import workflow
+        from repro.benchmarks import get
+        from repro.serve.protocol import system_config
+
+        calls = []
+        analyze = workflow.analyze_wcet
+        monkeypatch.setattr(
+            workflow, "analyze_wcet",
+            lambda *args, **kwargs: calls.append(args) or analyze(
+                *args, **kwargs))
+        request = canonical_request(
+            {"op": "simulate", "bench": "crc", "config": config})
+        got = evaluate_request(request)
+        assert calls == []
+        # What config_point's simulation gives, from a fresh workflow.
+        sim = workflow.Workflow(get("crc").source()).config_point(
+            system_config(config), method=config.get("alloc",
+                                                     "energy")).sim
+        assert got == {"config": "spm256", "cycles": sim.cycles,
+                       "instructions": sim.instructions,
+                       "exit_code": sim.exit_code}
 
 
 # --------------------------------------------------------------------------
