@@ -206,7 +206,7 @@ def cmd_trace(args):
     _print_trace_summary(trace, config.describe())
     if args.profile:
         # One replay under the requested hierarchy, so the counters
-        # show what served it (numpy kernel or per-access walk).
+        # show what served it (numpy kernel or plan arithmetic).
         from .sim.replay import replay
         before = dict(trace_counters())
         replay(trace, config)

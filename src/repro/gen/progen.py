@@ -301,18 +301,6 @@ class PrintInt:
         machine.console.append(str(self.expr.eval(machine)))
 
 
-class PrintChar:
-    def __init__(self, code):
-        self.code = code
-
-    def emit(self, out, indent):
-        out.append(f"{indent}__print_char({self.code});")
-
-    def run(self, machine):
-        machine.tick()
-        machine.console.append(chr(self.code & 0xFF))
-
-
 class If:
     def __init__(self, cond, then, orelse=()):
         self.cond = cond

@@ -20,7 +20,6 @@ from .opcodes import (
     Cond,
     Op,
 )
-from .registers import reg_name
 
 
 class Instr:
@@ -284,19 +283,3 @@ def swi(number):
 
 def nop():
     return Instr(Op.NOP)
-
-
-def describe_operands(instr: Instr) -> str:
-    """Human-readable operand summary (used in diagnostics)."""
-    parts = []
-    for slot in ("rd", "rn", "rm"):
-        value = getattr(instr, slot)
-        if value is not None:
-            parts.append(f"{slot}={reg_name(value)}")
-    if instr.imm is not None:
-        parts.append(f"imm={instr.imm}")
-    if instr.cond is not None:
-        parts.append(f"cond={instr.cond.name}")
-    if instr.target is not None:
-        parts.append(f"target={instr.target}")
-    return ", ".join(parts)

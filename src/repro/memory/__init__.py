@@ -17,7 +17,7 @@ from .timing import (
     AccessTiming,
     instruction_extra_cycles,
 )
-from .cache import Cache, CacheConfig, CacheStats, ReplacementPolicy
+from .cache import Cache, CacheConfig, CacheStats
 from .levels import (
     CacheLevel,
     MainMemoryLevel,
@@ -32,7 +32,7 @@ __all__ = [
     "MemoryMap", "Region", "RegionKind",
     "BRANCH_REFILL_CYCLES", "CACHE_HIT_CYCLES", "MAIN_CYCLES", "SPM_CYCLES",
     "AccessTiming", "instruction_extra_cycles",
-    "Cache", "CacheConfig", "CacheStats", "ReplacementPolicy",
+    "Cache", "CacheConfig", "CacheStats",
     "CacheLevel", "MainMemoryLevel", "SpmLevel",
     "serve_costs", "validate_levels",
     "MemoryHierarchy", "SystemConfig",

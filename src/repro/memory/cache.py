@@ -8,6 +8,10 @@ associativity 1, and serves as the tag array for *any* level of the
 composable pipeline in :mod:`repro.memory.levels` (L1, L2, or one side
 of a split I/D pair).
 
+LRU is the only replacement policy: it is the one the WCET analyser's
+MUST/MAY analysis models, so every cache the simulator can build is one
+the analyser bounds soundly.
+
 The cache is *timing-only*: it tracks tags, not data.  With the modelled
 write-through / no-write-allocate policy, backing RAM is always current, so
 a tags-only model is cycle-exact while keeping the simulator simple.
@@ -26,15 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class ReplacementPolicy:
-    LRU = "lru"
-    FIFO = "fifo"
-    RANDOM = "random"
-
-
 @dataclass(frozen=True)
 class CacheConfig:
-    """Geometry and policy of a cache.
+    """Geometry of an LRU cache.
 
     ``unified=True`` (the paper's experimental setup) caches instruction
     fetches *and* data; ``unified=False`` models the instruction-only
@@ -45,7 +43,6 @@ class CacheConfig:
     size: int
     line_size: int = 16
     assoc: int = 1
-    replacement: str = ReplacementPolicy.LRU
     unified: bool = True
 
     def __post_init__(self):
@@ -81,7 +78,7 @@ class CacheConfig:
         ways = "direct mapped" if self.assoc == 1 else f"{self.assoc}-way"
         kind = "unified" if self.unified else "instruction"
         return (f"{self.size} B {kind} {ways} cache, "
-                f"{self.line_size} B lines, {self.replacement} replacement")
+                f"{self.line_size} B lines, lru replacement")
 
 
 @dataclass
@@ -109,23 +106,18 @@ class Cache:
 
     The hierarchy's fast path (:class:`~repro.memory.hierarchy.
     MemoryHierarchy`) compiles the lookups over ``sets`` and counts into
-    ``fast_counts``.  ``RANDOM`` replacement is deterministic here (an
-    LFSR victim counter), mirroring how ARM7 implements its "random"
-    policy with a cheap counter; the paper notes random replacement
-    mainly as an *analysis* obstacle.
+    ``fast_counts``.
     """
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        # Per set: list of tags, most-recently-used first (for LRU);
-        # insertion order (for FIFO).
+        # Per set: list of tags, most recently used first.
         self.sets = [[] for _ in range(config.num_sets)]
         self.stats = CacheStats()
         # Counters filled by the hierarchy's fast path (hit/miss per
         # access source, in CacheStats field order); folded into
         # ``stats`` by :meth:`flush_fast_counts`.
         self.fast_counts = [0, 0, 0, 0, 0, 0]
-        self._victim = 1  # LFSR state for RANDOM
 
     def flush_fast_counts(self):
         """Fold the fast path's plain-int counters into ``stats``."""
@@ -140,10 +132,3 @@ class Cache:
             stats.write_misses += counts[5]
             for i in range(6):
                 counts[i] = 0
-
-    def _next_victim(self, ways: int) -> int:
-        # 8-bit Galois LFSR, deterministic and seed-independent of workload.
-        lfsr = self._victim
-        lfsr = (lfsr >> 1) ^ (0xB8 if lfsr & 1 else 0)
-        self._victim = lfsr or 1
-        return self._victim % ways

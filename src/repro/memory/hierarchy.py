@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cache import Cache, CacheConfig, ReplacementPolicy
+from .cache import Cache, CacheConfig
 from .levels import (
     CacheLevel,
     MainMemoryLevel,
@@ -253,14 +253,11 @@ class MemoryHierarchy:
 
     def _make_touch(self, cache: Cache, base: int):
         """``touch(block, index) -> hit`` for a fetch or read: a hit
-        refreshes an LRU line, a miss allocates; *base* indexes the hit
-        counter (miss is ``base + 1``)."""
-        config = cache.config
+        refreshes the line, a miss allocates and evicts the LRU line;
+        *base* indexes the hit counter (miss is ``base + 1``)."""
         sets = cache.sets
         counts = cache.fast_counts
-        assoc = config.assoc
-        lru = config.replacement == ReplacementPolicy.LRU
-        rnd = config.replacement == ReplacementPolicy.RANDOM
+        assoc = cache.config.assoc
         hit_i, miss_i = base, base + 1
         if assoc == 1:
             def touch(block, index):
@@ -278,18 +275,14 @@ class MemoryHierarchy:
             def touch(block, index):
                 ways = sets[index]
                 if block in ways:
-                    if lru and ways[0] != block:
+                    if ways[0] != block:
                         ways.remove(block)
                         ways.insert(0, block)
                     counts[hit_i] += 1
                     return True
-                if len(ways) < assoc:
-                    ways.insert(0, block)
-                elif rnd:
-                    ways[cache._next_victim(assoc)] = block
-                else:  # LRU and FIFO both evict the tail
+                if len(ways) == assoc:
                     ways.pop()
-                    ways.insert(0, block)
+                ways.insert(0, block)
                 counts[miss_i] += 1
                 return False
         return touch
@@ -299,12 +292,11 @@ class MemoryHierarchy:
         allocate): refresh a resident line, count the rest."""
         sets = cache.sets
         counts = cache.fast_counts
-        lru = cache.config.replacement == ReplacementPolicy.LRU
 
         def touch(block, index):
             ways = sets[index]
             if block in ways:
-                if lru and ways[0] != block:
+                if ways[0] != block:
                     ways.remove(block)
                     ways.insert(0, block)
                 counts[4] += 1

@@ -67,10 +67,6 @@ def is_scalar(t) -> bool:
     return isinstance(t, ScalarType) and t is not VOID
 
 
-def is_pointerish(t) -> bool:
-    return isinstance(t, (PointerType, ArrayType))
-
-
 def common_signedness(a, b) -> bool:
     """C-style: the result is signed only if both operands are signed."""
     signed_a = a.signed if isinstance(a, ScalarType) else False

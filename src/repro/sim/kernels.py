@@ -1,8 +1,8 @@
 """Vectorised (numpy) replay kernels for LRU level pipelines.
 
-A trace is a packed ``addr << 3 | tag`` stream.  For LRU pipelines —
-the paper's direct-mapped shapes, the set-associative levels of the
-cache design-space exploration, and the hot rows of
+A trace is a packed ``addr << 3 | tag`` stream.  For every cached
+pipeline — the paper's direct-mapped shapes, the set-associative levels
+of the cache design-space exploration, and the hot rows of
 ``BENCH_simulator.json`` — the hit/miss counters follow from
 whole-trace vector operations instead of a walk one access at a time:
 
@@ -41,10 +41,11 @@ whole-trace vector operations instead of a walk one access at a time:
   many configurations (the workflow sweeps, the benches) pays only the
   per-set grouping per point.
 
-``tests/test_kernels.py`` pins every kernel against
-:func:`repro.sim.replay._walk_replay`, the per-access walk through the
-execution engine's own touch closures, over every committed hierarchy
-shape and adversarial write-heavy streams.
+``tests/test_kernels.py`` pins every kernel against the oracle walk in
+``tests/oracles/memory.py``, which prices a trace access by access
+through the reference hierarchy (a tag model the kernels share no code
+with), over every committed hierarchy shape and adversarial write-heavy
+streams.
 """
 
 from __future__ import annotations

@@ -6,25 +6,24 @@ stream, recorded once by the execution engine) and a compatible
 :class:`~repro.sim.simulator.SimResult` bit-identical to re-executing
 the program on that config — same cycles, instruction count, console,
 exit code, and per-level hit/miss statistics — without touching
-registers, RAM or step closures.  Replay only walks tag arrays, and
-only for the accesses that can actually change state:
+registers, RAM or step closures.  Only the accesses that can change
+cache state reach the kernels:
 
 * SPM-resident accesses and data writes have config-fixed costs
   (write-through stores pay main memory regardless of hit/miss), so
   they are priced from the trace's aggregate per-tag counts in O(1) —
-  writes are walked only when a data-path cache needs their LRU
+  writes reach the kernels only when a data-path cache needs their LRU
   refresh/statistics;
 * on fetch-only pipelines (instruction caches) the data stream is
   skipped entirely;
 * pipelines with no caches at all reduce to pure arithmetic over a
   memoized per-config pricing plan — no tag arrays, no hierarchy.
 
-LRU pipelines at any associativity are priced by the numpy kernels of
+Every cached pipeline is priced by the numpy kernels of
 :mod:`repro.sim.kernels`: the direct-mapped carry kernel, and an exact
-set-associative kernel that walks only the run heads of each set.  Any
-other pipeline (FIFO or random replacement) is walked access by access
-by :func:`_walk_replay`, through the same touch closures the execution
-engine prices with; the tests hold the kernels to that walk.
+set-associative kernel that walks only the run heads of each set.  The
+tests hold the kernels to a per-access walk over the reference
+hierarchy in ``tests/oracles``, a model they share no code with.
 
 :func:`replay_sweep` goes further for the paper's bread-and-butter
 sweep: same-geometry direct-mapped LRU caches of different sizes
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import weakref
 
-from ..memory.cache import CacheStats, ReplacementPolicy
+from ..memory.cache import CacheStats
 from ..memory.hierarchy import MemoryHierarchy, SystemConfig
 from ..memory.levels import level_labels, path_geometry, serve_costs
 from ..memory.regions import RegionKind
@@ -87,7 +86,7 @@ class _ReplayPlan:
 
     __slots__ = ("names", "caches", "fetch_order", "data_order",
                  "fcosts", "dcosts", "spm_tag_cycles", "main_tag_cycles",
-                 "lru_chain", "kernel_caches")
+                 "kernel_caches")
 
     def __init__(self, config: SystemConfig):
         timing = config.timing
@@ -125,10 +124,6 @@ class _ReplayPlan:
         self.main_tag_cycles = tuple(
             timing.cycles(RegionKind.MAIN, TAG_WIDTH[tag])
             for tag in range(8))
-        # Direct-mapped levels are LRU whatever their replacement knob.
-        self.lru_chain = all(
-            spec.assoc == 1 or spec.replacement == ReplacementPolicy.LRU
-            for spec, _f, _d in caches)
         self.kernel_caches = tuple(
             (spec.line_size, spec.num_sets, spec.assoc, on_fetch, on_data)
             for spec, on_fetch, on_data in caches)
@@ -257,86 +252,13 @@ def replay(trace: Trace, config: SystemConfig,
         cycles = trace.base_cycles + _fixed_cycles(
             trace, plan, fetches_fixed=True, reads_fixed=True)
         return _plan_result(trace, plan, cycles, ())
-    if plan.lru_chain:
-        COUNTERS["replay_numpy"] += 1
-        counts = kernels.lru_chain_counts(
-            kernels.ops_view(trace.ops), plan.kernel_caches,
-            memo=trace._memo)
-        cycles = _priced_counts(trace, plan, counts,
-                                fetches_fixed=not plan.fetch_order,
-                                reads_fixed=not plan.data_order)
-        return _plan_result(trace, plan, cycles, counts)
-    COUNTERS["replay_scalar"] += 1
-    return _walk_replay(trace, config)
-
-
-def _touches(hierarchy: MemoryHierarchy):
-    """``(fetch, read, write)`` touch chains of *hierarchy*, outermost-in.
-
-    Each chain holds one ``(touch, line_size, num_sets)`` per cache on
-    that path: the closures the execution engine's fast path prices
-    with, so a walk over them is the engine's cache model exactly.
-    """
-    def chain(caches, make):
-        return tuple((make(cache), cache.config.line_size,
-                      cache.config.num_sets) for cache in caches)
-    return (chain(hierarchy._fetch_chain,
-                  lambda cache: hierarchy._make_touch(cache, 0)),
-            chain(hierarchy._data_chain,
-                  lambda cache: hierarchy._make_touch(cache, 2)),
-            chain(hierarchy._data_chain, hierarchy._make_write_touch))
-
-
-def _walk_replay(trace: Trace, config: SystemConfig) -> SimResult:
-    """Re-price *trace* under any level pipeline, access by access.
-
-    The path of FIFO and random replacement, and the oracle the tests
-    hold the LRU kernels to: every access walks the hierarchy's touch
-    closures (:func:`_touches`), outermost level first.
-    """
-    hierarchy = MemoryHierarchy(config)
-    fts, dts, wts = _touches(hierarchy)
-    fcosts = hierarchy._fetch_costs
-    dcosts = hierarchy._data_costs
-    cycles = trace.base_cycles + _fixed_cycles(
-        trace, _plan_for(config), fetches_fixed=not fts,
-        reads_fixed=not dts)
-    for value in trace.ops:
-        tag = value & 7
-        addr = value >> 3
-        if tag == 0 or tag == 7:
-            if not fts:
-                continue  # priced by _fixed_cycles
-            depth = 0
-            for touch, line, nsets in fts:
-                block = addr // line
-                if touch(block, block % nsets):
-                    break
-                depth += 1
-            cycles += fcosts[depth]
-        elif tag < 4:
-            if not dts:
-                continue
-            depth = 0
-            for touch, line, nsets in dts:
-                block = addr // line
-                if touch(block, block % nsets):
-                    break
-                depth += 1
-            cycles += dcosts[depth]
-        else:
-            for touch, line, nsets in wts:
-                block = addr // line
-                touch(block, block % nsets)
-    hierarchy.flush_fast_stats()
-    return SimResult(
-        cycles=cycles,
-        instructions=trace.instructions,
-        exit_code=trace.exit_code,
-        console=list(trace.console),
-        cache_stats=hierarchy.cache_stats,
-        level_stats=hierarchy.level_stats,
-    )
+    COUNTERS["replay_numpy"] += 1
+    counts = kernels.lru_chain_counts(
+        kernels.ops_view(trace.ops), plan.kernel_caches, memo=trace._memo)
+    cycles = _priced_counts(trace, plan, counts,
+                            fetches_fixed=not plan.fetch_order,
+                            reads_fixed=not plan.data_order)
+    return _plan_result(trace, plan, cycles, counts)
 
 
 def replay_misses(trace: Trace, config: SystemConfig,
@@ -358,7 +280,18 @@ def replay_misses(trace: Trace, config: SystemConfig,
     """
     _check_budget(trace, max_steps)
     _check_spm(trace, config)
-    fts, dts, wts = _touches(MemoryHierarchy(config))
+    hierarchy = MemoryHierarchy(config)
+
+    def chain(caches, make):
+        # One (touch, line_size, num_sets) per cache on the path,
+        # outermost first: the closures the execution engine prices with.
+        return tuple((make(cache), cache.config.line_size,
+                      cache.config.num_sets) for cache in caches)
+    fts = chain(hierarchy._fetch_chain,
+                lambda cache: hierarchy._make_touch(cache, 0))
+    dts = chain(hierarchy._data_chain,
+                lambda cache: hierarchy._make_touch(cache, 2))
+    wts = chain(hierarchy._data_chain, hierarchy._make_write_touch)
     main_depth = len(fts)
     fetch_misses = {}
     fetch_main_misses = {}
@@ -406,8 +339,8 @@ def grid_geometry(config: SystemConfig):
     """The shared-geometry key of *config* for grid evaluation.
 
     Grid-able configs have exactly one cache level that serves fetches
-    (unified or instruction-only), LRU replacement at any
-    associativity, optionally behind a scratchpad.  Configs with equal
+    (unified or instruction-only), at any associativity, optionally
+    behind a scratchpad.  Configs with equal
     keys (and equal SPM splits) may be evaluated together by
     :func:`replay_grid` in one pass.  Returns None when the config
     needs a plain per-config replay.
@@ -419,8 +352,6 @@ def grid_geometry(config: SystemConfig):
     if level.icache is None:
         return None
     if level.dcache is not None and not level.shared:
-        return None
-    if level.icache.replacement != ReplacementPolicy.LRU:
         return None
     # Per-config costs (hit_cycles, timing) are priced after the walk,
     # so only what shapes the shared walk itself keys the group.

@@ -89,8 +89,8 @@ COUNTERS = {
     "grid_passes": 0,
     "grid_points": 0,
     # What served each replay/sweep/grid pass (`repro-cc trace
-    # --profile`): the numpy kernels, or for replays plan arithmetic
-    # (no caches) and the per-access walk (FIFO/random).
+    # --profile`): the numpy kernels, or for cache-free replays plan
+    # arithmetic.
     "replay_scalar": 0,
     "replay_numpy": 0,
     "sweep_numpy": 0,
@@ -368,10 +368,6 @@ def set_trace_cache_dir(path, max_bytes=None):
     _TRACE_STORE = (None if path is None else
                     ArtifactStore(path, suffix=".trace.pkl",
                                   max_bytes=max_bytes))
-
-
-def trace_cache_dir():
-    return None if _TRACE_STORE is None else _TRACE_STORE.root
 
 
 def trace_store():

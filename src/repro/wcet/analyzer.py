@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from ..isa.opcodes import Op
 from ..link.image import Image
 from ..memory.hierarchy import SystemConfig
+from ..store import LRUCache
 from . import cacheanalysis
 from .accesses import resolve_all
 from .cacheanalysis import FM, analyze_hierarchy
@@ -46,11 +47,9 @@ class WCETError(Exception):
     pass
 
 
-#: (image content key, entry) -> :class:`_Frontend`.
-_FRONTEND_CACHE = {}
-
-#: exact IPET inputs -> IPETResult (the solver is deterministic).
-_IPET_CACHE = {}
+#: (image content key, entry) -> :class:`_Frontend`, bounded like the
+#: trace table; each frontend holds its image's IPET memo.
+_FRONTEND_CACHE = LRUCache(64)
 
 COUNTERS = {
     "frontend_hits": 0,
@@ -64,7 +63,6 @@ def clear_analysis_caches():
     """Drop every in-memory analysis cache (frontend, IPET, and the
     cache-analysis reuse layer) — cold-start measurement helper."""
     _FRONTEND_CACHE.clear()
-    _IPET_CACHE.clear()
     cacheanalysis.clear_analysis_caches()
 
 
@@ -87,7 +85,8 @@ class _Frontend:
     static cost rows (:func:`~repro.wcet.costmodel.cost_table`) are
     built once; each function's bounded loops are resolved on first
     use, so an unbounded loop in a function the entry never calls
-    raises nothing.
+    raises nothing.  Per-function IPET solutions are memoized here too
+    (:meth:`ipet`).
     """
 
     def __init__(self, image: Image, entry: str):
@@ -102,6 +101,7 @@ class _Frontend:
         self.accesses = resolve_all(image, self.cfgs, self.stack_range)
         self.costs = cost_table(self.cfgs)
         self._loops = {}
+        self._ipet = {}
 
     def loops(self, name):
         loops = self._loops.get(name)
@@ -109,6 +109,24 @@ class _Frontend:
             loops = self._loops[name] = resolve_bounds(
                 self.cfgs[name], *self.flow_facts)
         return loops
+
+    def ipet(self, name, block_costs, edge_extras, scope_penalties):
+        """Memoized per-function IPET: the image pins the CFG and loop
+        bounds, so the exact (costs, extras, penalties) triple
+        determines the IPET problem and therefore its solution."""
+        key = (name,
+               tuple(sorted(block_costs.items())),
+               tuple(sorted(edge_extras.items())),
+               tuple(sorted(scope_penalties.items())))
+        result = self._ipet.get(key)
+        if result is not None:
+            COUNTERS["ipet_hits"] += 1
+            return result
+        COUNTERS["ipet_misses"] += 1
+        result = self._ipet[key] = solve_function_ipet(
+            self.cfgs[name], block_costs, edge_extras, self.loops(name),
+            scope_penalties)
+        return result
 
 
 def _frontend(image: Image, entry: str) -> _Frontend:
@@ -121,26 +139,6 @@ def _frontend(image: Image, entry: str) -> _Frontend:
     COUNTERS["frontend_misses"] += 1
     front = _FRONTEND_CACHE[key] = _Frontend(image, entry)
     return front
-
-
-def _solve_ipet_cached(image_key, name, cfg, block_costs, edge_extras,
-                       loops, scope_penalties):
-    """Memoized per-function IPET: the CFG and loop bounds are pinned by
-    the image content key, so the exact (costs, extras, penalties)
-    triple determines the IPET problem and therefore its solution."""
-    key = (image_key, name,
-           tuple(sorted(block_costs.items())),
-           tuple(sorted(edge_extras.items())),
-           tuple(sorted(scope_penalties.items())))
-    result = _IPET_CACHE.get(key)
-    if result is not None:
-        COUNTERS["ipet_hits"] += 1
-        return result
-    COUNTERS["ipet_misses"] += 1
-    result = solve_function_ipet(cfg, block_costs, edge_extras, loops,
-                                 scope_penalties)
-    _IPET_CACHE[key] = result
-    return result
 
 
 @dataclass
@@ -211,7 +209,6 @@ def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
     # the cost model.
     front = _frontend(image, entry)
     cfgs = front.cfgs
-    image_key = image.content_key()
 
     hierarchy_result = None
     cache_result = None
@@ -256,9 +253,8 @@ def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
             header: len(lines) * costs.fetch_miss_penalty(0)
             for header, lines in fm_lines.items()
         }
-        result = _solve_ipet_cached(image_key, name, cfg, block_costs,
-                                    edge_extras, front.loops(name),
-                                    scope_penalties)
+        result = front.ipet(name, block_costs, edge_extras,
+                            scope_penalties)
         per_function[name] = result.wcet
         block_counts[name] = result.block_counts
 

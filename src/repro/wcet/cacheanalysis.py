@@ -248,15 +248,6 @@ def set_analysis_cache_dir(path, max_bytes=None):
                                   max_bytes=max_bytes))
 
 
-def analysis_cache_dir():
-    return None if _REUSE_STORE is None else _REUSE_STORE.root
-
-
-def analysis_store():
-    """The on-disk :class:`~repro.store.ArtifactStore`, or None."""
-    return _REUSE_STORE
-
-
 def set_analysis_cache_capacity(capacity):
     """Bound (or with None unbound) the in-process reuse table."""
     _REUSE_CACHE.set_capacity(capacity)

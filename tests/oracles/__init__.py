@@ -4,7 +4,8 @@ The shipped path keeps one execution engine and one abstract cache
 domain.  The plainer implementations they are held to live here, like
 the ILP oracle in ``tests/ilp``:
 
-* :mod:`.memory` — the per-access hierarchy and tag model;
+* :mod:`.memory` — the per-access hierarchy and tag model, and the
+  trace walk over it that the replay kernels are held to;
 * :mod:`.recording` — the recording interpreter, which counts fetches,
   data accesses and misses per address;
 * :mod:`.domain` — the dict MUST/MAY domain and a ``CacheAnalysis``
@@ -14,7 +15,7 @@ the ILP oracle in ``tests/ilp``:
   fuzz tier.
 """
 
-from .memory import Access, ReferenceCache, ReferenceHierarchy
+from .memory import Access, ReferenceCache, ReferenceHierarchy, walk_replay
 from .recording import RecordedRun, RecordingSimulator, record
 from .domain import (
     MAY_TOP,
@@ -28,7 +29,7 @@ from .runs import compress_ops
 from .differentials import check_domains, check_misses
 
 __all__ = [
-    "Access", "ReferenceCache", "ReferenceHierarchy",
+    "Access", "ReferenceCache", "ReferenceHierarchy", "walk_replay",
     "RecordedRun", "RecordingSimulator", "record",
     "MAY_TOP", "DictCacheAnalysis", "MayCache", "MustCache",
     "may_decode", "must_decode", "compress_ops",

@@ -1,6 +1,6 @@
 """Per-access hierarchy and tag model: the reference of the fast path.
 
-:class:`ReferenceCache` is a plain tags-only cache with one lookup
+:class:`ReferenceCache` is a plain tags-only LRU cache with one lookup
 routine for every access kind; :class:`ReferenceHierarchy` walks a
 config's level pipeline with it, outermost level first, and returns an
 explicit :class:`Access` outcome per query.  The shipped
@@ -8,11 +8,14 @@ explicit :class:`Access` outcome per query.  The shipped
 model into per-address closures over flat tag lists; the recording
 interpreter (:mod:`.recording`) prices every access through this model
 instead, so the two engines only share the level specs and the
-``serve_costs`` table.
+``serve_costs`` table.  :func:`walk_replay` prices a recorded trace
+through it, the oracle of the shipped numpy replay kernels.
 """
 
-from repro.memory import CacheStats, RegionKind, ReplacementPolicy
+from repro.memory import CacheStats, RegionKind
 from repro.memory.levels import level_labels, path_geometry, serve_costs
+from repro.sim.simulator import SimResult
+from repro.sim.trace import TAG_WIDTH
 
 
 class Access:
@@ -31,29 +34,19 @@ class Access:
 
 
 class ReferenceCache:
-    """Stateful tags-only cache following a ``CacheConfig``.
+    """Stateful tags-only LRU cache following a ``CacheConfig``.
 
-    Per set, a list of tags: most recently used first under LRU,
-    insertion order under FIFO.  ``RANDOM`` picks its victim with the
-    same 8-bit Galois LFSR the shipped cache uses.
+    Per set, a list of tags, most recently used first.
     """
 
     def __init__(self, config):
         self.config = config
         self.sets = [[] for _ in range(config.num_sets)]
         self.stats = CacheStats()
-        self._victim = 1
 
     def reset(self):
         self.sets = [[] for _ in range(self.config.num_sets)]
         self.stats = CacheStats()
-        self._victim = 1
-
-    def _next_victim(self, ways):
-        lfsr = self._victim
-        lfsr = (lfsr >> 1) ^ (0xB8 if lfsr & 1 else 0)
-        self._victim = lfsr or 1
-        return self._victim % ways
 
     def _touch(self, addr, allocate):
         """Look up *addr*; optionally allocate on miss.  Returns hit."""
@@ -61,18 +54,12 @@ class ReferenceCache:
         block = config.block_of(addr)
         ways = self.sets[config.set_index(addr)]
         if block in ways:
-            if config.replacement == ReplacementPolicy.LRU:
-                ways.remove(block)
-                ways.insert(0, block)
+            ways.remove(block)
+            ways.insert(0, block)
             return True
         if allocate:
-            if len(ways) < config.assoc:
-                ways.insert(0, block)
-            elif config.replacement == ReplacementPolicy.RANDOM:
-                ways[self._next_victim(config.assoc)] = block
-            else:  # LRU and FIFO both evict the tail
-                ways.pop()
-                ways.insert(0, block)
+            ways.insert(0, block)
+            del ways[config.assoc:]
         return False
 
     def _count(self, kind, hit):
@@ -196,3 +183,32 @@ class ReferenceHierarchy:
     @property
     def level_stats(self):
         return {name: cache.stats for name, cache in self.caches.items()}
+
+
+def walk_replay(trace, config):
+    """Re-price a recorded *trace* under *config*, access by access.
+
+    Every entry of the main-memory stream walks a fresh
+    :class:`ReferenceHierarchy`; the SPM-resident accesses, which the
+    trace keeps only as per-tag counts, pay the scratchpad cost of their
+    width.  The result must equal ``repro.sim.replay.replay`` (the numpy
+    kernels) in cycles and in every level's statistics.
+    """
+    hierarchy = ReferenceHierarchy(config)
+    cycles = trace.base_cycles
+    for tag, count in enumerate(trace.spm_counts):
+        cycles += count * config.timing.cycles(RegionKind.SPM,
+                                               TAG_WIDTH[tag])
+    for value in trace.ops:
+        tag = value & 7
+        addr = value >> 3
+        if tag == 0 or tag == 7:
+            cycles += hierarchy.fetch(addr).cycles
+        elif tag < 4:
+            cycles += hierarchy.read(addr, TAG_WIDTH[tag]).cycles
+        else:
+            cycles += hierarchy.write(addr, TAG_WIDTH[tag]).cycles
+    return SimResult(cycles=cycles, instructions=trace.instructions,
+                     exit_code=trace.exit_code, console=list(trace.console),
+                     cache_stats=hierarchy.cache_stats,
+                     level_stats=hierarchy.level_stats)

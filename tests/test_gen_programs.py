@@ -7,6 +7,7 @@ self-check).  The thousands-of-seeds sweep lives in the ``fuzz`` tier
 (``tests/test_fuzz_generated.py``).
 """
 
+import os
 import subprocess
 import sys
 
@@ -48,7 +49,8 @@ class TestDeterminism:
                   "sys.stdout.write(generate(42, 'small').source)")
         runs = [subprocess.run([sys.executable, "-c", script],
                                capture_output=True, text=True, check=True,
-                               env={"PYTHONHASHSEED": str(n)}).stdout
+                               env={**os.environ,
+                                    "PYTHONHASHSEED": str(n)}).stdout
                 for n in (0, 1)]
         assert runs[0] == runs[1] == generate(42, "small").source
 

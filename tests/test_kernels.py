@@ -1,9 +1,9 @@
 """Pins for the vectorised replay kernels and the trace RLE form.
 
-Four layers, the first three against one oracle: ``_walk_replay``, the
-per-access walk through the hierarchy's touch closures (the execution
-engine's own cache model, pinned to the engine by
-``tests/test_trace_replay.py``):
+Four layers, the first three against one oracle: ``walk_replay``, the
+per-access walk through the reference hierarchy in ``tests/oracles``
+(the recording interpreter's cache model, which the kernels share no
+code with):
 
 * **shape differential** — every committed hierarchy shape replayed
   by the kernels must equal the walk on the full result; the
@@ -36,10 +36,11 @@ from repro.memory.regions import MAIN_BASE
 from repro.minic import compile_source
 from repro.sim import Simulator
 from repro.sim import kernels
-from repro.sim.replay import _walk_replay, replay, replay_grid
-from repro.sim.trace import (READ_TAGS, WRITE_TAGS, Trace, record_trace)
+from repro.sim.replay import replay, replay_grid
+from repro.sim.trace import (COUNTERS, READ_TAGS, WRITE_TAGS, Trace,
+                             record_trace)
 
-from .oracles import compress_ops
+from .oracles import compress_ops, walk_replay
 
 SPM_SIZE = 512
 
@@ -48,10 +49,6 @@ SHAPES = {
     "spm": lambda: SystemConfig.scratchpad(SPM_SIZE),
     "l1": lambda: SystemConfig.cached(CacheConfig(size=512)),
     "l1-2way": lambda: SystemConfig.cached(CacheConfig(size=512, assoc=2)),
-    "l1-fifo": lambda: SystemConfig.cached(
-        CacheConfig(size=512, assoc=2, replacement="fifo")),
-    "l1-random": lambda: SystemConfig.cached(
-        CacheConfig(size=512, assoc=4, replacement="random")),
     "icache": lambda: SystemConfig.cached(
         CacheConfig(size=512, unified=False)),
     "hybrid": lambda: SystemConfig.hybrid(SPM_SIZE, CacheConfig(size=256)),
@@ -122,7 +119,22 @@ def test_numpy_matches_scalar_every_shape(shape):
     spm = shape in ("spm", "hybrid")
     trace = _trace(spm)
     config = SHAPES[shape]()
-    _assert_same(replay(trace, config), _walk_replay(trace, config), shape)
+    _assert_same(replay(trace, config), walk_replay(trace, config), shape)
+
+
+def test_every_cached_shape_takes_the_kernels():
+    """LRU is the one replacement policy, so no cached pipeline falls
+    back to a per-access walk: each replay is served by the kernels."""
+    with pytest.raises(TypeError):
+        CacheConfig(size=256, assoc=2, replacement="fifo")
+    for shape, make in SHAPES.items():
+        config = make()
+        if not config.has_cache:
+            continue
+        before = dict(COUNTERS)
+        replay(_trace(bool(config.spm_size)), config)
+        assert COUNTERS["replay_numpy"] == before["replay_numpy"] + 1, shape
+        assert COUNTERS["replay_scalar"] == before["replay_scalar"], shape
 
 
 # -- geometry grid: one pass == per-point == engine --------------------------
@@ -169,7 +181,7 @@ def test_grid_property_matches_per_point(seed, write_frac):
         configs = _grid_configs(unified)
         for config, priced in zip(configs, replay_grid(trace, configs)):
             _assert_same(priced, replay(trace, config), (seed, config.name))
-            _assert_same(priced, _walk_replay(trace, config),
+            _assert_same(priced, walk_replay(trace, config),
                          ("walk", seed, config.name))
 
 
@@ -185,7 +197,7 @@ _ASSOC_GEOMETRIES = ((256, 2), (384, 3), (512, 4), (1024, 8),
        write_frac=st.sampled_from((0.3, 0.6)),
        blocks=st.sampled_from((24, 80)))
 def test_lru_kernel_matches_generic_walk(seed, write_frac, blocks):
-    """The set-associative kernel equals ``_walk_replay`` on write-heavy
+    """The set-associative kernel equals ``walk_replay`` on write-heavy
     streams: per config through ``replay`` (single levels and an L1 + L2
     chain) and per grid through ``replay_grid``."""
     trace = _synthetic_trace(random.Random(seed), blocks=blocks,
@@ -199,7 +211,7 @@ def test_lru_kernel_matches_generic_walk(seed, write_frac, blocks):
     configs.append(SystemConfig.split_l1(
         CacheConfig(size=128, assoc=4, unified=False),
         CacheConfig(size=240, assoc=3)))
-    want = [_walk_replay(trace, config) for config in configs]
+    want = [walk_replay(trace, config) for config in configs]
     for config, expected in zip(configs, want):
         _assert_same(replay(trace, config), expected, (seed, config))
     for unified in (True, False):

@@ -1,4 +1,4 @@
-"""Cache model: geometry, replacement policies, write policy, stats.
+"""Cache model: geometry, LRU replacement, write policy, stats.
 
 The per-access tag model is the oracle's :class:`ReferenceCache`; the
 shipped fast path is held to it by ``test_sim_fastpath.py``.
@@ -7,7 +7,7 @@ shipped fast path is held to it by ``test_sim_fastpath.py``.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory import CacheConfig, ReplacementPolicy
+from repro.memory import CacheConfig
 
 from .oracles import ReferenceCache
 
@@ -107,27 +107,6 @@ class TestSetAssociative:
         assert cache.contains(0)
         assert not cache.contains(64)
         assert cache.contains(128)
-
-    def test_fifo_ignores_refresh(self):
-        cache = ReferenceCache(CacheConfig(size=128, assoc=2,
-                                  replacement=ReplacementPolicy.FIFO))
-        cache.read(0)
-        cache.read(64)
-        cache.read(0)                   # refresh is a no-op for FIFO
-        cache.read(128)                 # evicts oldest inserted = 0
-        assert not cache.contains(0)
-        assert cache.contains(64)
-
-    def test_random_is_deterministic(self):
-        def run():
-            cache = ReferenceCache(CacheConfig(
-                size=128, assoc=2,
-                replacement=ReplacementPolicy.RANDOM))
-            trace = []
-            for addr in (0, 64, 128, 192, 0, 64, 128):
-                trace.append(cache.read(addr))
-            return trace
-        assert run() == run()
 
 
 # -- reference-model cross-check ------------------------------------------------

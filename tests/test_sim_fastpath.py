@@ -6,8 +6,8 @@ The simulator runs every program on the compiled step-closure engine
 model that prices every access through its own per-access tag model.
 These tests run **every registered benchmark** through **every hierarchy
 shape** (uncached, scratchpad, L1, hybrid SPM+L1, L1+L2, split I/D, plus
-a set-associative, an instruction-only, a FIFO and a random-replacement
-L1) on both and assert the observable results are identical: cycles,
+a set-associative and an instruction-only L1) on both and assert the
+observable results are identical: cycles,
 instruction counts, exit codes, console output, and per-level hit/miss
 statistics.
 """
@@ -32,10 +32,6 @@ SHAPES = {
     "spm": lambda: SystemConfig.scratchpad(SPM_SIZE),
     "l1": lambda: SystemConfig.cached(CacheConfig(size=512)),
     "l1-2way": lambda: SystemConfig.cached(CacheConfig(size=512, assoc=2)),
-    "l1-fifo": lambda: SystemConfig.cached(
-        CacheConfig(size=512, assoc=2, replacement="fifo")),
-    "l1-random": lambda: SystemConfig.cached(
-        CacheConfig(size=512, assoc=4, replacement="random")),
     "icache": lambda: SystemConfig.cached(
         CacheConfig(size=512, unified=False)),
     "hybrid": lambda: SystemConfig.hybrid(SPM_SIZE, CacheConfig(size=256)),

@@ -9,8 +9,8 @@ Three layers of evidence that replay is exact:
 * a **randomized property test** for the single-pass Mattson kernel:
   synthetic traces with adversarial reuse/write patterns must yield the
   same hit counts and cycles from ``replay_sweep`` as from per-size
-  replays and from the per-access walk (``_walk_replay``, the
-  hierarchy's own touch closures);
+  replays and from the per-access walk (``walk_replay``, the reference
+  hierarchy in ``tests/oracles``);
 * **cache tests**: content-addressed invalidation, the shared disk
   layer, and the reuse counters that prove a workflow size sweep is
   served by one recorded trace and one single-pass replay.
@@ -28,8 +28,8 @@ from repro.memory.regions import MAIN_BASE
 from repro.minic import compile_source
 from repro.sim import SimError, Simulator, simulate
 from repro.sim import trace as trace_mod
-from repro.sim.replay import (_walk_replay, replay, replay_misses,
-                              replay_sweep, sweep_geometry)
+from repro.sim.replay import (replay, replay_misses, replay_sweep,
+                              sweep_geometry)
 from repro.sim.trace import (
     READ_TAGS,
     WRITE_TAGS,
@@ -41,21 +41,16 @@ from repro.sim.trace import (
 )
 from repro.workflow import Workflow
 
-from .oracles import record
+from .oracles import record, walk_replay
 
 SPM_SIZE = 512
 
-#: Every committed hierarchy shape (the test_sim_fastpath set plus the
-#: non-LRU policies, which exercise the generic replay walk).
+#: Every committed hierarchy shape (the test_sim_fastpath set).
 SHAPES = {
     "uncached": lambda: SystemConfig.uncached(),
     "spm": lambda: SystemConfig.scratchpad(SPM_SIZE),
     "l1": lambda: SystemConfig.cached(CacheConfig(size=512)),
     "l1-2way": lambda: SystemConfig.cached(CacheConfig(size=512, assoc=2)),
-    "l1-fifo": lambda: SystemConfig.cached(
-        CacheConfig(size=512, assoc=2, replacement="fifo")),
-    "l1-random": lambda: SystemConfig.cached(
-        CacheConfig(size=512, assoc=4, replacement="random")),
     "icache": lambda: SystemConfig.cached(
         CacheConfig(size=512, unified=False)),
     "hybrid": lambda: SystemConfig.hybrid(SPM_SIZE, CacheConfig(size=256)),
@@ -233,7 +228,7 @@ def test_sweep_property_random_traces(seed, unified):
     for from_sweep, config in zip(replay_sweep(trace, configs), configs):
         _assert_same(from_sweep, replay(trace, config),
                      (seed, unified, config.name))
-        _assert_same(from_sweep, _walk_replay(trace, config),
+        _assert_same(from_sweep, walk_replay(trace, config),
                      ("walk", seed, unified, config.name))
 
 
@@ -243,11 +238,9 @@ def test_sweep_geometry_gate():
     assert sweep_geometry(
         SystemConfig.cached(CacheConfig(size=256, unified=False))) \
         == (16, False, 0)
-    # Not sweepable: associativity, non-LRU, deeper pipelines, split I/D.
+    # Not sweepable: associativity, deeper pipelines, split I/D.
     assert sweep_geometry(
         SystemConfig.cached(CacheConfig(size=256, assoc=2))) is None
-    assert sweep_geometry(SystemConfig.cached(
-        CacheConfig(size=256, replacement="fifo"))) is None
     assert sweep_geometry(SystemConfig.two_level(
         CacheConfig(size=256), CacheConfig(size=1024))) is None
     assert sweep_geometry(SystemConfig.split_l1(

@@ -145,6 +145,24 @@ class TestSoundness:
             assert point.wcet.wcet >= point.sim.cycles
 
 
+class TestFrontendMemo:
+    def test_frontend_table_is_bounded(self):
+        """The frontend memo, and with it each image's IPET memo, keeps
+        the 64 most recently analysed images; an evicted image is
+        analysed afresh to the same bound."""
+        from repro.wcet import analyzer
+        analyzer.clear_analysis_caches()
+        config = SystemConfig.cached(CacheConfig(size=256))
+        images = [link(compile_source(
+            f"int main(void) {{ return {k}; }}").program)
+            for k in range(65)]
+        wcets = [analyze_wcet(image, config).wcet for image in images]
+        assert len(analyzer._FRONTEND_CACHE) == 64
+        misses = analyzer.COUNTERS["frontend_misses"]
+        assert analyze_wcet(images[0], config).wcet == wcets[0]
+        assert analyzer.COUNTERS["frontend_misses"] == misses + 1
+
+
 class TestDiagnostics:
     def test_unknown_entry(self):
         image = link(compile_source("int main(void) {return 0;}").program)
