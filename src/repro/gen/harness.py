@@ -26,7 +26,7 @@ failing nightly seed reproduces locally from its number alone.
 
 from __future__ import annotations
 
-from ..link import link
+from ..link import link, symbol_deltas
 from ..memory import CacheConfig, SystemConfig
 from ..minic import compile_source
 from ..sim import simulate
@@ -137,7 +137,8 @@ def check_spm_placement(program: GeneratedProgram,
 
     The placement is also priced from the baseline trace
     (:func:`repro.sim.placement.place_trace`), which must reproduce
-    execution under pure SPM and under SPM with a cache behind it.
+    execution under pure SPM and under SPM with a cache behind it, and
+    its bound on the baseline's frontend must be the placed image's own.
     Generated programs keep every pointer and index in bounds and set
     every value before reading it, so pricing must accept them.
     """
@@ -167,6 +168,16 @@ def check_spm_placement(program: GeneratedProgram,
     _expect(bound.wcet >= placed.cycles,
             f"UNSOUND: WCET {bound.wcet} < simulated {placed.cycles} "
             f"[{context}]")
+    relocated = analyze_wcet(image, config, baseline=baseline)
+    moved = symbol_deltas(baseline, image)
+    _expect((relocated.wcet, relocated.per_function, relocated.stack_range,
+             {name: {addr + moved[name]: count
+                     for addr, count in counts.items()}
+              for name, counts in relocated.block_counts.items()}) ==
+            (bound.wcet, bound.per_function, bound.stack_range,
+             bound.block_counts),
+            f"bound priced on the baseline's frontend ({relocated.wcet}) "
+            f"differs from the placed image's ({bound.wcet}) [{context}]")
     trace = record_trace(image, spm_size)
     _same_result(replay(trace, config), placed, context)
     priced = place_trace(record_trace(baseline, 0), baseline, image,

@@ -13,7 +13,6 @@ same object type flows through the whole stack:
 from __future__ import annotations
 
 from .opcodes import (
-    BRANCH_OPS,
     FOUR_BYTE_OPS,
     LOAD_WIDTH,
     STORE_WIDTH,
@@ -55,10 +54,6 @@ class Instr:
     def size(self) -> int:
         """Encoded size in bytes (2, or 4 for BL)."""
         return 4 if self.op in FOUR_BYTE_OPS else 2
-
-    @property
-    def is_branch(self) -> bool:
-        return self.op in BRANCH_OPS
 
     @property
     def load_width(self):

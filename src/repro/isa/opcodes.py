@@ -140,8 +140,9 @@ STORE_WIDTH = {
     Op.STRWI: 4, Op.STRHI: 2, Op.STRBI: 1,
 }
 
-#: Ops that terminate a basic block.
-BRANCH_OPS = frozenset({Op.BCC, Op.B, Op.BL, Op.BX, Op.SWI})
+#: Ops whose data accesses are sp-relative: they touch the stack,
+#: wherever the linker places the program's objects.
+SP_RELATIVE_OPS = frozenset({Op.LDRSP, Op.STRSP, Op.PUSH, Op.POP})
 
 #: Ops whose Instr.size is 4 bytes instead of 2.
 FOUR_BYTE_OPS = frozenset({Op.BL})

@@ -8,6 +8,9 @@ An :class:`Image` carries, exactly as the paper's flow does:
 * instruction-level access notes (which object a load/store touches)
   and call notes (which array each pointer argument of a call binds);
 * loop-bound flow facts resolved to header addresses.
+
+:func:`symbol_deltas` relates two links of one program: how far each
+symbol moved between them.
 """
 
 from __future__ import annotations
@@ -143,3 +146,20 @@ class Image:
                 f"{obj.name:24} {obj.kind:5} {obj.region:10} "
                 f"{obj.base:#10x} {obj.size:7}")
         return "\n".join(lines)
+
+
+def symbol_deltas(image: Image, placed: Image) -> dict:
+    """``symbol -> address in placed - address in image``.
+
+    *image* and *placed* link one program under two placements.  The
+    linker moves whole objects and nothing else, so an object's entry is
+    its change of base and every label moves with the object that
+    defines it.  Raises ValueError when *placed* links a different
+    program (other symbols, other objects or other object sizes).
+    """
+    sizes = {obj.name: obj.size for obj in image.objects}
+    if (placed.symbols.keys() != image.symbols.keys()
+            or {obj.name: obj.size for obj in placed.objects} != sizes):
+        raise ValueError("placed image links a different program")
+    return {name: placed.symbols[name] - addr
+            for name, addr in image.symbols.items()}

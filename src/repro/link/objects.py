@@ -53,10 +53,6 @@ class AccessNote:
         return cls(targets=tuple(entries), param=param)
 
     @classmethod
-    def stack_access(cls):
-        return cls(stack=True)
-
-    @classmethod
     def unknown(cls):
         return cls()
 

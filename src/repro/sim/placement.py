@@ -53,14 +53,12 @@ from array import array
 import numpy as np
 
 from ..isa.encoding import decode
-from ..isa.opcodes import Op
+from ..isa.opcodes import SP_RELATIVE_OPS, Op
+from ..link.image import symbol_deltas
 from ..memory.regions import STACK_TOP
 from . import kernels
 from .profile import ObjectProfile, ProgramProfile
 from .trace import TAG_FETCH, TAG_FETCH_CONT, TAG_WIDTH, Trace
-
-#: Opcodes whose data accesses are sp-relative (they never move).
-_STACK_OPS = frozenset((Op.LDRSP, Op.STRSP, Op.PUSH, Op.POP))
 
 #: Accesses per vectorised block of the assignment and the access
 #: check: bounds their temporaries to about 1 MB on any trace, so a
@@ -139,7 +137,7 @@ class _Assignment:
     def _allowed(self, image, pc: int) -> dict:
         """``row -> (lo, hi)``: where the instruction at *pc* may access."""
         instr = decode(image.read_halfword(pc), pc)
-        if instr.op in _STACK_OPS:
+        if instr.op in SP_RELATIVE_OPS:
             return {self.stack: (0, STACK_TOP - self.top)}
         if instr.op is Op.LDRPC:
             own = self.row_of(pc)
@@ -375,18 +373,14 @@ def place_trace(trace: Trace, image, placed, spm_size: int):
     (:attr:`~repro.minic.sema.Analyzer.observes_placement`).
     """
     assignment = _assignment(trace, image)
-    moved = {obj.name: obj for obj in placed.objects}
-    if moved.keys() != assignment.row_named.keys() or any(
-            moved[obj.name].size != obj.size for obj in assignment.objects):
-        raise ValueError("placed image links a different program")
+    moved = symbol_deltas(image, placed)
     placeable, pairs = assignment.verdict(trace, image)
     if not placeable:
         return None
-    deltas = [moved[obj.name].base - obj.base
-              for obj in assignment.objects] + [0, 0]
+    deltas = [moved[obj.name] for obj in assignment.objects] + [0, 0]
     if any(deltas[bound] != deltas[landing] for bound, landing in pairs):
         return None
-    in_spm = [moved[obj.name].region == "scratchpad"
+    in_spm = [placed.object_named(obj.name).region == "scratchpad"
               for obj in assignment.objects] + [False, False]
     spm_counts = [0] * 8
     op_counts = [0] * 8

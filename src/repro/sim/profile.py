@@ -42,6 +42,3 @@ class ProgramProfile:
 
     def __iter__(self):
         return iter(self.objects.values())
-
-    def total_accesses(self) -> int:
-        return sum(p.accesses for p in self.objects.values())

@@ -107,7 +107,8 @@ def wcet_cycle_benefits(image, result, timing: AccessTiming = None):
 
 def allocate_wcet_driven(program: Program, spm_size: int,
                          entry: str = "_start",
-                         baseline_config: SystemConfig = None) -> Allocation:
+                         baseline_config: SystemConfig = None,
+                         baseline_image=None) -> Allocation:
     """Pick SPM contents to minimise the WCET bound (one-shot heuristic).
 
     *baseline_config* is the memory system the all-in-main layout is
@@ -115,11 +116,13 @@ def allocate_wcet_driven(program: Program, spm_size: int,
     system when a cache sits behind the scratchpad (a hybrid pipeline)
     so the critical-path block counts reflect that hierarchy — the
     cycle pricing itself stays the Table-1 main-vs-SPM delta, an upper
-    estimate either way.
+    estimate either way.  *baseline_image* is that layout, *program*
+    linked without a scratchpad; it is linked here when not given.
     """
     if spm_size <= 0:
         return Allocation(spm_size=spm_size, method="wcet")
-    baseline_image = link(program, spm_size=0)
+    if baseline_image is None:
+        baseline_image = link(program, spm_size=0)
     baseline = analyze_wcet(baseline_image,
                             baseline_config or SystemConfig.uncached(),
                             entry=entry)

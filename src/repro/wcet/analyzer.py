@@ -23,18 +23,23 @@ solutions are memoized on their exact inputs (costs, edge extras, scope
 penalties).  A configuration then pays for its fixpoints, one
 :meth:`~repro.wcet.costmodel.CostModel.block_cost` call per block and
 its IPET solves, not for re-deriving the image.
+
+A scratchpad placement with no cache level costs no frontend of its
+own: the linker moves whole objects, so it is analysed on its baseline
+link's frontend with every address moved by its object's change of base
+(:meth:`_Frontend.relocated`), and it shares that frontend's IPET memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa.opcodes import Op
-from ..link.image import Image
+from ..isa.opcodes import SP_RELATIVE_OPS, Op
+from ..link.image import Image, symbol_deltas
 from ..memory.hierarchy import SystemConfig
 from ..store import LRUCache
 from . import cacheanalysis
-from .accesses import resolve_all
+from .accesses import DataAccess, resolve_all
 from .cacheanalysis import FM, analyze_hierarchy
 from .cfg import build_all_cfgs
 from .costmodel import CostModel, cost_table
@@ -78,6 +83,11 @@ def analysis_counters() -> dict:
     return merged
 
 
+#: Per-function IPET solutions one frontend keeps (least recently used
+#: go first); a paper sweep's largest memo holds 396.
+IPET_MEMO_SIZE = 512
+
+
 class _Frontend:
     """Everything one image yields before any memory configuration.
 
@@ -90,6 +100,7 @@ class _Frontend:
     """
 
     def __init__(self, image: Image, entry: str):
+        self.notes = image.access_notes
         self.flow_facts = (image.loop_bounds, image.loop_totals)
         self.cfgs = build_all_cfgs(image)
         self.entry_by_addr = {cfg.entry: name
@@ -101,7 +112,66 @@ class _Frontend:
         self.accesses = resolve_all(image, self.cfgs, self.stack_range)
         self.costs = cost_table(self.cfgs)
         self._loops = {}
-        self._ipet = {}
+        self._ipet = LRUCache(IPET_MEMO_SIZE)
+        self._movers = None
+
+    def relocated(self, deltas: dict):
+        """``(costs, accesses)`` of the image relinked with each symbol
+        moved by ``deltas[symbol]`` (:func:`~repro.link.image.
+        symbol_deltas`): what the placed image's own frontend resolves.
+
+        *costs* keeps the block keys of :attr:`costs` and moves each
+        row's fetch addresses by its function's delta; *accesses* is
+        keyed by the moved instruction addresses.  A literal-pool load
+        moves with its function and a noted access's ranges with the
+        objects its note names; stack and unknown accesses stay.
+        """
+        if not any(deltas.values()):
+            return self.costs, self.accesses
+        if self._movers is None:
+            self._movers = self._range_owners()
+        costs = {}
+        for name, cfg in self.cfgs.items():
+            shift = deltas[name]
+            for baddr in cfg.blocks:
+                fixed, taken, narrow, wide = row = self.costs[baddr]
+                costs[baddr] = (row if not shift else (
+                    fixed, taken, tuple(addr + shift for addr in narrow),
+                    tuple(addr + shift for addr in wide)))
+        accesses = {}
+        for addr, function, access, owners in self._movers:
+            shifts = [deltas[owner] if owner else 0 for owner in owners]
+            if any(shifts):
+                access = DataAccess(
+                    access.width, access.is_write,
+                    tuple((lo + shift, hi + shift) for (lo, hi), shift
+                          in zip(access.ranges, shifts)),
+                    access.exact, access.count)
+            accesses[addr + deltas[function]] = access
+        return costs, accesses
+
+    def _range_owners(self):
+        """``(addr, function, access, owners)`` per data access: the
+        symbol each of its ranges moves with, None for one that stays."""
+        notes = self.notes
+        movers = []
+        for name, cfg in self.cfgs.items():
+            for block in cfg.blocks.values():
+                for addr, instr in block.instrs:
+                    access = self.accesses[addr]
+                    if access is None:
+                        continue
+                    if access.unknown:
+                        owners = ()
+                    elif instr.op is Op.LDRPC:
+                        owners = (name,)
+                    elif instr.op in SP_RELATIVE_OPS or notes[addr].stack:
+                        owners = (None,)
+                    else:
+                        owners = tuple(symbol for symbol, _lo, _hi
+                                       in notes[addr].targets)
+                    movers.append((addr, name, access, owners))
+        return movers
 
     def loops(self, name):
         loops = self._loops.get(name)
@@ -143,7 +213,15 @@ def _frontend(image: Image, entry: str) -> _Frontend:
 
 @dataclass
 class WCETResult:
-    """Outcome of a whole-program WCET analysis."""
+    """Outcome of a whole-program WCET analysis.
+
+    A scratchpad placement priced on its baseline's frontend
+    (:func:`analyze_wcet` given *baseline*) reports the baseline's
+    ``cfgs`` and ``block_counts``, keyed by the baseline's block
+    addresses.  The two agree with each other; each function's keys
+    differ from the placed image's by that function's change of base.
+    Nothing in ``repro`` reads them for a scratchpad point.
+    """
 
     wcet: int
     config: SystemConfig
@@ -197,17 +275,28 @@ def _call_order(cfgs, entry_by_addr, entry: str):
 
 
 def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
-                 persistence: bool = False) -> WCETResult:
+                 persistence: bool = False,
+                 baseline: Image = None) -> WCETResult:
     """Compute a safe WCET bound for *image* under *config*.
 
     *persistence* enables the optional first-miss cache analysis
     (the paper's "full aiT" ablation); it has no effect on scratchpad or
-    uncached systems.
+    uncached systems.  *baseline* is the same program linked without a
+    scratchpad (ValueError if it links another program); when *config*
+    has no cache level, *image* is analysed on the baseline's memoized
+    frontend, relocated, and the bound is the one *image*'s own frontend
+    gives.  A cached config analyses *image* itself: the cache maps sets
+    from its addresses.
     """
     # Memoized frontend: CFGs, stack range and every instruction's
     # resolved data access and static cost, shared by all levels and
     # the cost model.
-    front = _frontend(image, entry)
+    if baseline is None or config.has_cache:
+        front = _frontend(image, entry)
+        rows, accesses = front.costs, front.accesses
+    else:
+        front = _frontend(baseline, entry)
+        rows, accesses = front.relocated(symbol_deltas(baseline, image))
     cfgs = front.cfgs
 
     hierarchy_result = None
@@ -215,10 +304,10 @@ def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
     if config.has_cache:
         hierarchy_result = analyze_hierarchy(
             image, cfgs, config, front.stack_range, entry,
-            persistence=persistence, resolved_accesses=front.accesses)
+            persistence=persistence, resolved_accesses=accesses)
         cache_result = hierarchy_result.primary
 
-    costs = CostModel(config, front.accesses, hierarchy_result)
+    costs = CostModel(config, accesses, hierarchy_result)
     # First-miss fetches exist only under persistence.
     fm_classes = (cache_result.classes
                   if persistence and cache_result is not None else None)
@@ -231,7 +320,7 @@ def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
         edge_extras = {}
         fm_lines = {}  # scope header -> set of first-miss lines
         for baddr, block in cfg.blocks.items():
-            total, taken_extra = costs.block_cost(front.costs[baddr])
+            total, taken_extra = costs.block_cost(rows[baddr])
             if taken_extra:
                 if len(block.succs) >= 2:
                     edge_extras[(baddr, block.succs[0])] = taken_extra

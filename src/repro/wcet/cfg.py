@@ -59,9 +59,6 @@ class FunctionCFG:
     blocks: dict                     # start addr -> BasicBlock
     calls: set                       # callee entry addresses
 
-    def block_at(self, addr) -> BasicBlock:
-        return self.blocks[addr]
-
     @property
     def exit_blocks(self):
         return [b for b in self.blocks.values() if b.is_exit]

@@ -14,7 +14,12 @@ one level pipeline (:mod:`repro.memory.levels`), and
   behind the scratchpad), links that placement and prices it.
 
 Either way the point's WCET comes from the analyser under the same
-pipeline.  :meth:`Workflow.config_points` is the batch form.
+pipeline, handed the baseline executable too: a scratchpad with no
+cache behind it is analysed on the baseline's frontend, every block at
+its placed addresses, so a placement costs no CFG reconstruction, stack
+analysis or access resolution of its own
+(:func:`~repro.wcet.analyzer.analyze_wcet`).
+:meth:`Workflow.config_points` is the batch form.
 
 A :class:`Workflow` caches the compile and profile steps so a size sweep
 only repeats the placement/simulation/analysis work, like the paper's
@@ -164,7 +169,8 @@ class Workflow:
                  if not isinstance(level, SpmLevel)],
                 config.timing)
             return allocate_wcet_driven(self.program, config.spm_size,
-                                        baseline_config=behind)
+                                        baseline_config=behind,
+                                        baseline_image=self.baseline_image())
         raise ValueError(f"unknown allocation method {method!r}")
 
     def image_for(self, config: SystemConfig, method: str = "energy"):
@@ -319,7 +325,8 @@ class Workflow:
                        for (key, _), (config, _, method) in pending.items()})
         for (key, persistence), (config, _, _) in pending.items():
             image, allocation, sim = self._runs[key]
-            wcet = analyze_wcet(image, config, persistence=persistence)
+            wcet = analyze_wcet(image, config, persistence=persistence,
+                                baseline=self.baseline_image())
             self._points[(key, persistence)] = EvaluationPoint(
                 config=config, image=image, sim=sim, wcet=wcet,
                 allocation=allocation)

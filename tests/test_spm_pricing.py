@@ -12,13 +12,14 @@ and the point must still get execution's answer.
 import pytest
 
 from repro.benchmarks import BENCHMARKS, get
-from repro.link import link
+from repro.link import link, symbol_deltas
 from repro.memory import CacheConfig, SystemConfig
 from repro.memory.levels import CacheLevel, MainMemoryLevel, SpmLevel
 from repro.sim import place_trace, placement, simulate
 from repro.sim.replay import replay
 from repro.sim.trace import clear_trace_caches, record_trace, trace_counters
 from repro.spm.allocator import Allocation
+from repro.wcet import analyze_wcet
 from repro.workflow import PAPER_SIZES, Workflow
 
 from .helpers import build_profile
@@ -407,3 +408,54 @@ class TestPlacementContract:
         with pytest.raises(ValueError):
             place_trace(crc.baseline_trace(), crc.baseline_image(),
                         fir.baseline_image(), 0)
+
+
+class TestPricedBound:
+    """A scratchpad point's WCET, priced on the baseline's frontend, is
+    the placed image's own analysis, which stays the reference."""
+
+    @pytest.mark.parametrize("method", ("energy", "wcet"))
+    @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
+    def test_matches_the_placed_image(self, bench, method):
+        workflow = _workflow(bench)
+        baseline = workflow.baseline_image()
+        for size in PAPER_SIZES:
+            config = SystemConfig.scratchpad(size)
+            image = link(workflow.program, spm_size=size,
+                         spm_objects=workflow.allocate(config,
+                                                       method).objects)
+            own = analyze_wcet(image, config)
+            priced = analyze_wcet(image, config, baseline=baseline)
+            assert (priced.wcet, priced.per_function,
+                    priced.stack_range) == (own.wcet, own.per_function,
+                                            own.stack_range), size
+            moved = symbol_deltas(baseline, image)
+            assert {name: {addr + moved[name]: count
+                           for addr, count in counts.items()}
+                    for name, counts in priced.block_counts.items()} == \
+                own.block_counts, size
+
+    def test_workflow_point_is_the_placed_bound(self):
+        workflow = _workflow("g721")
+        point = workflow.config_point(SystemConfig.scratchpad(1024))
+        assert point.wcet.wcet == analyze_wcet(point.image,
+                                               point.config).wcet
+
+    def test_hybrid_analyses_its_own_image(self):
+        workflow = _workflow("adpcm")
+        baseline = workflow.baseline_image()
+        config = _hybrid(256, HYBRID_BACKS[0])
+        image = link(workflow.program, spm_size=256,
+                     spm_objects=workflow.allocate(config).objects)
+        priced = analyze_wcet(image, config, baseline=baseline)
+        own = analyze_wcet(image, config)
+        assert priced.wcet == own.wcet
+        assert priced.block_counts == own.block_counts
+        assert priced.cfgs["main"].entry == image.symbols["main"] != \
+            baseline.symbols["main"]
+
+    def test_rejects_another_program(self):
+        crc, fir = _workflow("crc"), _workflow("fir")
+        with pytest.raises(ValueError):
+            analyze_wcet(fir.baseline_image(), SystemConfig.scratchpad(256),
+                         baseline=crc.baseline_image())

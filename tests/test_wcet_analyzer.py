@@ -162,6 +162,34 @@ class TestFrontendMemo:
         assert analyze_wcet(images[0], config).wcet == wcets[0]
         assert analyzer.COUNTERS["frontend_misses"] == misses + 1
 
+    def test_ipet_memo_is_bounded(self):
+        """One frontend keeps the 512 most recently solved IPET
+        problems; an evicted one is solved again to the same result."""
+        from repro.wcet import analyzer
+        image = link(compile_source("""
+        int main(void) {
+            int i; int t = 0;
+            for (i = 0; i < 9; i++) { t += i; }
+            return t & 255;
+        }""").program)
+        front = analyzer._Frontend(image, "_start")
+        blocks = sorted(front.cfgs["main"].blocks)
+
+        def solve(k):
+            costs = {baddr: 1 for baddr in blocks}
+            costs[blocks[-1]] = k
+            return front.ipet("main", costs, {}, {})
+
+        first = solve(0)
+        for k in range(1, 513):
+            solve(k)
+        assert len(front._ipet) == 512
+        misses = analyzer.COUNTERS["ipet_misses"]
+        again = solve(0)
+        assert analyzer.COUNTERS["ipet_misses"] == misses + 1
+        assert (again.wcet, again.block_counts) == \
+            (first.wcet, first.block_counts)
+
 
 class TestDiagnostics:
     def test_unknown_entry(self):

@@ -74,7 +74,7 @@ class TestWorkflow:
         analysed = []
         monkeypatch.setattr(
             repro.workflow, "allocate_wcet_driven",
-            lambda program, size, baseline_config:
+            lambda program, size, baseline_config, baseline_image:
                 analysed.append(baseline_config.levels))
         l1 = CacheLevel.unified(CacheConfig(size=512))
         l2 = CacheLevel.unified(CacheConfig(size=2048), name="L2")
@@ -84,6 +84,23 @@ class TestWorkflow:
         adpcm_workflow.allocate(SystemConfig.scratchpad(256), method="wcet")
         assert analysed == [(l1, l2, MainMemoryLevel()),
                             SystemConfig.uncached().levels]
+
+    def test_wcet_allocation_reuses_the_baseline_image(self, monkeypatch):
+        """A WCET-driven sweep analyses the workflow's baseline
+        executable; the allocator links none of its own."""
+        import repro.spm.wcet_driven
+        linked = []
+        relink = repro.spm.wcet_driven.link
+        monkeypatch.setattr(
+            repro.spm.wcet_driven, "link",
+            lambda *args, **kwargs: linked.append(args) or relink(
+                *args, **kwargs))
+        workflow = Workflow(get("crc").source())
+        points = workflow.config_points(
+            [(SystemConfig.scratchpad(size), False, "wcet")
+             for size in PAPER_SIZES])
+        assert linked == []
+        assert all(point.allocation.method == "wcet" for point in points)
 
 
 class TestTables:
