@@ -22,11 +22,13 @@ whole-trace vector operations instead of a walk one access at a time:
   run hits and changes nothing, and writes before it share the run's
   first outcome.  The exact LRU state machine (a write hit refreshes, a
   write miss does not allocate) then walks only the run heads, set by
-  set (:func:`_lru_hits`), and grid points with one set count share the
-  grouping and the walk.  On the ``cache-dse`` workload the heads are
-  about a sixth of the probes, and a 2-way L1 replay of ``g721``
-  (660k accesses) drops from 300-400 ms on a per-access walk to
-  30-90 ms, fewer sets costing more;
+  set (:func:`_lru_hits`), on local variables at 2 and 4 ways and on a
+  list at any other associativity.  Grid points with one set count
+  share the grouping and the walk, and a chain of set counts regroups
+  at each finer one only the probes no coarser one settled
+  (:func:`lru_grid_counts`).  On the ``cache-dse`` workload the heads
+  are about a fifth of the probes, and a 2-way L1 replay of ``g721``
+  (660k accesses) takes 40-120 ms, fewer sets costing more;
 * multi-level pipelines chain the per-level kernels (picked by
   associativity) with per-level pending masks: fetches/reads that hit
   stop descending, writes (write-through, no allocate) probe every
@@ -251,7 +253,8 @@ def prep_counts(prep, nsets, need_hits=False, assoc=1):
     if assoc == 1:
         hits_rest = _dm_hits(rb, _set_index(rb, nsets), prep["ra"])
     else:
-        hits_rest = _lru_hits(rb, _set_index(rb, nsets), None, (assoc,))[0]
+        (hits_rest,), _ = _lru_hits(rb, _set_index(rb, nsets), None,
+                                    (assoc,))
     counts = _kind_counts(hits_rest, prep["rest_masks"], prep["totals"],
                           prep["short_hits"])
     if not need_hits:
@@ -288,8 +291,8 @@ def probe_counts(blocks, nsets, assoc, alloc, kind_masks):
             rb = blocks[rest]
             hits[rest] = _dm_hits(rb, _set_index(rb, nsets), alloc[rest])
     else:
-        hits = _lru_hits(blocks, _set_index(blocks, nsets), alloc,
-                         (assoc,))[0]
+        (hits,), _ = _lru_hits(blocks, _set_index(blocks, nsets), alloc,
+                               (assoc,))
     totals = [0 if mask is None else int(_np.count_nonzero(mask))
               for mask in kind_masks]
     return _kind_counts(hits, kind_masks, totals), hits
@@ -358,6 +361,53 @@ def _lru_walk(blocks, allocs, assoc):
     return hits
 
 
+def _lru_walk_2(blocks, allocs, assoc=2):
+    """:func:`_lru_walk` at two ways, MRU first in locals (-1 = empty)."""
+    hits = []
+    append = hits.append
+    w0 = w1 = -1
+    for block, allocates in zip(blocks, allocs):
+        if block == w0:
+            append(True)
+        elif block == w1:
+            append(True)
+            w0, w1 = block, w0
+        else:
+            append(False)
+            if allocates:
+                w0, w1 = block, w0
+    return hits
+
+
+def _lru_walk_4(blocks, allocs, assoc=4):
+    """:func:`_lru_walk` at four ways: a hit at way *k* rotates ways
+    0..*k*, an allocating miss shifts every way down one."""
+    hits = []
+    append = hits.append
+    w0 = w1 = w2 = w3 = -1
+    for block, allocates in zip(blocks, allocs):
+        if block == w0:
+            append(True)
+        elif block == w1:
+            append(True)
+            w0, w1 = block, w0
+        elif block == w2:
+            append(True)
+            w0, w1, w2 = block, w0, w1
+        elif block == w3:
+            append(True)
+            w0, w1, w2, w3 = block, w0, w1, w2
+        else:
+            append(False)
+            if allocates:
+                w0, w1, w2, w3 = block, w0, w1, w2
+    return hits
+
+
+#: The walk each associativity takes; :func:`_lru_walk` serves the rest.
+_WALKS = {2: _lru_walk_2, 4: _lru_walk_4}
+
+
 def _stack_walk(blocks, deepest):
     """LRU stack depth of each of one set's heads, all allocating.
 
@@ -382,7 +432,7 @@ def _stack_walk(blocks, deepest):
     return depths
 
 
-def _lru_hits(blocks, sets, alloc, assocs):
+def _lru_hits(blocks, sets, alloc, assocs, settle=False):
     """Hit masks of one LRU probe stream, in stream order, per associativity.
 
     Every associativity in *assocs* has the set count behind *sets*, so
@@ -393,10 +443,17 @@ def _lru_hits(blocks, sets, alloc, assocs):
     write hit refreshes LRU order only if the block is resident, which
     depends on the associativity).  *alloc* None means every probe
     allocates.
+
+    Returns ``(masks, settled)``.  With *settle*, ``settled`` marks (in
+    stream order) the probes preceded in their set-run by an allocating
+    probe of the same block: they hit and change nothing at any
+    associativity (:func:`lru_grid_counts` carries them down a chain of
+    set counts); otherwise it is None.
     """
     n = blocks.size
     if n == 0:
-        return [_np.zeros(0, dtype=bool) for _ in assocs]
+        empty = _np.zeros(0, dtype=bool)
+        return [empty for _ in assocs], (empty if settle else None)
     order = _np.argsort(sets, kind="stable").astype(_np.int32)
     grouped = blocks[order]
     allocs = None if alloc is None else alloc[order]
@@ -418,11 +475,12 @@ def _lru_hits(blocks, sets, alloc, assocs):
         copies = None
     else:
         head_hits = [_np.empty(heads.size, dtype=bool) for _ in assocs]
+        walks = [_WALKS.get(assoc, _lru_walk) for assoc in assocs]
         for lo, hi in bounds:
             set_blocks = head_blocks[lo:hi].tolist()
             set_allocs = head_allocs[lo:hi].tolist()
-            for hits, assoc in zip(head_hits, assocs):
-                hits[lo:hi] = _lru_walk(set_blocks, set_allocs, assoc)
+            for hits, walk, assoc in zip(head_hits, walks, assocs):
+                hits[lo:hi] = walk(set_blocks, set_allocs, assoc)
         copies = _np.flatnonzero(~(head | before))
         sources = start[copies]
     out = []
@@ -434,7 +492,11 @@ def _lru_hits(blocks, sets, alloc, assocs):
         hits = _np.empty(n, dtype=bool)
         hits[order] = grouped_hits
         out.append(hits)
-    return out
+    settled = None
+    if settle:
+        settled = _np.empty(n, dtype=bool)
+        settled[order] = ~head if before is None else before
+    return out, settled
 
 
 # -- level pipelines and grids ------------------------------------------------
@@ -526,40 +588,81 @@ def lru_chain_counts(values, caches, memo=None):
     return out
 
 
+def _drop_carried(dropped, ndropped, masks, base, *arrays):
+    """Delete the *dropped* probes from a cascade's stream.
+
+    Each dropped probe hits at every finer set count, so its kind's hit
+    count moves into *base* (the per-kind hits counted outside the
+    stream) and *masks* shrink in place.  Returns *arrays*, positions
+    aligned with the stream, without the dropped probes (None stays
+    None).
+    """
+    keep = ~dropped
+    for kind, mask in enumerate(masks):
+        if mask is True:
+            base[kind] += ndropped
+        elif mask is not None:
+            base[kind] += int(_np.count_nonzero(dropped & mask))
+            masks[kind] = mask[keep]
+    return [None if array is None else array[keep] for array in arrays]
+
+
 def lru_grid_counts(values, line, unified, points, memo=None):
-    """One 6-entry counter list per ``(assoc, nsets)`` grid point.
+    """``(counters, settled)`` of the ``(assoc, nsets)`` grid *points*.
 
     The set-associative points of a single-level LRU grid (unified or
-    instruction-side) at one line size.  Points with the same set count
-    share one grouping and one walk (:func:`_lru_hits`).  A write-free
-    stream is served from the shortcut survivors of the memoised
-    :func:`stream_prep`; a unified stream with writes is walked whole,
-    since a write hit between two same-block allocations can reorder
-    the set.
+    instruction-side) at one line size: one 6-entry counter list per
+    point, in order.  Points with the same set count share one grouping
+    and one walk (:func:`_lru_hits`).  A write-free stream starts from
+    the shortcut survivors of the memoised :func:`stream_prep`; a
+    unified stream with writes starts whole, since a write hit between
+    two same-block allocations in stream order can reorder their set.
+
+    When the set counts form a divisibility chain, they run smallest
+    first and each hands the next only its unsettled probes.  A probe
+    preceded in its set-run by an allocating probe of the same block
+    hits and changes nothing; a finer set count keeps a subset of the
+    probes of each coarser set, in order, so that run only grows and the
+    probe stays settled at every multiple.  Its per-kind hit is carried
+    forward instead of regrouped, and deleting it leaves every other
+    probe's run start, heads and copies as they were.  *settled* counts
+    the probes carried.
     """
     addrs, is_fetch, is_read, is_write = _split(values, memo)
     if unified and is_write.any():
         blocks = addrs >> (line.bit_length() - 1)
         alloc = ~is_write
-        masks = (is_fetch, is_read, is_write)
+        masks = [is_fetch, is_read, is_write]
         totals = [int(_np.count_nonzero(mask)) for mask in masks]
-        base = (0, 0, 0)
+        base = [0, 0, 0]
     else:
         prep = stream_prep(values, line,
                            "unified" if unified else "fetch", memo)
         blocks, alloc = prep["rb"], None
-        masks = prep["rest_masks"]
+        masks = list(prep["rest_masks"])
         totals = prep["totals"]
-        base = prep["short_hits"]
+        base = list(prep["short_hits"])
     by_nsets = {}
     for assoc, nsets in points:
         by_nsets.setdefault(nsets, {})[assoc] = None
-    for nsets, by_assoc in by_nsets.items():
-        assocs = list(by_assoc)
-        for assoc, hits in zip(assocs, _lru_hits(
-                blocks, _set_index(blocks, nsets), alloc, assocs)):
-            by_assoc[assoc] = _kind_counts(hits, masks, totals, base)
-    return [list(by_nsets[nsets][assoc]) for assoc, nsets in points]
+    uniq = sorted(by_nsets)
+    chain = all(b % a == 0 for a, b in zip(uniq, uniq[1:]))
+    carried = 0
+    for nsets in uniq:
+        assocs = list(by_nsets[nsets])
+        hit_masks, settled = _lru_hits(
+            blocks, _set_index(blocks, nsets), alloc, assocs,
+            settle=chain and nsets != uniq[-1])
+        by_nsets[nsets] = {assoc: _kind_counts(hits, masks, totals, base)
+                           for assoc, hits in zip(assocs, hit_masks)}
+        nsettled = 0 if settled is None else int(_np.count_nonzero(settled))
+        if nsettled:
+            carried += nsettled
+            blocks, alloc = _drop_carried(settled, nsettled, masks, base,
+                                          blocks, alloc)
+        # Only the unsettled probes stay alive into the next grouping.
+        del hit_masks, settled
+    return [list(by_nsets[nsets][assoc]) for assoc, nsets in points], carried
 
 
 def dm_sweep_counts(values, line, unified, nsets_list, memo=None):
@@ -589,37 +692,17 @@ def dm_sweep_counts(values, line, unified, nsets_list, memo=None):
     if not chain or len(uniq) < 2:
         return [prep_counts(prep, nsets)[0] for nsets in nsets_list]
     totals = prep["totals"]
-    short_hits = prep["short_hits"]
     b = prep["rb"]
     a = prep["ra"]
     masks = list(prep["rest_masks"])
-    carry = [0, 0, 0]
+    base = list(prep["short_hits"])
     by_nsets = {}
     for nsets in uniq:
         hits = _dm_hits(b, _set_index(b, nsets), a)
+        by_nsets[nsets] = _kind_counts(hits, masks, totals, base)
         nhits = int(_np.count_nonzero(hits))
-        counts = [0, 0, 0, 0, 0, 0]
-        for ki, base in enumerate((0, 2, 4)):
-            if not totals[ki]:
-                continue
-            m = masks[ki]
-            kh = carry[ki] + (nhits if m is True
-                              else int(_np.count_nonzero(hits & m)))
-            counts[base] = short_hits[ki] + kh
-            counts[base + 1] = totals[ki] - counts[base]
-        by_nsets[nsets] = counts
         if nsets != uniq[-1] and nhits:
-            keep = ~hits
-            for ki in range(3):
-                m = masks[ki]
-                if m is True:
-                    carry[ki] += nhits
-                elif m is not None:
-                    carry[ki] += int(_np.count_nonzero(hits & m))
-                    masks[ki] = m[keep]
-            b = b[keep]
-            if a is not None:
-                a = a[keep]
+            b, a = _drop_carried(hits, nhits, masks, base, b, a)
     return [list(by_nsets[nsets]) for nsets in nsets_list]
 
 

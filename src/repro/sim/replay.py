@@ -40,8 +40,11 @@ so they only read the residency the allocations leave behind.
 :func:`replay_grid` generalises the sweep to full per-set Mattson stack
 distances: one call prices an entire (size × associativity) LRU grid at
 fixed line size.  The associativity-1 points take the sweep kernel and
-the others the set-associative kernel, one grouping and one walk per
-set count.
+the others the set-associative kernel, where points with one set count
+share a grouping and a walk.  When the set counts form a divisibility
+chain, each finer one regroups only the probes the coarser ones left
+unsettled; the rest carry their hits forward
+(:func:`~repro.sim.kernels.lru_grid_counts`).
 """
 
 from __future__ import annotations
@@ -465,10 +468,11 @@ def replay_grid(trace: Trace, configs,
         for position, counts in zip(dm_positions, dm_counts):
             counts_for[position] = counts
     if lru_positions:
-        lru_counts = kernels.lru_grid_counts(
+        lru_counts, settled = kernels.lru_grid_counts(
             values, line, unified,
             [(specs[i].assoc, specs[i].num_sets) for i in lru_positions],
             memo=trace._memo)
+        COUNTERS["grid_settled"] += settled
         for position, counts in zip(lru_positions, lru_counts):
             counts_for[position] = counts
     results = [

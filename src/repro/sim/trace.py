@@ -88,6 +88,9 @@ COUNTERS = {
     "sweep_points": 0,
     "grid_passes": 0,
     "grid_points": 0,
+    # Probes a set-associative grid pass carried to a finer set count
+    # without regrouping (kernels.lru_grid_counts).
+    "grid_settled": 0,
     # What served each replay/sweep/grid pass (`repro-cc trace
     # --profile`): the numpy kernels, or for cache-free replays plan
     # arithmetic.

@@ -21,6 +21,8 @@ energy-driven allocation of the main flow.
 
 from __future__ import annotations
 
+import weakref
+
 from ..isa.opcodes import LOAD_WIDTH, STORE_WIDTH, Op
 from ..link.linker import link
 from ..link.objects import Program
@@ -105,6 +107,32 @@ def wcet_cycle_benefits(image, result, timing: AccessTiming = None):
     return benefits
 
 
+#: baseline image -> ``{(levels, timing, entry): knapsack items}``.
+#: Only the knapsack's capacity depends on the scratchpad size, so a
+#: sweep analyses each pair of program and levels behind the scratchpad
+#: once; the entries leave with their image.
+_ITEMS = weakref.WeakKeyDictionary()
+
+
+def _wcet_items(program: Program, baseline_image, baseline_config,
+                entry: str) -> list:
+    """The knapsack items of *program*: objects with a cycle benefit."""
+    timing = baseline_config.timing
+    key = (baseline_config.levels, tuple(sorted(timing.main.items())),
+           tuple(sorted(timing.spm.items())), entry)
+    memo = _ITEMS.setdefault(baseline_image, {})
+    items = memo.get(key)
+    if items is None:
+        baseline = analyze_wcet(baseline_image, baseline_config,
+                                entry=entry)
+        benefits = wcet_cycle_benefits(baseline_image, baseline)
+        items = memo[key] = [
+            Item(name=name, size=(size + 3) & ~3, benefit=benefits[name])
+            for name, _kind, size in program.memory_objects()
+            if benefits.get(name, 0) > 0]
+    return items
+
+
 def allocate_wcet_driven(program: Program, spm_size: int,
                          entry: str = "_start",
                          baseline_config: SystemConfig = None,
@@ -117,23 +145,16 @@ def allocate_wcet_driven(program: Program, spm_size: int,
     so the critical-path block counts reflect that hierarchy — the
     cycle pricing itself stays the Table-1 main-vs-SPM delta, an upper
     estimate either way.  *baseline_image* is that layout, *program*
-    linked without a scratchpad; it is linked here when not given.
+    linked without a scratchpad; it is linked here when not given.  The
+    analysis and the items are memoised per baseline image, so a size
+    sweep handed one image analyses it once per *baseline_config*.
     """
     if spm_size <= 0:
         return Allocation(spm_size=spm_size, method="wcet")
     if baseline_image is None:
         baseline_image = link(program, spm_size=0)
-    baseline = analyze_wcet(baseline_image,
-                            baseline_config or SystemConfig.uncached(),
-                            entry=entry)
-    benefits = wcet_cycle_benefits(baseline_image, baseline)
-
-    items = []
-    for name, kind, size in program.memory_objects():
-        benefit = benefits.get(name, 0)
-        if benefit > 0:
-            items.append(Item(name=name, size=(size + 3) & ~3,
-                              benefit=benefit))
+    items = _wcet_items(program, baseline_image,
+                        baseline_config or SystemConfig.uncached(), entry)
     chosen, benefit = solve_knapsack(items, spm_size)
     used = sum(it.size for it in items if it.name in chosen)
     return Allocation(spm_size=spm_size, objects=chosen, benefit=benefit,

@@ -1,6 +1,6 @@
 """Pins for the vectorised replay kernels and the trace RLE form.
 
-Four layers, the first three against one oracle: ``walk_replay``, the
+Five layers, the first four against one oracle: ``walk_replay``, the
 per-access walk through the reference hierarchy in ``tests/oracles``
 (the recording interpreter's cache model, which the kernels share no
 code with):
@@ -17,6 +17,11 @@ code with):
   on adversarial synthetic streams (hypothesis-driven, write-heavy
   included) and equal the engine on generated (``gen:<seed>``)
   programs;
+* **grid cascade and the unrolled walks** — grids over a chain of set
+  counts, which carry settled probes to the finer set counts, must
+  equal the walk on run-heavy write streams (a quarter or more of the
+  probes settled), and hand-built one-set traces pin write hits at
+  each way, write misses and write-led runs at 2 and 4 ways;
 * **run-length encoding** — compress/expand round trips (strided,
   constant and unencodable streams), the pickle fast path in both its
   ``"runs"`` and ``"flat"`` branches, and :meth:`Trace.compact`.
@@ -220,6 +225,133 @@ def test_lru_kernel_matches_generic_walk(seed, write_frac, blocks):
         priced = replay_grid(trace, [configs[k] for k in grid])
         for k, result in zip(grid, priced):
             _assert_same(result, want[k], ("grid", seed, configs[k]))
+
+
+def _run_heavy_trace(rng, runs=160, code_lines=40, data_lines=48):
+    """A stream of the runs the grid cascade settles: fetch runs of 4-8
+    halfwords through one 16-byte line, reads and writes interleaved,
+    and writes to recently used lines that are resident but not MRU."""
+    ops = array("Q")
+    op_counts = [0] * 8
+    recent = []
+
+    def emit(addr, tag):
+        ops.append((addr << 3) | tag)
+        op_counts[tag] += 1
+
+    for _ in range(runs):
+        line = MAIN_BASE + rng.randrange(code_lines) * 16
+        count = rng.randint(4, 8)
+        first = rng.randrange(9 - count)
+        for k in range(count):
+            emit(line + 2 * (first + k), 0)
+        for _ in range(rng.randrange(4)):
+            roll = rng.random()
+            if roll < 0.3 and recent:
+                # a recently used line: resident, often not its set's MRU
+                emit(rng.choice(recent) + 4 * rng.randrange(4),
+                     WRITE_TAGS[4])
+                continue
+            data = MAIN_BASE + 0x4000 + rng.randrange(data_lines) * 16
+            for _ in range(rng.randint(1, 3)):
+                tag = (WRITE_TAGS[rng.choice((1, 2, 4))]
+                       if rng.random() < 0.4
+                       else READ_TAGS[rng.choice((1, 2, 4))])
+                emit(data + 4 * rng.randrange(4), tag)
+            recent = (recent + [data])[-6:]
+        recent.append(line)
+    return Trace(ops=ops, op_counts=tuple(op_counts), spm_counts=(0,) * 8,
+                 base_cycles=0, instructions=len(ops), exit_code=0,
+                 console=(), spm_size=0)
+
+
+def _chain_grid(unified, nsets_chain, assocs=(2, 3, 4)):
+    return [SystemConfig.cached(CacheConfig(size=16 * assoc * nsets,
+                                            assoc=assoc, unified=unified))
+            for nsets in nsets_chain for assoc in assocs]
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 1 << 20))
+def test_grid_cascade_matches_walk_on_run_heavy_streams(seed):
+    """Chain grids carry settled probes to finer set counts; every point
+    still equals the per-access walk, unified and instruction-only, on
+    power-of-two and non-power-of-two chains."""
+    trace = _run_heavy_trace(random.Random(seed))
+    # Two set counts, so the counter is exactly the probes settled at
+    # the smaller one: the stream must exercise the cascade.
+    before = COUNTERS["grid_settled"]
+    replay_grid(trace, _chain_grid(True, (2, 4)))
+    assert COUNTERS["grid_settled"] - before >= len(trace.ops) / 4
+    for unified in (True, False):
+        for chain in ((2, 4, 8, 16), (3, 6, 12)):
+            configs = _chain_grid(unified, chain)
+            before = COUNTERS["grid_settled"]
+            priced = replay_grid(trace, configs)
+            assert COUNTERS["grid_settled"] > before, (unified, chain)
+            for config, result in zip(configs, priced):
+                _assert_same(result, walk_replay(trace, config),
+                             (seed, config.name))
+
+
+def _one_set_trace(accesses, assoc):
+    """*accesses* of ``(kind, block)``, all in one set of a 2-set cache
+    with 16-byte lines: ``f`` fetch, ``r`` word read, ``w`` word write."""
+    tags = {"f": 0, "r": READ_TAGS[4], "w": WRITE_TAGS[4]}
+    ops = [((MAIN_BASE + 32 * block) << 3) | tags[kind]
+           for kind, block in accesses]
+    return _raw_trace(ops), SystemConfig.cached(
+        CacheConfig(size=32 * assoc, assoc=assoc))
+
+
+@pytest.mark.parametrize("assoc", (2, 4))
+def test_write_hit_on_the_lru_way_then_an_allocating_miss(assoc):
+    """The write refreshes the LRU way, so the miss evicts the next one."""
+    fill = [("r", block) for block in range(assoc)]
+    trace, config = _one_set_trace(
+        fill + [("w", 0), ("r", assoc), ("r", 0), ("r", 1)], assoc)
+    got = replay(trace, config)
+    _assert_same(got, walk_replay(trace, config), assoc)
+    # block 0 survived the miss, block 1 did not
+    assert got.cache_stats.read_hits == 1
+
+
+@pytest.mark.parametrize("assoc", (2, 4))
+def test_write_hit_at_each_way_then_an_allocating_miss(assoc):
+    for way in range(assoc):
+        fill = [("r", block) for block in range(assoc)]
+        target = assoc - 1 - way  # the block at LRU position *way*
+        probe = [("r", block) for block in range(assoc + 1)]
+        trace, config = _one_set_trace(
+            fill + [("w", target), ("f", assoc)] + probe, assoc)
+        _assert_same(replay(trace, config), walk_replay(trace, config),
+                     (assoc, way))
+
+
+@pytest.mark.parametrize("assoc", (2, 4))
+def test_write_miss_allocates_nothing(assoc):
+    trace, config = _one_set_trace(
+        [("r", 0), ("w", 1), ("w", 1), ("r", 1), ("r", 0)], assoc)
+    got = replay(trace, config)
+    _assert_same(got, walk_replay(trace, config), assoc)
+    assert (got.cache_stats.write_hits, got.cache_stats.read_hits) == (0, 1)
+
+
+@pytest.mark.parametrize("assoc", (2, 4))
+def test_write_led_run_whose_allocation_repeats_the_head(assoc):
+    """Writes lead a run; its first allocating probe repeats the head
+    block, resident (a write hit) or not (a write miss)."""
+    fill = [("r", block) for block in range(assoc)]
+    run = [("w", 0), ("w", 0), ("r", 0), ("f", 0), ("w", 0)]
+    cold = [("w", 9), ("w", 9), ("r", 9), ("r", 9)]
+    probe = [("r", block) for block in (*range(assoc), 9)]
+    trace, config = _one_set_trace(fill + run + cold + probe, assoc)
+    _assert_same(replay(trace, config), walk_replay(trace, config), assoc)
+    grid = [SystemConfig.cached(CacheConfig(size=16 * assoc * nsets,
+                                            assoc=assoc))
+            for nsets in (1, 2, 4)]
+    for config, result in zip(grid, replay_grid(trace, grid)):
+        _assert_same(result, walk_replay(trace, config), config.name)
 
 
 @pytest.mark.parametrize("seed", (101, 4242))

@@ -24,6 +24,7 @@ from repro.experiments import (
 )
 from repro.memory import CacheConfig, SystemConfig
 from repro.memory.levels import CacheLevel, MainMemoryLevel, SpmLevel
+from repro.spm import allocate_wcet_driven
 from repro.workflow import PAPER_SIZES, Workflow
 
 
@@ -101,6 +102,29 @@ class TestWorkflow:
              for size in PAPER_SIZES])
         assert linked == []
         assert all(point.allocation.method == "wcet" for point in points)
+
+    def test_wcet_allocation_analyses_the_baseline_once_per_sweep(
+            self, monkeypatch):
+        """Only the knapsack's capacity depends on the scratchpad size:
+        a WCET-driven sweep analyses the baseline once and allocates
+        what a standalone call per size allocates."""
+        import repro.spm.wcet_driven
+        analysed = []
+        analyse = repro.spm.wcet_driven.analyze_wcet
+        monkeypatch.setattr(
+            repro.spm.wcet_driven, "analyze_wcet",
+            lambda *args, **kwargs: analysed.append(args) or analyse(
+                *args, **kwargs))
+        workflow = Workflow(get("crc").source())
+        points = workflow.config_points(
+            [(SystemConfig.scratchpad(size), False, "wcet")
+             for size in PAPER_SIZES])
+        assert len(analysed) == 1
+        for size, point in zip(PAPER_SIZES, points):
+            alone = allocate_wcet_driven(workflow.program, size)
+            got = point.allocation
+            assert (got.objects, got.benefit, got.used_bytes) == \
+                (alone.objects, alone.benefit, alone.used_bytes), size
 
 
 class TestTables:
