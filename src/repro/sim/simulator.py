@@ -21,10 +21,11 @@ number behaviour
 
 Plain timing runs execute on the **fast engine**
 (:mod:`repro.sim.engine`): per-instruction step closures compiled at
-predecode time, dispatched from a flat array, with plain-int memory
-costs from the hierarchy's fast path.  Trace replay
-(:mod:`repro.sim.replay`) re-prices the engine's recorded access stream
-and reports the same :class:`SimResult`.  The recording interpreter that
+predecode time, dispatched from a flat array, each instruction's fetch
+charged from a per-pc table beside them, with plain-int memory costs
+from the hierarchy's fast path.  Trace replay (:mod:`repro.sim.replay`)
+re-prices the access stream the same engine records block by block
+(:mod:`repro.sim.trace`) and reports the same :class:`SimResult`.  The recording interpreter that
 counts per-address fetches, data accesses and misses is a test oracle
 (``tests/oracles``); ``tests/test_sim_fastpath.py`` holds this engine to
 it for every benchmark and hierarchy shape.

@@ -9,11 +9,18 @@ how many cycles each access costs, never which access happens next.
 
 A :class:`Trace` is therefore recorded **once per image** by the flat-
 array execution engine (:mod:`repro.sim.engine` stays the ground truth
-— the recorder is the same compiled program, just with a cost tap that
-appends to the trace instead of probing tag arrays) and then served to
-:mod:`repro.sim.replay`, which re-prices it under any number of
-:class:`~repro.memory.hierarchy.SystemConfig` shapes at tag-array speed,
-bit-identical to re-executing.
+— the recorder runs the same step closures, compiled without a memory
+hierarchy) and then served to :mod:`repro.sim.replay`, which re-prices
+it under any number of :class:`~repro.memory.hierarchy.SystemConfig`
+shapes at tag-array speed, bit-identical to re-executing.
+
+The recorder makes no call per fetch.  The engine dispatches
+straight-line blocks and appends one block id per execution, and each
+data access appends its packed word itself; after the run, the stream
+is expanded in bounded chunks from per-block templates (each
+instruction's fetch word, a ``BL``'s continuation word, then its data
+slots, filled in order from the recorded data accesses), with
+scratchpad-resident words folded into per-tag counts.
 
 Contents, packed for tight replay loops:
 
@@ -51,14 +58,15 @@ import numpy as _np
 from ..memory.hierarchy import SystemConfig
 from ..memory.regions import STACK_TOP
 from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
-from .engine import compile_program
+from .engine import (READ_TAGS, WRITE_TAGS,  # noqa: F401 (re-exported)
+                      compile_program, data_accesses)
 from .kernels import encode_runs, expand_runs, ops_view
 from .simulator import MemoryFault, SimError, Simulator
 
-#: Access-kind tags in the packed ``ops`` stream (low 3 bits).
+#: Access-kind tags in the packed ``ops`` stream (low 3 bits).  The
+#: data tags by width, ``READ_TAGS`` and ``WRITE_TAGS``, come from the
+#: engine, which packs data accesses as it records them.
 TAG_FETCH = 0
-READ_TAGS = {1: 1, 2: 2, 4: 3}
-WRITE_TAGS = {1: 4, 2: 5, 4: 6}
 #: Fetch of the second halfword of a 32-bit instruction; the owning
 #: instruction's pc is ``addr - 2``.  Priced exactly like TAG_FETCH.
 TAG_FETCH_CONT = 7
@@ -82,6 +90,8 @@ COUNTERS = {
     "trace_misses": 0,
     "trace_disk_hits": 0,
     "trace_records": 0,
+    # Straight-line block executions the recorder dispatched.
+    "record_blocks": 0,
     "replay_runs": 0,
     "miss_replays": 0,
     "sweep_passes": 0,
@@ -256,64 +266,13 @@ class Trace:
 _NO_RUNS = object()
 
 
-class _TraceTap:
-    """Hierarchy stand-in for the engine: records accesses at zero cost.
+#: Template stand-in for a data slot; no packed word equals it, since
+#: addresses are 32-bit.
+_SLOT = (1 << 64) - 1
 
-    Exposes the same two factories the engine compiles against
-    (:meth:`fetch_fast_factory` / :meth:`data_fast_ops`); every closure
-    appends the access to the packed stream (or bumps the SPM-resident
-    counter) and returns 0 cycles, so the engine's cycle box accumulates
-    exactly the config-independent base: refills and execute extras.
-    """
-
-    def __init__(self, spm_end: int, cont_addrs=frozenset()):
-        self.spm_end = spm_end
-        self.cont_addrs = cont_addrs
-        self.ops = array("Q")
-        self.spm_counts = [0] * 8
-
-    def fetch_fast_factory(self):
-        spm_end = self.spm_end
-        cont_addrs = self.cont_addrs
-        append = self.ops.append
-        spm_counts = self.spm_counts
-
-        def make(addr):
-            tag = TAG_FETCH_CONT if addr in cont_addrs else TAG_FETCH
-            if 0 <= addr < spm_end:
-                def fetch():
-                    spm_counts[tag] += 1
-                    return 0
-                return fetch
-            packed = (addr << 3) | tag
-
-            def fetch():
-                append(packed)
-                return 0
-            return fetch
-        return make
-
-    def data_fast_ops(self):
-        spm_end = self.spm_end
-        append = self.ops.append
-        spm_counts = self.spm_counts
-        read_tags, write_tags = READ_TAGS, WRITE_TAGS
-
-        def dread(addr, width):
-            if 0 <= addr < spm_end:
-                spm_counts[read_tags[width]] += 1
-            else:
-                append((addr << 3) | read_tags[width])
-            return 0
-
-        def dwrite(addr, width):
-            if 0 <= addr < spm_end:
-                spm_counts[write_tags[width]] += 1
-            else:
-                append((addr << 3) | write_tags[width])
-            return 0
-
-        return dread, dwrite
+#: Block executions expanded per chunk: bounds the expansion's
+#: temporaries (about 85 KB each on g721).
+_CHUNK = 1 << 10
 
 
 def record_trace(image, spm_size: int = None,
@@ -324,32 +283,91 @@ def record_trace(image, spm_size: int = None,
     (``None`` derives it from the image's own placement); it fixes the
     SPM/main address split, which every compatible replay config shares
     by construction — cache shapes behind that split are free to vary.
+
+    The engine records which straight-line blocks ran and, in order,
+    every data access; the stream is then expanded from per-block
+    templates (:func:`_expand`).
     """
     if spm_size is None:
         spm_size = _image_spm_size(image)
     config = (SystemConfig.scratchpad(spm_size) if spm_size
               else SystemConfig.uncached())
     sim = Simulator(image, config)
-    cont_addrs = frozenset(addr + 2 for addr, instr in sim.code.items()
-                           if instr.size == 4)
-    tap = _TraceTap(spm_size, cont_addrs)
-    program = compile_program(sim.code, sim.ram, tap, sim.regs,
+    program = compile_program(sim.code, sim.ram, None, sim.regs,
                               sim._spm_limit, SimError, MemoryFault)
     regs = sim.regs
     regs[13] = STACK_TOP
     regs[14] = 0
-    base_cycles, steps, exit_code = program.run(image.entry, max_steps)
-    view = ops_view(tap.ops)
-    tags = _np.bitwise_and(view, 7, out=_np.empty(len(view), _np.uint8),
-                           casting="unsafe")
-    op_counts = tuple(int(count)
-                      for count in _np.bincount(tags, minlength=8))
+    base_cycles, steps, exit_code, ids, blocks = program.record(
+        image.entry, max_steps)
+    ops, op_counts, spm_counts = _expand(sim.code, blocks, ids,
+                                         program.data, spm_size)
     COUNTERS["trace_records"] += 1
-    return Trace(ops=tap.ops, op_counts=op_counts,
-                 spm_counts=tuple(tap.spm_counts),
+    COUNTERS["record_blocks"] += len(ids)
+    return Trace(ops=ops, op_counts=op_counts, spm_counts=spm_counts,
                  base_cycles=base_cycles, instructions=steps,
                  exit_code=exit_code, console=tuple(program.console),
                  spm_size=spm_size)
+
+
+def _templates(code, blocks):
+    """Every block's packed words, concatenated, and each one's length.
+
+    An instruction contributes its fetch word, a ``BL``'s continuation
+    word, then one :data:`_SLOT` per data access.
+    """
+    words = []
+    lengths = []
+    for pc, count in blocks:
+        begin = len(words)
+        for _ in range(count):
+            instr = code[pc]
+            words.append(pc << 3 | TAG_FETCH)
+            if instr.size == 4:
+                words.append((pc + 2) << 3 | TAG_FETCH_CONT)
+            words += [_SLOT] * data_accesses(instr)
+            pc += instr.size
+        lengths.append(len(words) - begin)
+    return _np.array(words, _np.uint64), _np.array(lengths, _np.int64)
+
+
+def _expand(code, blocks, ids, data, spm_size):
+    """``(ops, op_counts, spm_counts)`` of a block recording.
+
+    Block executions expand :data:`_CHUNK` at a time onto the end of an
+    ``array('Q')``: each chunk gathers its blocks' templates, fills the
+    data slots in order from *data*, and folds scratchpad-resident
+    words into per-tag counts instead of the stream.
+    """
+    words, lengths = _templates(code, blocks)
+    ids = _np.frombuffer(ids, _np.int32)
+    data = _np.frombuffer(data, _np.uint64)
+    spm_end = spm_size << 3
+    starts = _np.cumsum(lengths) - lengths
+    ops = array("Q")
+    op_counts = _np.zeros(8, _np.int64)
+    spm_counts = _np.zeros(8, _np.int64)
+    taken = 0
+    for low in range(0, len(ids), _CHUNK):
+        chunk = ids[low:low + _CHUNK]
+        sizes = lengths[chunk]
+        ends = _np.cumsum(sizes)
+        index = _np.repeat(starts[chunk] - ends + sizes, sizes)
+        index += _np.arange(len(index))
+        stream = words[index]
+        slots = _np.flatnonzero(stream == _SLOT)
+        stream[slots] = data[taken:taken + len(slots)]
+        taken += len(slots)
+        tags = (stream & 7).astype(_np.uint8)
+        if spm_end:
+            main = stream >= spm_end
+            spm_counts += _np.bincount(tags[~main], minlength=8)
+            stream = stream[main]
+            tags = tags[main]
+        op_counts += _np.bincount(tags, minlength=8)
+        ops.frombytes(stream.tobytes())
+    return (ops, tuple(int(count) for count in op_counts),
+            tuple(int(count) for count in spm_counts))
 
 
 def _image_spm_size(image) -> int:

@@ -9,8 +9,17 @@ the two to bit-identical cycles, instruction counts, console output and
 per-level cache statistics.  Its counters are in turn the reference of
 ``repro.sim.placement.trace_profile`` (through ``tests/helpers.py``)
 and of ``repro.sim.replay.replay_misses``.
+
+It also emits the ordered packed access stream, one ``addr << 3 | tag``
+word per access in the order the machine makes them: each fetch as
+``pc << 3 | 0``, a ``BL``'s second halfword as ``(pc + 2) << 3 | 7``,
+each data access with its width tag, and scratchpad-resident accesses
+counted per tag instead.  That stream, its per-tag counts and the
+memory-independent cycles are the reference of
+``repro.sim.trace.record_trace``.
 """
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -23,6 +32,12 @@ from .memory import ReferenceHierarchy
 
 _MASK = 0xFFFFFFFF
 _SIGN = 0x80000000
+
+#: Packed-stream tags, written out from the trace layout rather than
+#: imported, so the oracle does not share the recorder's tables.
+_FETCH, _FETCH_CONT = 0, 7
+_READ = {1: 1, 2: 2, 4: 3}
+_WRITE = {1: 4, 2: 5, 4: 6}
 
 
 @dataclass
@@ -40,6 +55,12 @@ class RecordedRun(SimResult):
     fetch_main_misses: dict = field(default_factory=dict)
     #: instruction address -> data-read miss count.
     read_misses: dict = field(default_factory=dict)
+    #: The packed main-memory access stream, in order (``array('Q')``).
+    ops: array = field(default_factory=lambda: array("Q"))
+    #: Scratchpad-resident accesses per tag (8 entries).
+    spm_counts: tuple = (0,) * 8
+    #: Cycles that no memory access pays: refills and execute extras.
+    base_cycles: int = 0
 
 
 class RecordingSimulator(Simulator):
@@ -108,7 +129,7 @@ class RecordingSimulator(Simulator):
         code = self.code
         hierarchy = self.hierarchy
         console = []
-        cycles = 0
+        cycles = 0  # memory cycles; base_cycles holds the rest
         steps = 0
         exit_code = None
         fetch_counts = Counter()
@@ -116,12 +137,21 @@ class RecordingSimulator(Simulator):
         fetch_misses = Counter()
         fetch_main_misses = Counter()
         read_misses = Counter()
+        ops = array("Q")
+        emit = ops.append
+        spm_counts = [0] * 8
+        spm_limit = self._spm_limit
+        base_cycles = 0
 
         def data_read(instr_pc, addr, width, signed=False):
             nonlocal cycles
             value = self.read_mem(addr, width, signed)
             outcome = hierarchy.read(addr, width)
             cycles += outcome.cycles
+            if 0 <= addr < spm_limit:
+                spm_counts[_READ[width]] += 1
+            else:
+                emit(addr << 3 | _READ[width])
             data_counts[addr] += 1
             if outcome.missed:
                 read_misses[instr_pc] += 1
@@ -131,6 +161,10 @@ class RecordingSimulator(Simulator):
             nonlocal cycles
             self.write_mem(addr, width, value)
             cycles += hierarchy.write(addr, width).cycles
+            if 0 <= addr < spm_limit:
+                spm_counts[_WRITE[width]] += 1
+            else:
+                emit(addr << 3 | _WRITE[width])
             data_counts[addr] += 1
 
         while steps < max_steps:
@@ -141,12 +175,20 @@ class RecordingSimulator(Simulator):
             fetch_missed = fetch.missed
             from_main = fetch_missed and fetch.served_by == "main"
             cycles += fetch.cycles
+            if 0 <= pc < spm_limit:
+                spm_counts[_FETCH] += 1
+            else:
+                emit(pc << 3 | _FETCH)
             if instr.size == 4:  # BL is two halfword fetches
                 second = hierarchy.fetch(pc + 2)
                 fetch_missed = fetch_missed or second.missed
                 from_main = from_main or (
                     second.missed and second.served_by == "main")
                 cycles += second.cycles
+                if 0 <= pc + 2 < spm_limit:
+                    spm_counts[_FETCH_CONT] += 1
+                else:
+                    emit((pc + 2) << 3 | _FETCH_CONT)
             fetch_counts[pc] += 1
             if fetch_missed:
                 fetch_misses[pc] += 1
@@ -266,24 +308,24 @@ class RecordingSimulator(Simulator):
                 if instr.with_link:
                     next_pc = data_read(pc, addr, 4) & ~1
                     addr += 4
-                    cycles += BRANCH_REFILL_CYCLES
+                    base_cycles += BRANCH_REFILL_CYCLES
                 regs[13] = addr
             elif op is Op.B:
                 next_pc = instr.target
-                cycles += BRANCH_REFILL_CYCLES
+                base_cycles += BRANCH_REFILL_CYCLES
             elif op is Op.BCC:
                 if self._cond_true(instr.cond):
                     next_pc = instr.target
-                    cycles += BRANCH_REFILL_CYCLES
+                    base_cycles += BRANCH_REFILL_CYCLES
             elif op is Op.BL:
                 regs[14] = pc + 4
                 next_pc = instr.target
-                cycles += BRANCH_REFILL_CYCLES
+                base_cycles += BRANCH_REFILL_CYCLES
             elif op is Op.BX:
                 next_pc = regs[instr.rm] & ~1
-                cycles += BRANCH_REFILL_CYCLES
+                base_cycles += BRANCH_REFILL_CYCLES
             elif op is Op.SWI:
-                cycles += instruction_extra_cycles(op)
+                base_cycles += instruction_extra_cycles(op)
                 number = instr.imm
                 if number == 0:
                     exit_code = regs[0]
@@ -303,13 +345,13 @@ class RecordingSimulator(Simulator):
                 raise SimError(f"unhandled op {op!r} at {pc:#x}")
 
             if op is Op.MUL:
-                cycles += instruction_extra_cycles(op)
+                base_cycles += instruction_extra_cycles(op)
             pc = next_pc
         else:
             raise SimError(f"exceeded {max_steps} steps (runaway program?)")
 
         return RecordedRun(
-            cycles=cycles,
+            cycles=cycles + base_cycles,
             instructions=steps,
             exit_code=exit_code,
             console=console,
@@ -320,6 +362,9 @@ class RecordingSimulator(Simulator):
             fetch_misses=fetch_misses,
             fetch_main_misses=fetch_main_misses,
             read_misses=read_misses,
+            ops=ops,
+            spm_counts=tuple(spm_counts),
+            base_cycles=base_cycles,
         )
 
 

@@ -53,11 +53,18 @@ class TestExecution:
             simulate(image, SystemConfig.uncached(), max_steps=100)
 
     def test_pc_escape_detected(self):
-        # bx into the data region: no decoded instruction lives there.
-        items = [ins.movi(1, 16), ins.shift_i(Op.LSLI, 1, 1, 16),
+        # bx to 0x110000, past the code objects (MAIN_BASE, 0x100000,
+        # is where _start itself is linked): no decoded instruction
+        # lives there, for the in-line loop or the block recorder.
+        items = [ins.movi(1, 0x11), ins.shift_i(Op.LSLI, 1, 1, 16),
                  ins.bx(1)]
-        with pytest.raises(SimError):
-            run_items(items)
+        image = link(program_of({"_start": [Label("_start")] + items}))
+        with pytest.raises(SimError, match="pc escaped code objects: "
+                                           "0x110000"):
+            simulate(image, SystemConfig.uncached())
+        with pytest.raises(SimError, match="pc escaped code objects: "
+                                           "0x110000"):
+            record_trace(image, 0)
 
 
 class TestMemoryFaults:
