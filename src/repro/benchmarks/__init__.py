@@ -1,4 +1,4 @@
-"""Benchmark programs (the paper's Table 2) and their reference oracles."""
+"""Benchmark programs (the paper's Table 2) and their expected outputs."""
 
 from .suite import BENCHMARKS, Benchmark, get, table2_rows
 

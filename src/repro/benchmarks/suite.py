@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from . import reference
-
 
 @dataclass(frozen=True)
 class Benchmark:
@@ -29,14 +27,19 @@ class Benchmark:
     name: str
     source_file: str
     description: str
-    #: callable returning (expected console lines, expected exit code)
-    expected: object
+    #: the one console line the program prints, and its exit code
+    console: str
+    exit_code: int
     #: part of the paper's Table 2 (BubbleWC is the §4 side experiment)
     in_table2: bool = True
 
     def source(self) -> str:
         package = resources.files("repro.benchmarks") / "sources"
         return (package / self.source_file).read_text()
+
+    def expected(self):
+        """``(expected console lines, expected exit code)``."""
+        return [self.console], self.exit_code
 
 
 BENCHMARKS = {
@@ -45,28 +48,32 @@ BENCHMARKS = {
         source_file="g721.mc",
         description=("Speech encoding and decoding, CCITT ADPCM "
                      "reference implementation (MediaBench)"),
-        expected=reference.g721_expected,
+        console="750771",
+        exit_code=179,
     ),
     "adpcm": Benchmark(
         name="ADPCM",
         source_file="adpcm.mc",
         description=("Adaptive Differential PCM coder/decoder, "
                      "IMA/DVI variant (MediaBench)"),
-        expected=reference.adpcm_expected,
+        console="157417",
+        exit_code=233,
     ),
     "multisort": Benchmark(
         name="MultiSort",
         source_file="multisort.mc",
         description=("A mix of sorting algorithms commonly found in "
                      "many applications"),
-        expected=reference.multisort_expected,
+        console="8104",
+        exit_code=168,
     ),
     "fir": Benchmark(
         name="FIR",
         source_file="fir.mc",
         description=("35-tap FIR filter, fixed point "
                      "(Malardalen-style, extended suite)"),
-        expected=reference.fir_expected,
+        console="278479",
+        exit_code=207,
         in_table2=False,
     ),
     "crc": Benchmark(
@@ -74,7 +81,8 @@ BENCHMARKS = {
         source_file="crc.mc",
         description=("CRC-16/CCITT, bit-serial and table-driven "
                      "(Malardalen-style, extended suite)"),
-        expected=reference.crc_expected,
+        console="46970",
+        exit_code=122,
         in_table2=False,
     ),
     "matmult": Benchmark(
@@ -82,7 +90,8 @@ BENCHMARKS = {
         source_file="matmult.mc",
         description=("12x12 integer matrix multiplication "
                      "(Malardalen-style, extended suite)"),
-        expected=reference.matmult_expected,
+        console="49978",
+        exit_code=58,
         in_table2=False,
     ),
     "sort_wc": Benchmark(
@@ -90,7 +99,8 @@ BENCHMARKS = {
         source_file="sort_wc.mc",
         description=("Insertion sort with a known worst-case input "
                      "(WCET precision check)"),
-        expected=reference.sort_wc_expected,
+        console="17440",
+        exit_code=32,
         in_table2=False,
     ),
 }

@@ -6,11 +6,7 @@ Subcommands (all take a mini-C source file):
   (``--record-misses`` also reports the hottest fetch-miss addresses,
   counted per pc from the program's recorded access trace)
 * ``trace``      — record the dynamic access trace and summarise it
-  (``--profile`` dumps the trace-cache and replay counters;
-  ``--export FILE`` writes the portable text format ``ingest`` reads)
-* ``ingest``     — parse a foreign address trace (Pin ``pinatrace`` /
-  PredicMem-style CSV / the ``trace --export`` format) and price it
-  under any modelled hierarchy, or ``--sweep`` cache sizes in one pass
+  (``--profile`` dumps the trace-cache and replay counters)
 * ``sweep``      — record the trace once and price a full
   (size × associativity) cache-geometry grid in one replay pass
 * ``gen``        — the seeded workload generator (same as ``repro-gen``)
@@ -184,26 +180,18 @@ def cmd_run(args):
     return 0
 
 
-def _print_trace_summary(trace, heading):
+def cmd_trace(args):
+    image, config = _build(args)
+    from .sim.trace import trace_counters, trace_for
+    trace = trace_for(image, config.spm_size)
     fetches, reads, writes = trace.counts_by_kind()
-    print(f"# {heading}")
+    print(f"# {config.describe()}")
     print(f"# accesses:     {trace.accesses} ({fetches} fetches, "
           f"{reads} reads, {writes} writes)")
     print(f"# spm-resident: {sum(trace.spm_counts)}")
     print(f"# base cycles:  {trace.base_cycles}")
     print(f"# instructions: {trace.instructions}")
     print(f"# exit code:    {trace.exit_code}")
-
-
-def cmd_trace(args):
-    image, config = _build(args)
-    from .sim.trace import trace_counters, trace_for
-    trace = trace_for(image, config.spm_size)
-    if args.export:
-        from .sim.ingest import save_trace
-        save_trace(trace, args.export)
-        print(f"# exported {len(trace.ops)} records to {args.export}")
-    _print_trace_summary(trace, config.describe())
     if args.profile:
         # One replay under the requested hierarchy, so the counters
         # show what served it (numpy kernel or plan arithmetic).
@@ -219,36 +207,6 @@ def cmd_trace(args):
         for key, value in sorted(after.items()):
             print(f"#   {key:16} {value:>8}")
     return 0
-
-
-def cmd_ingest(args):
-    """Price a foreign address trace under the modelled hierarchies."""
-    from .memory.cache import CacheConfig as _CacheConfig
-    from .sim.ingest import TraceFormatError, load_trace
-    from .sim.replay import replay, replay_sweep
-    try:
-        trace = load_trace(args.trace, fmt=args.format)
-    except TraceFormatError as error:
-        raise SystemExit(f"ingest: {error}") from None
-    config = _config_for(args)
-    _print_trace_summary(trace, f"ingested: {args.trace}")
-    try:
-        if args.sweep:
-            sizes = [int(field) for field in args.sweep.split(",")]
-            configs = [
-                SystemConfig.cached(_CacheConfig(
-                    size=size, line_size=args.line,
-                    unified=not args.icache)) for size in sizes]
-            for cfg, result in zip(configs, replay_sweep(trace, configs)):
-                print(f"# {cfg.cache.size:>7} B cache: "
-                      f"{result.cycles} cycles")
-            return 0
-        _print_result(replay(trace, config), config)
-    except (ValueError, SimError) as error:
-        raise SystemExit(f"ingest: {error}") from None
-    return 0
-
-
 
 
 def cmd_sweep(args):
@@ -510,29 +468,12 @@ def main(argv=None) -> int:
                 "--profile", action="store_true",
                 help="print trace-cache and replay counters after "
                      "the dump")
-            command.add_argument(
-                "--export", metavar="FILE",
-                help="also write the trace in the portable text "
-                     "format (gzip when FILE ends in .gz)")
         if name == "wcet":
             command.add_argument(
                 "--profile", action="store_true",
                 help="print analysis reuse-cache and state-interning "
                      "counters after the run")
         command.set_defaults(func=func)
-
-    ingest = sub.add_parser(
-        "ingest", help="replay a foreign address trace (Pin/PredicMem "
-                       "style or the trace --export format)")
-    ingest.add_argument("trace", help="trace file (.gz accepted)")
-    ingest.add_argument("--format", default="auto",
-                        choices=("auto", "repro", "pin", "predicmem"),
-                        help="input format (default: auto-detect)")
-    ingest.add_argument("--sweep", metavar="SIZES",
-                        help="comma-separated cache sizes: price them "
-                             "all in one single-pass replay")
-    _add_memory_options(ingest)
-    ingest.set_defaults(func=cmd_ingest)
 
     sweep = sub.add_parser(
         "sweep", help="price a (size × associativity) cache-geometry "

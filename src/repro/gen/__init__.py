@@ -5,10 +5,11 @@ Grows the benchmark suite beyond the paper's seven hand-ported programs:
 * :mod:`repro.gen.progen` — deterministic seeded generator with an
   exact reference evaluator (self-checking programs, byte-identical
   per seed);
-* :mod:`repro.gen.strategies` — Hypothesis strategies for shrinkable
-  tier-1 property tests (needs the ``hypothesis`` package);
 * :mod:`repro.gen.harness` — the tiered soundness checks the fuzz
   suites and ``repro-gen --check`` run.
+
+The Hypothesis strategies the shrinking tier draws from are test code
+(``tests/strategies.py``): the package never imports ``hypothesis``.
 """
 
 from .progen import (

@@ -5,20 +5,25 @@ Public surface:
 * :mod:`repro.isa.opcodes` — :class:`Op`, :class:`Cond` and opcode metadata
 * :mod:`repro.isa.instruction` — :class:`Instr` plus operand-checked factories
 * :mod:`repro.isa.encoding` — :func:`encode` / :func:`decode`
-* :mod:`repro.isa.assembler` — two-pass text assembler
+* :mod:`repro.isa.assembler` — item streams (labels, data, word
+  references) and their two-pass layout and encoding
 * :mod:`repro.isa.disassembler` — :func:`format_instr`
+
+There is no text-assembly parser: the compiler emits instructions
+directly, and the parser the tests write hand-made programs with lives
+in ``tests/assembler.py``.
 """
 
 from .opcodes import Cond, Op
 from .instruction import Instr
 from .encoding import EncodingError, IllegalInstruction, decode, encode
-from .assembler import AsmError, Assembler, Data, Label, assemble
+from .assembler import Data, Label
 from .disassembler import disassemble_words, format_instr
-from .registers import LR, PC, SP, parse_reg, reg_name
+from .registers import LR, PC, SP, reg_name
 
 __all__ = [
     "Cond", "Op", "Instr", "EncodingError", "IllegalInstruction",
-    "decode", "encode", "AsmError", "Assembler", "Data", "Label",
-    "assemble", "disassemble_words", "format_instr",
-    "LR", "PC", "SP", "parse_reg", "reg_name",
+    "decode", "encode", "Data", "Label",
+    "disassemble_words", "format_instr",
+    "LR", "PC", "SP", "reg_name",
 ]

@@ -26,19 +26,3 @@ def reg_name(index: int) -> str:
     if not 0 <= index < NUM_REGS:
         raise ValueError(f"register index out of range: {index}")
     return _NAMES.get(index, f"r{index}")
-
-
-def parse_reg(name: str) -> int:
-    """Parse a register name (``r0``..``r15``, ``sp``, ``lr``, ``pc``)."""
-    text = name.strip().lower()
-    for index, alias in _NAMES.items():
-        if text == alias:
-            return index
-    if text.startswith("r"):
-        try:
-            index = int(text[1:])
-        except ValueError as exc:
-            raise ValueError(f"bad register name: {name!r}") from exc
-        if 0 <= index < NUM_REGS:
-            return index
-    raise ValueError(f"bad register name: {name!r}")

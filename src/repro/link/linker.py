@@ -16,7 +16,8 @@ Layout:
 
 from __future__ import annotations
 
-from ..isa.assembler import EncodingError, encode_placed, layout_items
+from ..isa.assembler import encode_placed, layout_items
+from ..isa.encoding import EncodingError
 from ..memory.regions import MAIN_BASE, SPM_BASE
 from .image import Image, PlacedObject
 from .objects import CallNote, DataObject, FunctionCode, Program

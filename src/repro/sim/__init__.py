@@ -37,7 +37,6 @@ from .trace import (
     trace_counters,
     trace_for,
 )
-from .ingest import TraceFormatError, dump_trace, load_trace, parse_trace
 
 __all__ = [
     "MemoryFault", "SimError", "SimResult", "Simulator", "simulate",
@@ -46,5 +45,4 @@ __all__ = [
     "replay_sweep", "sweep_geometry",
     "Trace", "clear_trace_caches", "record_trace", "set_trace_cache_dir",
     "trace_counters", "trace_for",
-    "TraceFormatError", "dump_trace", "load_trace", "parse_trace",
 ]

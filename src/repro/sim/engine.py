@@ -760,7 +760,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             frame = 4 * (len(reglist) + (1 if with_link else 0))
 
             def step():
-                sp = regs[13] - frame
+                sp = (regs[13] - frame) & _MASK
                 regs[13] = sp
                 for reg in reglist:
                     store4(sp, regs[reg])

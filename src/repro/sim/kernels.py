@@ -799,9 +799,9 @@ def encode_runs(ops):
 
     The inverse of :func:`expand_runs`: 8 bytes per run, the ``int32``
     delta of the run's first value from the previous run's first value
-    and ``count << 1 | stride`` as ``uint32``.  Returns None when a
-    delta or count overflows 32 bits (only possible for ingested
-    foreign streams); callers keep the flat form then.
+    and ``count << 1 | stride`` as ``uint32``.  Raises ``ValueError``
+    when a delta or count overflows 32 bits, which no recorded stream
+    can: packed values stay below ``STACK_TOP << 3`` = 2**24.
 
     Greedy encoding from a run start depends only on what follows, so
     the stream is encoded in blocks that each begin at a run start:
@@ -810,8 +810,6 @@ def encode_runs(ops):
     """
     heads = array("i")
     packed = array("I")
-    if heads.itemsize != 4 or packed.itemsize != 4:  # pragma: no cover
-        return None
     values = ops_view(ops)
     n = len(values)
     if not n:
@@ -837,7 +835,7 @@ def encode_runs(ops):
         if not (_np.all(_np.where(up, rise <= _INT32_MAX,
                                   fall <= _INT32_MAX + 1))
                 and int(counts.max()) <= _INT32_MAX):
-            return None
+            raise ValueError("run delta or count overflows 32 bits")
         delta = _np.where(up, rise.astype(_np.int64),
                           -fall.astype(_np.int64))
         heads.frombytes(delta.astype(_np.int32).tobytes())

@@ -57,10 +57,10 @@ import numpy as _np
 
 from ..memory.hierarchy import SystemConfig
 from ..memory.regions import STACK_TOP
-from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
+from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache
 from .engine import (READ_TAGS, WRITE_TAGS,  # noqa: F401 (re-exported)
                       compile_program, data_accesses)
-from .kernels import encode_runs, expand_runs, ops_view
+from .kernels import encode_runs, expand_runs
 from .simulator import MemoryFault, SimError, Simulator
 
 #: Access-kind tags in the packed ``ops`` stream (low 3 bits).  The
@@ -124,16 +124,15 @@ def _count_memo_eviction():
 
 
 #: In-process trace table: bounded LRU (traces are the largest objects
-#: the process holds on to; REPRO_TRACE_CACHE_CAP / 0 = unbounded).
-_TRACE_CACHE = LRUCache(env_capacity("REPRO_TRACE_CACHE_CAP", 64),
-                        on_evict=_count_trace_eviction)
+#: the process holds on to).
+_TRACE_CACHE = LRUCache(64, on_evict=_count_trace_eviction)
 
 #: Shared on-disk layer (:class:`repro.store.ArtifactStore`), or None.
 _TRACE_STORE = None
 
 #: Per-trace replay-kernel memo bound (entries are stream reductions
-#: comparable in size to the trace itself; REPRO_STREAM_MEMO_CAP).
-_MEMO_CAP = env_capacity("REPRO_STREAM_MEMO_CAP", 16)
+#: comparable in size to the trace itself).
+_MEMO_CAP = 16
 
 
 def _new_memo():
@@ -152,12 +151,12 @@ class Trace:
     bytes — an ``int32`` delta from the previous run's first value plus
     a ``uint32`` ``count << 1 | stride`` word — so the encoding never
     exceeds the flat stream and shrinks it whenever any run is longer
-    than one.  The encoding is lossless; :meth:`compact` drops the flat
-    form (the ``ops`` property re-expands lazily, in numpy), and
-    pickling stores the compact form — that is what shrinks the on-disk
-    trace cache and worker-to-worker transfers.  Foreign ingested
-    streams whose deltas overflow 32 bits stay flat (:meth:`runs`
-    returns None).
+    than one.  Every recorded stream encodes: its packed values stay
+    below ``STACK_TOP << 3``, so each delta fits 32 bits.  The encoding
+    is lossless; :meth:`compact` drops the flat form (the ``ops``
+    property re-expands lazily, in numpy), and a trace pickles only in
+    the compact form — that is what shrinks the on-disk trace cache and
+    worker-to-worker transfers.
 
     ``_memo`` caches config-independent stream reductions computed by
     the vectorised replay kernels (:mod:`repro.sim.kernels`): block-id
@@ -198,57 +197,31 @@ class Trace:
         ``base`` is the first run's absolute packed value; ``heads[i]``
         is run *i*'s ``int32`` delta from run *i-1*'s first value
         (``heads[0]`` is 0); ``packed[i]`` is ``count << 1 | (1 if the
-        address strides by 2 per repeat)``.  Returns None when the
-        stream does not encode (a foreign trace whose deltas overflow
-        32 bits) — the flat form is kept then.
+        address strides by 2 per repeat)``.
         """
         if self._runs is None:
-            self._runs = encode_runs(self.ops) or _NO_RUNS
-        return None if self._runs is _NO_RUNS else self._runs
-
-    def iter_runs(self):
-        """Yield ``(first_value, count, stride_flag)`` per run.
-
-        Unencodable streams fall back to one singleton run per op.
-        """
-        runs = self.runs()
-        if runs is None:
-            for value in self.ops:
-                yield value, 1, 0
-            return
-        base, heads, packed = runs
-        value = base
-        for head, record in zip(heads, packed):
-            value += head
-            yield value, record >> 1, record & 1
+            self._runs = encode_runs(self.ops)
+        return self._runs
 
     def compact(self) -> "Trace":
         """Keep only the run-length form; ``ops`` re-expands lazily."""
-        if self.runs() is not None:
-            self._ops = None
+        self.runs()
+        self._ops = None
         return self
 
     def __getstate__(self):
-        rest = (self.op_counts, self.spm_counts, self.base_cycles,
-                self.instructions, self.exit_code, self.console,
-                self.spm_size)
-        runs = self.runs()
-        if runs is None:
-            return ("flat", self._ops) + rest
-        return ("runs",) + runs + rest
+        # The leading tag names the one form; trace-3 entries carry it.
+        return ("runs",) + self.runs() + (
+            self.op_counts, self.spm_counts, self.base_cycles,
+            self.instructions, self.exit_code, self.console,
+            self.spm_size)
 
     def __setstate__(self, state):
-        if state[0] == "runs":
-            self._ops = None
-            self._runs = state[1:4]
-            rest = state[4:]
-        else:
-            self._ops = state[1]
-            self._runs = _NO_RUNS
-            rest = state[2:]
+        self._ops = None
+        self._runs = state[1:4]
         (self.op_counts, self.spm_counts, self.base_cycles,
          self.instructions, self.exit_code, self.console,
-         self.spm_size) = rest
+         self.spm_size) = state[4:]
         self._memo = _new_memo()
 
     @property
@@ -260,10 +233,6 @@ class Trace:
         """``(fetches, reads, writes)`` over the whole stream."""
         totals = [a + b for a, b in zip(self.op_counts, self.spm_counts)]
         return (totals[0] + totals[7], sum(totals[1:4]), sum(totals[4:7]))
-
-
-#: Sentinel stored in ``Trace._runs`` when the stream does not encode.
-_NO_RUNS = object()
 
 
 #: Template stand-in for a data slot; no packed word equals it, since

@@ -27,8 +27,7 @@ pickles wrapped in a checksummed envelope::
 
 where *kind* is ``s``: a 64-bit word-sum, computed at memory bandwidth
 through numpy (the envelope must cost a few percent of the raw pickle
-round trip, not half of it).  Readers also verify kind ``c``
-(``zlib.crc32``), which older installs wrote without numpy.  Entries
+round trip, not half of it).  Any other kind is rejected.  Entries
 are written atomically (``{path}.tmp{pid}`` + ``os.replace``) into
 2-hex-character shard directories named by the sha256 of the entry key.
 Loads verify the envelope before unpickling; failures move the file to
@@ -53,7 +52,6 @@ import hashlib
 import os
 import pickle
 import warnings
-import zlib
 from collections import OrderedDict
 
 import numpy as _np
@@ -188,15 +186,14 @@ def envelope(payload: bytes) -> bytes:
 def open_envelope(blob):
     """The payload inside *blob*, or None when the envelope is bad.
 
-    Rejects short files, foreign magic, truncated or overlong payloads
-    and checksum mismatches — every way a torn write, a bit flip or a
-    stray file can present.  Returns a zero-copy view into *blob*
+    Rejects short files, foreign magic, checksum kinds other than
+    ``s``, truncated or overlong payloads and checksum mismatches —
+    every way a torn write, a bit flip or a stray file can present.  Returns a zero-copy view into *blob*
     (``pickle.loads`` and equality against bytes both accept it).
     """
     if len(blob) < _HEADER_LEN or not blob.startswith(_MAGIC):
         return None
     header = blob[len(_MAGIC):_HEADER_LEN]
-    kind = header[:1]
     try:
         checksum = int(header[1:17], 16)
         length = int(header[18:34], 16)
@@ -204,13 +201,7 @@ def open_envelope(blob):
         return None
     if len(blob) - _HEADER_LEN != length:
         return None
-    if kind == b"s":
-        if _sum64(blob, _HEADER_LEN) != checksum:
-            return None
-    elif kind == b"c":
-        if zlib.crc32(memoryview(blob)[_HEADER_LEN:]) != checksum:
-            return None
-    else:
+    if header[:1] != b"s" or _sum64(blob, _HEADER_LEN) != checksum:
         return None
     return memoryview(blob)[_HEADER_LEN:]
 
@@ -569,15 +560,3 @@ class ArtifactStore:
             "degraded": self.degraded,
             "counters": dict(self.counters),
         }
-
-
-def env_capacity(name: str, default: int):
-    """Integer cache-capacity knob from the environment (0 = unbounded)."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return None if value <= 0 else value

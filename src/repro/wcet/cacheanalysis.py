@@ -82,7 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..memory.cache import CacheConfig
-from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
+from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache
 from .accesses import resolve_all
 from .loops import find_natural_loops
 
@@ -214,10 +214,9 @@ def _count_reuse_eviction():
     COUNTERS["reuse_evictions"] += 1
 
 
-#: In-process reuse table: bounded LRU (REPRO_REUSE_CACHE_CAP knob,
-#: 0 = unbounded) instead of the unbounded dict it used to be.
-_REUSE_CACHE = LRUCache(env_capacity("REPRO_REUSE_CACHE_CAP", 512),
-                        on_evict=_count_reuse_eviction)
+#: In-process reuse table: bounded LRU instead of the unbounded dict it
+#: used to be.
+_REUSE_CACHE = LRUCache(512, on_evict=_count_reuse_eviction)
 
 #: Shared on-disk layer (:class:`repro.store.ArtifactStore`), or None.
 _REUSE_STORE = None

@@ -11,6 +11,8 @@ the ILP oracle in ``tests/ilp``:
 * :mod:`.domain` — the dict MUST/MAY domain and a ``CacheAnalysis``
   running its fixpoint and classification;
 * :mod:`.runs` — the trace run-length encoder as a loop over ops;
+* :mod:`.benchmarks` — bit-exact Python models of the suite programs,
+  the source of the ``(console, exit code)`` pairs the registry commits;
 * :mod:`.differentials` — both oracles on generated programs, for the
   fuzz tier.
 """

@@ -1,9 +1,11 @@
 """Bit-exact Python reference models of the mini-C benchmarks.
 
-Each function mirrors its benchmark's algorithm at Python level (same LCG,
-same integer semantics) and returns the expected console output.  The test
-suite runs the compiled T16 binaries on the simulator and requires exact
-agreement — a strong end-to-end oracle over compiler, linker and ISS.
+Each ``<key>_expected`` function mirrors its benchmark's algorithm at
+Python level (same LCG, same integer semantics) and returns the expected
+``(console lines, exit code)``.  ``repro.benchmarks`` commits those pairs;
+the registry tests require model, committed pair and a simulator run of
+the compiled T16 binary to agree — a strong end-to-end oracle over
+compiler, linker and ISS.
 """
 
 from __future__ import annotations

@@ -292,7 +292,7 @@ class RecordingSimulator(Simulator):
                     signed=True) & _MASK
             elif op is Op.PUSH:
                 count = len(instr.reglist) + (1 if instr.with_link else 0)
-                sp = regs[13] - 4 * count
+                sp = (regs[13] - 4 * count) & _MASK
                 regs[13] = sp
                 addr = sp
                 for reg in instr.reglist:

@@ -5,16 +5,12 @@ the seeded generator optimises for throughput and byte-reproducible
 corpora, Hypothesis strategies optimise for *minimal counterexamples* —
 when a property fails, shrinking hands back the smallest program that
 still breaks it.  The tier-1 soundness tests draw from here; keeping
-the strategies in the package (rather than inline in one test file)
+the strategies in one module (rather than inline in one test file)
 lets every suite compose them.
 
 Programs drawn from :func:`random_program` always terminate: loops are
 counted canonical ``for`` loops over per-depth loop variables that the
 bodies never write, so the compiler derives every bound automatically.
-
-Requires the ``hypothesis`` package (a test-only dependency); importing
-this module without it installed raises ``ImportError``, which the
-fuzzing tiers treat as "skip".
 """
 
 from hypothesis import strategies as st

@@ -1,11 +1,13 @@
 """Registry drift guard: sources and `BENCHMARKS` must stay in sync.
 
-The benchmark programs live as ``.mc`` data files while their golden
-outputs live in :mod:`repro.benchmarks.reference`; nothing but these
-tests ties the two together.  Every registry entry must have a readable
-source file, the source must compile, and the bit-exact Python reference
-must agree with an actual simulator run — so neither the registry, the
-sources nor the reference models can drift apart unnoticed.
+The benchmark programs live as ``.mc`` data files, the registry commits
+their golden ``(console, exit code)`` pairs, and the bit-exact Python
+reference models live in ``tests/oracles/benchmarks.py``; nothing but
+these tests ties the three together.  Every registry entry must have a
+readable source file, the source must compile, and the reference model,
+the committed pair and an actual simulator run must agree — so neither
+the registry, the sources nor the reference models can drift apart
+unnoticed.
 """
 
 import pytest
@@ -15,6 +17,8 @@ from repro.link import link
 from repro.memory import SystemConfig
 from repro.minic import compile_source
 from repro.sim import simulate
+
+from .oracles import benchmarks as models
 
 ALL_KEYS = sorted(BENCHMARKS)
 
@@ -50,7 +54,8 @@ class TestRegistry:
     def test_expected_matches_simulator_run(self, compiled, key):
         image = link(compiled[key].program)
         result = simulate(image, SystemConfig.uncached())
-        expected_console, expected_exit = get(key).expected()
-        assert result.console == expected_console, \
-            f"{key}: reference model and simulator disagree"
-        assert result.exit_code == expected_exit
+        committed = get(key).expected()
+        assert getattr(models, f"{key}_expected")() == committed, \
+            f"{key}: reference model and committed pair disagree"
+        assert (result.console, result.exit_code) == committed, \
+            f"{key}: committed pair and simulator disagree"

@@ -2,9 +2,10 @@
 
 from hypothesis import given
 
-from repro.isa import assemble, decode, format_instr
+from repro.isa import decode, format_instr
 from repro.isa.disassembler import disassemble_words
 
+from .assembler import assemble
 from .test_isa_encoding import arbitrary_instr, roundtrip
 
 

@@ -1,10 +1,12 @@
-"""Text assembler: parsing, layout, relocation, relaxation."""
+"""Text assembler (``tests/assembler.py``) and the shipped item-stream
+passes (``repro.isa.assembler``): parsing, layout, relocation,
+relaxation."""
 
 import struct
 
 import pytest
 
-from repro.isa import AsmError, Assembler, Op, assemble, decode
+from repro.isa import Op, decode
 from repro.isa.assembler import (
     Align,
     Data,
@@ -14,6 +16,8 @@ from repro.isa.assembler import (
     relax_branches,
 )
 from repro.isa import instruction as ins
+
+from .assembler import AsmError, Assembler, assemble, assemble_items
 
 
 def decode_all(code, base=0):
@@ -141,7 +145,6 @@ class TestRelaxation:
         ops = [i.op for i in relaxed if hasattr(i, "op")]
         assert Op.B in ops  # inverted-condition + unconditional pair
         # The whole stream must still assemble.
-        from repro.isa.assembler import assemble_items
         code, symbols = assemble_items(relaxed)
         assert symbols["top"] == 0
 

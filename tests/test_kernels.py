@@ -22,9 +22,9 @@ code with):
   equal the walk on run-heavy write streams (a quarter or more of the
   probes settled), and hand-built one-set traces pin write hits at
   each way, write misses and write-led runs at 2 and 4 ways;
-* **run-length encoding** — compress/expand round trips (strided,
-  constant and unencodable streams), the pickle fast path in both its
-  ``"runs"`` and ``"flat"`` branches, and :meth:`Trace.compact`.
+* **run-length encoding** — compress/expand round trips (strided and
+  constant streams), the refusal of streams whose deltas overflow 32
+  bits, the run-length pickle form, and :meth:`Trace.compact`.
 """
 
 import pickle
@@ -405,37 +405,43 @@ def test_rle_round_trip_strided_and_constant():
     assert runs is not None
     assert len(runs[2]) < len(ops)  # actually compressed
     assert list(kernels.expand_runs(*runs)) == ops
-    flat = [value
-            for first, count, stride in trace.iter_runs()
-            for value in (range(first, first + 16 * count, 16) if stride
-                          else [first] * count)]
+    base, heads, packed = runs
+    flat, first = [], base
+    for head, record in zip(heads, packed):
+        first += head
+        count = record >> 1
+        flat += (range(first, first + 16 * count, 16) if record & 1
+                 else [first] * count)
     assert flat == ops
 
 
 def test_rle_refuses_foreign_overflow():
-    # A backwards delta beyond int32 keeps the trace flat (the on-disk
-    # and pickle forms fall back rather than mis-encode).
+    # A backwards delta beyond int32 cannot be encoded; no recorded
+    # stream has one (packed values stay below 2**24), so the encoder,
+    # compact() and pickling all refuse rather than mis-encode.
     ops = [((1 << 60) << 3), (0x1000 << 3), ((1 << 60) << 3) | 2]
     trace = _raw_trace(ops)
-    assert trace.runs() is None
-    assert [count for _f, count, _s in trace.iter_runs()] == [1, 1, 1]
-    assert trace.compact() is trace  # keeps its ops
+    with pytest.raises(ValueError):
+        kernels.encode_runs(array("Q", ops))
+    with pytest.raises(ValueError):
+        trace.runs()
+    with pytest.raises(ValueError):
+        trace.compact()
+    with pytest.raises(ValueError):
+        pickle.dumps(trace)
     assert list(trace.ops) == ops
 
 
-def test_pickle_runs_and_flat_branches():
-    compressible = _raw_trace(
-        [((0x8000 + 2 * i) << 3) for i in range(20)])
-    foreign = _raw_trace([((1 << 60) << 3), (0x1000 << 3)])
-    for trace in (compressible, foreign):
-        clone = pickle.loads(pickle.dumps(trace))
-        assert list(clone.ops) == list(trace.ops)
-        assert clone.op_counts == trace.op_counts
-        assert clone.base_cycles == trace.base_cycles
-        assert clone.spm_size == trace.spm_size
-    # The compressible pickle must be the RLE form: smaller than flat.
-    assert len(pickle.dumps(compressible)) < \
-        len(pickle.dumps(foreign)) + 18 * 8
+def test_pickle_stores_the_runs_form():
+    ops = [((0x8000 + 2 * i) << 3) for i in range(20)]
+    trace = _raw_trace(ops)
+    clone = pickle.loads(pickle.dumps(trace))
+    # One run of 20 strided fetches: the pickle holds it, not 20 words.
+    assert clone._ops is None and len(clone.runs()[2]) == 1
+    assert list(clone.ops) == ops
+    assert clone.op_counts == trace.op_counts
+    assert clone.base_cycles == trace.base_cycles
+    assert clone.spm_size == trace.spm_size
 
 
 def test_compact_drops_flat_ops_and_reexpands():
@@ -477,29 +483,33 @@ def _stream(start, pieces, rng):
        seed=st.integers(0, 1 << 16), block=st.sampled_from([2, 3, 7, None]))
 def test_encoder_emits_the_loop_runs(start, pieces, seed, block):
     """The block-wise numpy encoder emits the loop oracle's runs: the
-    same ``(base, heads, packed)``, or None when a head overflows, on
-    any stream, in blocks as small as two ops."""
+    same ``(base, heads, packed)``, or ``ValueError`` where the oracle
+    finds a head that overflows, on any stream, in blocks as small as
+    two ops."""
     ops = array("Q", _stream(start, pieces, random.Random(seed)))
+    want = compress_ops(ops)
     saved = kernels._RUN_BLOCK
     kernels._RUN_BLOCK = block or saved
     try:
+        if want is None:
+            with pytest.raises(ValueError):
+                kernels.encode_runs(ops)
+            return
         got = kernels.encode_runs(ops)
     finally:
         kernels._RUN_BLOCK = saved
-    want = compress_ops(ops)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None
-        assert (got[0], list(got[1]), list(got[2])) == \
-            (want[0], list(want[1]), list(want[2]))
+    assert (got[0], list(got[1]), list(got[2])) == \
+        (want[0], list(want[1]), list(want[2]))
 
 
 def test_encoder_edge_streams():
-    for ops in ([], [5 << 3], [7, 7], [0, 16, 32, 32, 48],
-                [(1 << 64) - 1, (1 << 64) - 1, 5]):
+    for ops in ([], [5 << 3], [7, 7], [0, 16, 32, 32, 48]):
         stream = array("Q", ops)
         assert kernels.encode_runs(stream) == compress_ops(stream)
+    stream = array("Q", [(1 << 64) - 1, (1 << 64) - 1, 5])
+    assert compress_ops(stream) is None
+    with pytest.raises(ValueError):
+        kernels.encode_runs(stream)
 
 
 def test_recorded_trace_rle_round_trips():

@@ -30,7 +30,6 @@ from repro.store import (
     STORE_COUNTER_KEYS,
     ArtifactStore,
     LRUCache,
-    env_capacity,
     envelope,
     open_envelope,
 )
@@ -82,17 +81,24 @@ class TestEnvelope:
     def test_rejects_trailing_garbage(self):
         assert open_envelope(envelope(b"payload") + b"x") is None
 
-    def test_reads_crc32_envelopes_of_older_installs(self):
-        # Writers emit word-sum ("s") envelopes only; a crc32 ("c")
-        # envelope is an older install's entry and must still verify.
-        payload = b"an older entry"
+    def test_rejects_and_quarantines_crc32_envelopes(self, tmp_path):
+        # Word-sum ("s") is the one envelope kind.  A crc32 ("c")
+        # envelope, even with a correct checksum, is rejected, and the
+        # store quarantines it like any other bad entry.
+        payload = pickle.dumps("an older entry")
         header = envelope(payload)[:-len(payload)]
         blob = (header[:14] + b"c%016x" % zlib.crc32(payload)
                 + header[31:] + payload)
-        assert open_envelope(blob) == payload
-        flipped = bytearray(blob)
-        flipped[-1] ^= 0x01
-        assert open_envelope(bytes(flipped)) is None
+        assert open_envelope(blob) is None
+        store = ArtifactStore(tmp_path)
+        path = store.path_for("key")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        assert store.load("key") is None
+        assert store.counters["corrupt"] == 1
+        assert not os.path.exists(path)
+        assert os.listdir(store.corrupt_dir())
 
 
 # --------------------------------------------------------------------------
@@ -293,18 +299,9 @@ class TestLRUCache:
         assert len(cache) == 3 and cache.evictions == 7
         assert 9 in cache and 0 not in cache
 
-    def test_env_capacity_knob(self, monkeypatch):
-        assert env_capacity("REPRO_TEST_CAP", 64) == 64
-        monkeypatch.setenv("REPRO_TEST_CAP", "8")
-        assert env_capacity("REPRO_TEST_CAP", 64) == 8
-        monkeypatch.setenv("REPRO_TEST_CAP", "0")
-        assert env_capacity("REPRO_TEST_CAP", 64) is None  # unbounded
-        monkeypatch.setenv("REPRO_TEST_CAP", "junk")
-        assert env_capacity("REPRO_TEST_CAP", 64) == 64
-
 
 class TestBoundedCacheLayers:
-    """The process-wide cache layers respect their capacity knobs."""
+    """The process-wide cache layers respect their capacity bounds."""
 
     @pytest.fixture
     def trace_mod(self):

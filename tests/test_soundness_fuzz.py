@@ -1,8 +1,8 @@
 """Soundness fuzzing: random structured programs, WCET >= simulation.
 
 Hypothesis generates random (but always-terminating) mini-C programs —
-the strategies live in :mod:`repro.gen.strategies`, shared with the
-rest of the fuzzing stack — and for each program and each memory system
+the strategies live in ``tests/strategies.py``, shared with the rest of
+the fuzzing stack — and for each program and each memory system
 the analysed WCET bound must dominate the simulated cycle count.  This
 hunts for disagreements between the simulator's and the analyser's view
 of the machine — the class of bug that silently breaks the paper's
@@ -15,12 +15,13 @@ the ``fuzz``-marked tier (``tests/test_fuzz_generated.py``).
 
 from hypothesis import given, settings, strategies as st
 
-from repro.gen.strategies import random_program
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
 from repro.sim import simulate
 from repro.wcet import analyze_wcet
+
+from .strategies import random_program
 
 
 CONFIGS = [

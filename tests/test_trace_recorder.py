@@ -117,13 +117,14 @@ def _link(start_items, **functions):
     return link(Program(functions=code, globals=[]))
 
 
-def _errors(image, max_steps=50_000_000):
+def _errors(image, max_steps=50_000_000, spm_size=0):
     """The exception each of simulate, record_trace and the oracle
     raises, as ``(type, message)``."""
+    config = _recording_config(spm_size)
     raised = []
-    for run in (lambda: simulate(image, SystemConfig.uncached(), max_steps),
-                lambda: record_trace(image, 0, max_steps),
-                lambda: record(image, SystemConfig.uncached(), max_steps)):
+    for run in (lambda: simulate(image, config, max_steps),
+                lambda: record_trace(image, spm_size, max_steps),
+                lambda: record(image, config, max_steps)):
         with pytest.raises(SimError) as error:
             run()
         raised.append((type(error.value), str(error.value)))
@@ -178,6 +179,19 @@ def test_fall_through_into_a_literal_pool_escapes():
     assert raised == [raised[0]] * 3
     assert re.fullmatch(r"pc escaped code objects: 0x[0-9a-f]+",
                         raised[0][1])
+
+
+@pytest.mark.parametrize("spm_size", (0, SPM_SIZE))
+def test_push_below_address_zero_faults(spm_size):
+    # sp walks down to 4, and pushing two registers wraps it to 32 bits
+    # as SPADJ does: the first store lands at 0xfffffffc, unmapped.
+    items = [ins.sp_adjust(-508)] * 4128 + [
+        ins.sp_adjust(-124), ins.push([1, 2]), ins.swi(0)]
+    image = link(Program(functions=[FunctionCode(
+        "_start", [Label("_start")] + items)], globals=[]),
+        spm_size=spm_size)
+    assert _errors(image, spm_size=spm_size) == [
+        (MemoryFault, "access to unmapped address 0xfffffffc")] * 3
 
 
 def test_unknown_swi_faults_in_mid_run():
